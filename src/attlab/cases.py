@@ -47,9 +47,6 @@ class CaseSpec:
     def channel_count(self):
         return 3 * len(self.groups)
 
-    def includes(self, group):
-        return group in self.groups
-
 
 def case_spec(case_id):
     """Parse a case id like 'C2f' into its group selection."""

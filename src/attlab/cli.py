@@ -28,7 +28,6 @@ from .errors import (
     IncompatibleModelError,
     ScenarioInfeasibleError,
 )
-from .features import build_frames
 from .harness import (
     SEED_NAMES,
     render_baseline_csv,
@@ -50,7 +49,7 @@ from .synth import (
     scenario_from_dict,
     synth_pass,
 )
-from .triad import TriadConfig, triad_pass_eval, write_triad_series_csv
+from .triad import write_triad_series_csv
 
 OUT_ROOT_ENV = "ATTLAB_OUT"
 FORMAT_VERSION = 1
@@ -111,11 +110,8 @@ def cmd_synth(args):
     else:
         errors = CATALOG_ERRORS
         if "errors" in cfg:
-            err = {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]}
-            for key in ("css_gain", "css_bias", "mag_ref", "mag_hard_iron",
-                        "mag_misalign_axis", "gyro_bias_dps"):
-                err[key] = tuple(err[key])
-            errors = SensorErrors(**err)
+            errors = SensorErrors.from_dict(
+                {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]})
         scenarios = default_catalog(base_seed=base_seed, errors=errors)
     if args.eclipse:
         scenarios = [eclipse_variant(sc) for sc in scenarios]
@@ -138,20 +134,17 @@ def cmd_triad(args):
     outdir = _out_dir(args)
     logs = [read_passlog(p) for p in args.passes]
     css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
-    rows = triad_baseline_report(logs, css_bias=css_bias)
-    if args.priority != "both":
-        rows = [r for r in rows if r["priority"] == args.priority]
+    priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
+    rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
     outputs = []
     report = os.path.join(outdir, "triad_baseline.csv")
     with open(report, "w", newline="\n") as f:
         f.write(render_baseline_csv(rows))
     outputs.append(report)
-    for log in logs:
+    for k, log in enumerate(logs):
         for row in rows:
-            ev = triad_pass_eval(log, build_frames(log, css_bias=css_bias),
-                                 TriadConfig(priority=row["priority"]))
             p = os.path.join(outdir, f"triad_{log.pass_id}_{row['priority']}.csv")
-            write_triad_series_csv(ev, p)
+            write_triad_series_csv(row["evaluations"][k], p)
             outputs.append(p)
     for r in rows:
         print(f"priority={r['priority']} rms_att_deg={r['rms_att_deg']:.3f} "

@@ -67,9 +67,6 @@ class NetParams:
         return NetParams([w.copy() for w in self.weights],
                          [b.copy() for b in self.biases])
 
-    def flat(self):
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
 
 def init_params(nc):
     """He-style scaled normal weights, zero biases, seeded."""

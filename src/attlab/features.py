@@ -7,7 +7,6 @@ data: the gyro scale comes from the training passes and the CSS bias /
 MAG reference values come from preflight configuration.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,9 +214,3 @@ def shuffle_windows(ds, seed):
     return WindowDataset(X=ds.X[perm], Y=ds.Y[perm], n=ds.n,
                          case_id=ds.case_id, provenance=prov)
 
-
-def dump_windows_jsonl(ds, path):
-    """Debug dump: one window per line, for test fixtures."""
-    with open(path, "w") as f:
-        for k in range(len(ds)):
-            f.write(json.dumps({"X": ds.X[k].tolist(), "Y": ds.Y[k].tolist()}) + "\n")

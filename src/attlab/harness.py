@@ -15,14 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cases import case_spec
-from .convnet import (
-    NetConfig,
-    TrainConfig,
-    load_model,
-    predict_pass,
-    save_model,
-    train,
-)
+from .convnet import NetConfig, TrainConfig, predict_pass, save_model, train
 from .features import (
     attitude_labels,
     build_frames,
@@ -32,7 +25,13 @@ from .features import (
     shuffle_windows,
 )
 from .passlog import read_passlog
-from .rotations import angle_between_deg, quat_rotate, quat_to_mrp, rotation_angle_deg
+from .rotations import (
+    angle_between_deg,
+    mrp_to_quat,
+    quat_rotate,
+    quat_to_mrp,
+    rotation_angle_deg,
+)
 from .triad import TriadConfig, triad_pass_eval
 
 SEED_NAMES = ("R1", "R2", "R3")
@@ -210,10 +209,6 @@ def _min_cell(value):
     return "-" if value is None else f"{value:.1f}"
 
 
-TABLE_HEADER = ("case", "train_R1", "train_R2", "train_R3", "min_train(I)",
-                "test_R1", "test_R2", "test_R3", "min_test(II)", "(I)+(II)")
-
-
 def _header_for(table):
     seeds = table.rows[0].seeds
     return ("case", *(f"train_{s}" for s in seeds), "min_train(I)",
@@ -327,27 +322,30 @@ def write_matrix_reports(tables, results, outdir, meta):
 # TRIAD baseline report
 # ---------------------------------------------------------------------------
 
-def triad_baseline_report(logs, css_bias=None):
-    """Pooled attitude/sensor RMS for both priority choices over the passes."""
+def _pooled_finite_rms(series):
+    """Pooled RMS over the finite entries; skipped steps are NaN."""
+    return _pooled_rms([x[np.isfinite(x)] for x in series])
+
+
+def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
+    """Pooled attitude/sensor RMS per priority choice over the passes.
+
+    Each row also keeps the per-pass ``evaluations`` it pooled, in pass
+    order, so their series can be written without solving again.
+    """
+    frames = [build_frames(log, css_bias=css_bias) for log in logs]
     rows = []
-    for priority in ("sun", "mag"):
-        att_chunks, sun_chunks, mag_chunks = [], [], []
-        solved = skipped = 0
-        for log in logs:
-            frames = build_frames(log, css_bias=css_bias)
-            ev = triad_pass_eval(log, frames, TriadConfig(priority=priority))
-            att_chunks.append(ev.att_err_deg[np.isfinite(ev.att_err_deg)])
-            sun_chunks.append(ev.sun_err_deg[np.isfinite(ev.sun_err_deg)])
-            mag_chunks.append(ev.mag_err_deg[np.isfinite(ev.mag_err_deg)])
-            solved += ev.solved_steps
-            skipped += ev.skipped_steps
+    for priority in priorities:
+        evs = [triad_pass_eval(log, f, TriadConfig(priority=priority))
+               for log, f in zip(logs, frames)]
         rows.append({
             "priority": priority,
-            "rms_att_deg": _pooled_rms(att_chunks),
-            "rms_sun_deg": _pooled_rms(sun_chunks),
-            "rms_mag_deg": _pooled_rms(mag_chunks),
-            "solved_steps": solved,
-            "skipped_steps": skipped,
+            "rms_att_deg": _pooled_finite_rms(ev.att_err_deg for ev in evs),
+            "rms_sun_deg": _pooled_finite_rms(ev.sun_err_deg for ev in evs),
+            "rms_mag_deg": _pooled_finite_rms(ev.mag_err_deg for ev in evs),
+            "solved_steps": sum(ev.solved_steps for ev in evs),
+            "skipped_steps": sum(ev.skipped_steps for ev in evs),
+            "evaluations": evs,
         })
     return rows
 
@@ -366,6 +364,9 @@ def render_baseline_csv(rows):
 # Time-series exports
 # ---------------------------------------------------------------------------
 
+_SERIES_KEYS = ("att_err_deg", "sun_err_deg", "mag_err_deg", "earth_err_deg")
+
+
 def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     """Per-step error series for a trained model on one pass.
 
@@ -376,32 +377,22 @@ def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     frames = build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
     labels = attitude_labels(log)
     steps, pred = predict_pass(params, frames, labels, nc.n, case, nc)
-    truth = quat_to_mrp(log.q_true)
-    att = rotation_angle_deg(pred, truth[steps])
-    from .rotations import mrp_to_quat
     q_pred = mrp_to_quat(pred)
-    uE_i = -log.r_km / np.linalg.norm(log.r_km, axis=1, keepdims=True)
-
-    rows = []
-    offset = nc.n - 1
-    for k in range(len(log.t)):
-        row = {"t": int(log.t[k]), "att_err_deg": None, "sun_err_deg": None,
-               "mag_err_deg": None, "earth_err_deg": None}
-        if k >= offset:
-            j = k - offset
-            row["att_err_deg"] = float(att[j])
-            qp = q_pred[j]
-            if frames.avail["uS_c"][k]:
-                row["sun_err_deg"] = float(angle_between_deg(
-                    frames.groups["uS_c"][k], quat_rotate(qp, log.uS_i[k])))
-            if frames.avail["uB_m"][k]:
-                row["mag_err_deg"] = float(angle_between_deg(
-                    frames.groups["uB_m"][k], quat_rotate(qp, log.uB_i[k])))
-            if frames.avail["uE_c"][k]:
-                row["earth_err_deg"] = float(angle_between_deg(
-                    frames.groups["uE_c"][k], quat_rotate(qp, uE_i[k])))
-        rows.append(row)
-    return rows
+    L = len(log.t)
+    att = np.full(L, np.nan)
+    att[steps] = rotation_angle_deg(pred, quat_to_mrp(log.q_true)[steps])
+    series = [att]
+    for group, model in (("uS_c", log.uS_i), ("uB_m", log.uB_i),
+                         ("uE_c", frames.groups["uE_i"])):
+        err = np.full(L, np.nan)
+        seen = frames.avail[group][steps]
+        k = steps[seen]
+        err[k] = angle_between_deg(frames.groups[group][k],
+                                   quat_rotate(q_pred[seen], model[k]))
+        series.append(err)
+    cells = [np.where(np.isnan(x), None, x).tolist() for x in series]
+    return [{"t": t, **dict(zip(_SERIES_KEYS, row))}
+            for t, *row in zip(log.t.astype(int).tolist(), *cells)]
 
 
 TIMESERIES_HEADER = "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
@@ -411,7 +402,7 @@ def write_timeseries_csv(rows, path):
     lines = [TIMESERIES_HEADER]
     for r in rows:
         cells = [str(r["t"])]
-        for key in ("att_err_deg", "sun_err_deg", "mag_err_deg", "earth_err_deg"):
+        for key in _SERIES_KEYS:
             cells.append("" if r[key] is None else repr(r[key]))
         lines.append(",".join(cells))
     with open(path, "w", newline="\n") as f:
@@ -431,12 +422,3 @@ def write_raw_profile_csv(log, path):
         f.write("\n".join(lines) + "\n")
     return path
 
-
-def export_model_timeseries(model_path, log, out_path, css_bias=None):
-    """Convenience wrapper: load a model file and export its error series."""
-    params, nc, prov = load_model(model_path)
-    case = case_spec(prov["case_id"])
-    return write_timeseries_csv(
-        timeseries_rows(params, nc, case, log, prov.get("gyro_scale"),
-                        css_bias=css_bias),
-        out_path)

@@ -17,6 +17,7 @@ from .errors import DataIntegrityError
 
 PASS_SAMPLES = 362
 PASS_DT_S = 1.0
+UNIT_NORM_TOL = 1e-6
 
 CSV_COLUMNS = (
     "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2,w0,w1,w2,"
@@ -48,7 +49,7 @@ class PassLog:
         if np.any(self.css != np.round(self.css)) or np.any(self.mag != np.round(self.mag)):
             raise DataIntegrityError("ADC counts must be integer-valued")
         qn = np.linalg.norm(self.q_true, axis=1)
-        if np.any(np.abs(qn - 1.0) > 1e-6):
+        if np.any(np.abs(qn - 1.0) > UNIT_NORM_TOL):
             raise DataIntegrityError("truth quaternion is not unit norm")
         return self
 
@@ -87,6 +88,25 @@ def manifest_path_for(csv_path):
     return stem + ".manifest.json"
 
 
+def _check_cells(data, csv_path):
+    """Reject non-finite cells and model vectors off unit norm, naming the
+    file, the column and the step of the first offending record."""
+    columns = CSV_COLUMNS.split(",")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        k, col = bad[0]
+        raise DataIntegrityError(
+            f"{csv_path}: non-finite value in column {columns[col]} at step {k}")
+    for first in (13, 16):  # uS_i, uB_i
+        norm = np.linalg.norm(data[:, first:first + 3], axis=1)
+        off = np.flatnonzero(np.abs(norm - 1.0) > UNIT_NORM_TOL)
+        if len(off):
+            k = off[0]
+            raise DataIntegrityError(
+                f"{csv_path}: columns {','.join(columns[first:first + 3])} are not "
+                f"a unit vector at step {k} (norm {norm[k]:.9g})")
+
+
 def read_passlog(csv_path):
     """Load and validate a pass CSV; the manifest sidecar is loaded if present."""
     with open(csv_path) as f:
@@ -96,6 +116,7 @@ def read_passlog(csv_path):
         data = np.loadtxt(f, delimiter=",", ndmin=2)
     if data.shape[1] != 26:
         raise DataIntegrityError(f"expected 26 columns, found {data.shape[1]}")
+    _check_cells(data, csv_path)
     manifest = {}
     try:
         with open(manifest_path_for(csv_path)) as f:

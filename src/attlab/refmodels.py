@@ -7,11 +7,18 @@ direction. The ECI frame is a fixed mean-equator frame; Earth rotation
 enters only through the dipole tilt phase.
 
 Time is UTC expressed as POSIX seconds (seconds since 1970-01-01T00:00Z).
+``propagate_orbit``, ``sun_direction_eci`` and ``dipole_field_eci`` take a
+time array as well as one time, and the position-based functions take an
+``(L, 3)`` position stack, so a whole pass is modelled in one call per
+model; each row has the bits of the single-step call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rotations import _dot
 
 MU_EARTH_KM3_S2 = 398600.4418
 R_EARTH_KM = 6378.137
@@ -58,19 +65,14 @@ def _plane_basis(el):
 
 
 def propagate_orbit(el, t):
-    """ECI position (km) of the circular orbit at UTC time t."""
-    if t < el.epoch:
+    """ECI position (km) of the circular orbit at UTC time(s) t."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < el.epoch):
         raise ValueError("propagation time precedes the element epoch")
     n = np.sqrt(MU_EARTH_KM3_S2 / el.a_km**3)
-    u = np.radians(el.arglat_deg) + n * (t - el.epoch)
+    u = (np.radians(el.arglat_deg) + n * (t - el.epoch))[..., None]
     p, q = _plane_basis(el)
     return el.a_km * (np.cos(u) * p + np.sin(u) * q)
-
-
-def orbit_normal(el):
-    """Unit vector normal to the orbit plane (angular momentum direction)."""
-    p, q = _plane_basis(el)
-    return np.cross(p, q)
 
 
 def _julian_centuries(t):
@@ -91,12 +93,12 @@ def sun_direction_eci(t):
         1.914666471 * np.sin(mean_anom) + 0.019994643 * np.sin(2.0 * mean_anom)
     )
     obliq = np.radians(23.439291 - 0.0130042 * T)
-    u = np.array([
+    u = np.stack([
         np.cos(ecl_lon),
         np.cos(obliq) * np.sin(ecl_lon),
         np.sin(obliq) * np.sin(ecl_lon),
-    ])
-    return u / np.linalg.norm(u)
+    ], axis=-1)
+    return u / np.sqrt(_dot(u, u))[..., None]
 
 
 def _dipole_axis(t, tilt_deg):
@@ -105,38 +107,41 @@ def _dipole_axis(t, tilt_deg):
     days = t / 86400.0 + _JD_UNIX_EPOCH - _JD_J2000
     alpha = 4.894961212823058 + 6.300388098984891 * days
     tilt = np.radians(tilt_deg)
-    return np.array([
+    return np.stack([
         np.sin(tilt) * np.cos(alpha),
         np.sin(tilt) * np.sin(alpha),
-        np.cos(tilt),
-    ])
+        np.full_like(alpha, np.cos(tilt)),
+    ], axis=-1)
 
 
 def dipole_field_eci(r_km, t, b0_gauss=DIPOLE_B0_GAUSS, tilt_deg=DIPOLE_TILT_DEG):
     """Geomagnetic field vector (gauss) of a tilted centered dipole at r_km."""
     r_km = np.asarray(r_km, dtype=float)
-    rn = np.linalg.norm(r_km)
-    if rn < R_EARTH_KM:
+    rn = np.sqrt(_dot(r_km, r_km))
+    if np.any(rn < R_EARTH_KM):
         raise ValueError("field point is below the Earth surface")
-    rhat = r_km / rn
-    m = _dipole_axis(t, tilt_deg)
-    return b0_gauss * (R_EARTH_KM / rn) ** 3 * (3.0 * (m @ rhat) * rhat - m)
+    rhat = r_km / rn[..., None]
+    m = _dipole_axis(np.asarray(t, dtype=float), tilt_deg)
+    # libm pow per point: an array ``** 3`` runs numpy's SIMD power, which
+    # is one ulp off libm on some inputs, so a pass would lose the bits of
+    # the single-step call.
+    cube = np.vectorize(math.pow, otypes=[float])(R_EARTH_KM / rn, 3.0)
+    return (b0_gauss * cube)[..., None] * (3.0 * _dot(m, rhat)[..., None] * rhat - m)
 
 
 def earth_direction(r_km):
     """Unit vector from the satellite toward the Earth center: -r/|r|."""
     r_km = np.asarray(r_km, dtype=float)
-    rn = np.linalg.norm(r_km)
-    if rn == 0.0:
+    rn = np.sqrt(_dot(r_km, r_km))
+    if np.any(rn == 0.0):
         raise ValueError("zero position vector has no Earth direction")
-    return -r_km / rn
+    return -r_km / rn[..., None]
 
 
 def is_sunlit(r_km, u_sun):
     """Cylindrical-shadow test: False only inside the Earth's shadow."""
     r_km = np.asarray(r_km, dtype=float)
-    along = float(np.dot(r_km, u_sun))
-    if along >= 0.0:
-        return True
-    perp = r_km - along * np.asarray(u_sun)
-    return bool(np.linalg.norm(perp) > R_EARTH_KM)
+    u_sun = np.asarray(u_sun, dtype=float)
+    along = _dot(r_km, u_sun)
+    perp = r_km - along[..., None] * u_sun
+    return (along >= 0.0) | (np.sqrt(_dot(perp, perp)) > R_EARTH_KM)

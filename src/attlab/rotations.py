@@ -13,13 +13,28 @@ Conventions used throughout the package:
   conversion from a canonical quaternion keeps ``|sigma| <= 1``.
 * Angles at API boundaries are degrees.
 
-Most functions broadcast over leading axes, so a whole pass of attitudes
-can be converted in one call.
+Every function except ``quat_to_dcm`` and ``random_quat`` broadcasts over
+leading axes, so a whole pass is converted in one call: a ``(L, 4)``
+quaternion stack, a ``(L, 3, 3)`` DCM stack, or an ``(L,)`` angle array
+for ``quat_from_axis_angle`` about one fixed axis.  A whole-pass call gives
+the same bits, row by row, as the single-step calls.
 """
 
 import numpy as np
 
 from .errors import DegenerateGeometryError
+
+
+def _dot(a, b):
+    """Row-wise dot product over the last axis.
+
+    The stacked matmul runs BLAS ``ddot`` on each row, so every row gets
+    the bits a 1-D ``a @ b`` would; ``np.sum(a * b, -1)`` and ``einsum``
+    differ from it in the last ulp on some rows.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _check_finite(x, name):
@@ -65,21 +80,25 @@ def quat_multiply(a, b):
 
 
 def quat_from_axis_angle(axis, angle_deg):
-    """Frame rotation of angle_deg about the (not necessarily unit) axis."""
+    """Frame rotation(s) of angle_deg about one (not necessarily unit) axis."""
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * np.radians(angle_deg)
-    return np.concatenate([axis / n * np.sin(half), [np.cos(half)]])
+    return np.concatenate([axis / n * np.sin(half)[..., None],
+                           np.cos(half)[..., None]], axis=-1)
 
 
 def quat_to_axis_angle(q):
     """Return (unit axis, angle in degrees), angle in [0, 180]."""
     q = quat_canonical(quat_normalize(q))
-    vn = np.linalg.norm(q[:3])
-    angle = 2.0 * np.arctan2(vn, q[3])
-    axis = q[:3] / vn if vn > 0.0 else np.array([1.0, 0.0, 0.0])
+    vn = np.sqrt(_dot(q[..., :3], q[..., :3]))
+    # a copy: arctan2 of a strided view takes a code path one ulp apart
+    angle = 2.0 * np.arctan2(vn, q[..., 3].copy())
+    has_axis = (vn > 0.0)[..., None]
+    axis = np.where(has_axis, q[..., :3] / np.where(has_axis, vn[..., None], 1.0),
+                    [1.0, 0.0, 0.0])
     return axis, np.degrees(angle)
 
 
@@ -96,42 +115,37 @@ def quat_to_dcm(q):
     return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) - 2.0 * w * vx
 
 
+# Shepperd's branches, one row per largest component (w, x, y, z): where
+# each of [x, y, z, w] comes from in the term list of dcm_to_quat, over
+# 4 * largest.  The largest component itself is set, not divided.
+_SHEPPERD_TERMS = np.array([[0, 1, 2, 0], [0, 3, 4, 0], [3, 0, 5, 1], [4, 5, 0, 2]])
+_SHEPPERD_LARGEST = np.array([3, 0, 1, 2])
+
+
 def dcm_to_quat(C):
     """Quaternion (canonical, w >= 0) from a proper rotation matrix.
 
     Shepperd's method: pick the largest of the four squared components
-    to avoid dividing by a small number.
+    to avoid dividing by a small number; the branch is chosen per matrix.
     """
     C = np.asarray(C, dtype=float)
-    tr = np.trace(C)
-    b2 = np.array([
-        (1.0 + tr) / 4.0,
-        (1.0 + 2.0 * C[0, 0] - tr) / 4.0,
-        (1.0 + 2.0 * C[1, 1] - tr) / 4.0,
-        (1.0 + 2.0 * C[2, 2] - tr) / 4.0,
-    ])
-    case = int(np.argmax(b2))
-    if case == 0:
-        w = np.sqrt(b2[0])
-        x = (C[1, 2] - C[2, 1]) / (4.0 * w)
-        y = (C[2, 0] - C[0, 2]) / (4.0 * w)
-        z = (C[0, 1] - C[1, 0]) / (4.0 * w)
-    elif case == 1:
-        x = np.sqrt(b2[1])
-        w = (C[1, 2] - C[2, 1]) / (4.0 * x)
-        y = (C[0, 1] + C[1, 0]) / (4.0 * x)
-        z = (C[2, 0] + C[0, 2]) / (4.0 * x)
-    elif case == 2:
-        y = np.sqrt(b2[2])
-        w = (C[2, 0] - C[0, 2]) / (4.0 * y)
-        x = (C[0, 1] + C[1, 0]) / (4.0 * y)
-        z = (C[1, 2] + C[2, 1]) / (4.0 * y)
-    else:
-        z = np.sqrt(b2[3])
-        w = (C[0, 1] - C[1, 0]) / (4.0 * z)
-        x = (C[2, 0] + C[0, 2]) / (4.0 * z)
-        y = (C[1, 2] + C[2, 1]) / (4.0 * z)
-    return quat_canonical(quat_normalize(np.array([x, y, z, w])))
+    tr = np.trace(C, axis1=-2, axis2=-1)
+    diag = np.diagonal(C, axis1=-2, axis2=-1)
+    b2 = np.concatenate([((1.0 + tr) / 4.0)[..., None],
+                         (1.0 + 2.0 * diag - tr[..., None]) / 4.0], axis=-1)
+    case = np.argmax(b2, axis=-1)
+    largest = np.sqrt(np.take_along_axis(b2, case[..., None], axis=-1))
+    terms = np.stack([
+        C[..., 1, 2] - C[..., 2, 1],
+        C[..., 2, 0] - C[..., 0, 2],
+        C[..., 0, 1] - C[..., 1, 0],
+        C[..., 0, 1] + C[..., 1, 0],
+        C[..., 2, 0] + C[..., 0, 2],
+        C[..., 1, 2] + C[..., 2, 1],
+    ], axis=-1)
+    q = np.take_along_axis(terms, _SHEPPERD_TERMS[case], axis=-1) / (4.0 * largest)
+    np.put_along_axis(q, _SHEPPERD_LARGEST[case][..., None], largest, axis=-1)
+    return quat_canonical(quat_normalize(q))
 
 
 def quat_rotate(q, v):

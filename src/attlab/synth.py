@@ -14,7 +14,7 @@ two indistinguishable.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +69,12 @@ class SensorErrors:
         if self.mag_scale <= 0:
             raise ValueError("mag scale must be positive")
 
+    @classmethod
+    def from_dict(cls, d):
+        """From a JSON-style dict: list values of tuple fields become tuples."""
+        tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
+        return cls(**{k: tuple(v) if k in tuples else v for k, v in d.items()})
+
 
 @dataclass
 class Maneuver:
@@ -109,11 +115,7 @@ def scenario_from_dict(d):
     d = dict(d)
     d["orbit"] = OrbitElements(**d["orbit"])
     d["maneuver"] = Maneuver(**{**d["maneuver"], "axis": tuple(d["maneuver"]["axis"])})
-    err = dict(d["errors"])
-    for key in ("css_gain", "css_bias", "mag_ref", "mag_hard_iron",
-                "mag_misalign_axis", "gyro_bias_dps"):
-        err[key] = tuple(err[key])
-    d["errors"] = SensorErrors(**err)
+    d["errors"] = SensorErrors.from_dict(d["errors"])
     d["q0"] = tuple(d["q0"])
     return Scenario(**d)
 
@@ -137,16 +139,10 @@ def make_attitude_profile(sc):
             )
     theta = np.clip(man.rate_limit_dps * (t - man.start_s), 0.0, man.magnitude_deg)
     q0 = quat_canonical(quat_normalize(np.asarray(sc.q0, dtype=float)))
-    q = np.empty((PASS_SAMPLES, 4))
-    for k in range(PASS_SAMPLES):
-        q[k] = quat_multiply(q0, quat_from_axis_angle(man.axis, theta[k]))
-    w = np.zeros((PASS_SAMPLES, 3))
-    for k in range(PASS_SAMPLES - 1):
-        d = quat_multiply(quat_conjugate(q[k]), q[k + 1])
-        axis, ang = quat_to_axis_angle(d)
-        w[k] = axis * ang  # deg/s at 1 s cadence
-    w[-1] = w[-2]
-    return q, w
+    q = quat_multiply(q0, quat_from_axis_angle(man.axis, theta))
+    axis, ang = quat_to_axis_angle(quat_multiply(quat_conjugate(q[:-1]), q[1:]))
+    w = axis * ang[:, None]  # deg/s at 1 s cadence
+    return q, np.concatenate([w, w[-1:]])
 
 
 def simulate_css(q_true, uS_i, uE_i, sunlit, err, rng):
@@ -206,18 +202,14 @@ def synth_pass(sc):
     q_true, w_true = make_attitude_profile(sc)
 
     t_abs = sc.epoch + np.arange(PASS_SAMPLES, dtype=float)
-    r = np.empty((PASS_SAMPLES, 3))
-    uS = np.empty((PASS_SAMPLES, 3))
-    B = np.empty((PASS_SAMPLES, 3))
-    uE = np.empty((PASS_SAMPLES, 3))
-    sunlit = np.zeros(PASS_SAMPLES, dtype=bool)
-    for k in range(PASS_SAMPLES):
-        r[k] = refmodels.propagate_orbit(sc.orbit, t_abs[k])
-        uS[k] = refmodels.sun_direction_eci(t_abs[k])
-        B[k] = refmodels.dipole_field_eci(r[k], t_abs[k])
-        uE[k] = refmodels.earth_direction(r[k])
-        if not sc.force_eclipse:
-            sunlit[k] = refmodels.is_sunlit(r[k], uS[k])
+    r = refmodels.propagate_orbit(sc.orbit, t_abs)
+    uS = refmodels.sun_direction_eci(t_abs)
+    B = refmodels.dipole_field_eci(r, t_abs)
+    uE = refmodels.earth_direction(r)
+    if sc.force_eclipse:
+        sunlit = np.zeros(PASS_SAMPLES, dtype=bool)
+    else:
+        sunlit = refmodels.is_sunlit(r, uS)
     uB = B / np.linalg.norm(B, axis=1, keepdims=True)
 
     css = simulate_css(q_true, uS, uE, sunlit, sc.errors, rng)
@@ -309,7 +301,7 @@ def _noon_orbit(epoch, t_mid):
         epoch=epoch,
     )
     # Argument of latitude pointing closest to the Sun at mid-pass.
-    p, q = _orbit_plane_basis(el)
+    p, q = refmodels._plane_basis(el)
     u_mid = np.arctan2(q @ s, p @ s)
     n = np.sqrt(refmodels.MU_EARTH_KM3_S2 / el.a_km**3)
     arglat0 = float(np.degrees(u_mid - n * (t_mid - epoch)) % 360.0)
@@ -320,18 +312,6 @@ def _noon_orbit(epoch, t_mid):
         arglat_deg=arglat0,
         epoch=epoch,
     )
-
-
-def _orbit_plane_basis(el):
-    raan = np.radians(el.raan_deg)
-    inc = np.radians(el.inc_deg)
-    p = np.array([np.cos(raan), np.sin(raan), 0.0])
-    q = np.array([
-        -np.sin(raan) * np.cos(inc),
-        np.cos(raan) * np.cos(inc),
-        np.sin(inc),
-    ])
-    return p, q
 
 
 def _attitude_pointing_sun_at(u_sun, body_target):
@@ -384,18 +364,9 @@ def default_catalog(base_seed=20211218, errors=CATALOG_ERRORS):
 
 def eclipse_variant(sc):
     """Same pass with the Sun switched off: no direct light, no albedo."""
-    err = asdict(sc.errors)
-    err.update(albedo_coeff=0.0, css_noise=0.0)
-    for key in ("css_gain", "css_bias", "mag_ref", "mag_hard_iron",
-                "mag_misalign_axis", "gyro_bias_dps"):
-        err[key] = tuple(err[key])
-    return Scenario(
+    return replace(
+        sc,
         pass_id=sc.pass_id + "e",
-        orbit=sc.orbit,
-        epoch=sc.epoch,
-        q0=sc.q0,
-        maneuver=sc.maneuver,
-        errors=SensorErrors(**err),
-        seed=sc.seed,
+        errors=replace(sc.errors, albedo_coeff=0.0, css_noise=0.0),
         force_eclipse=True,
     )

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .rotations import (
+    _dot,
     angle_between_deg,
     dcm_to_quat,
     quat_rotate,
@@ -33,21 +34,31 @@ class TriadConfig:
 
 
 def _triad_basis(v1, v2):
-    t1 = v1 / np.linalg.norm(v1)
+    """Orthonormal triads (columns t1, t2, t3) and the collinear mask."""
+    t1 = v1 / np.sqrt(_dot(v1, v1))[..., None]
     c = np.cross(v1, v2)
-    cn = np.linalg.norm(c)
-    if cn <= COLLINEAR_EPS:
-        raise DegenerateGeometryError(
-            f"vectors are collinear within {COLLINEAR_EPS} (|v1 x v2| = {cn:.2e})")
-    t2 = c / cn
-    return np.column_stack([t1, t2, np.cross(t1, t2)])
+    cn = np.sqrt(_dot(c, c))
+    collinear = cn <= COLLINEAR_EPS
+    t2 = c / np.where(collinear, 1.0, cn)[..., None]
+    return np.stack([t1, t2, np.cross(t1, t2)], axis=-1), collinear
+
+
+def _triad_solve(v1_b, v2_b, v1_i, v2_i):
+    """DCMs mapping inertial to body, and where either pair is collinear.
+
+    Broadcasts over leading axes; collinear rows hold no solution.
+    """
+    Mb, collinear_b = _triad_basis(np.asarray(v1_b, float), np.asarray(v2_b, float))
+    Mi, collinear_i = _triad_basis(np.asarray(v1_i, float), np.asarray(v2_i, float))
+    return Mb @ np.swapaxes(Mi, -1, -2), collinear_b | collinear_i
 
 
 def triad(v1_b, v2_b, v1_i, v2_i):
     """DCM mapping inertial to body from one vector pair per frame."""
-    Mb = _triad_basis(np.asarray(v1_b, float), np.asarray(v2_b, float))
-    Mi = _triad_basis(np.asarray(v1_i, float), np.asarray(v2_i, float))
-    return Mb @ Mi.T
+    A, collinear = _triad_solve(v1_b, v2_b, v1_i, v2_i)
+    if np.any(collinear):
+        raise DegenerateGeometryError(f"vectors are collinear within {COLLINEAR_EPS}")
+    return A
 
 
 @dataclass
@@ -83,23 +94,17 @@ def triad_pass_eval(log, frames, cfg):
     att = np.full(L, np.nan)
     sun = np.full(L, np.nan)
     mag = np.full(L, np.nan)
-    skipped = {"unavailable": int(np.sum(~ok)), "collinear": 0}
-    for k in range(L):
-        if not ok[k]:
-            continue
-        sun[k] = angle_between_deg(uS_c[k], sun_true_b[k])
-        mag[k] = angle_between_deg(uB_m[k], mag_true_b[k])
-        if cfg.priority == "sun":
-            pair = (uS_c[k], uB_m[k], log.uS_i[k], log.uB_i[k])
-        else:
-            pair = (uB_m[k], uS_c[k], log.uB_i[k], log.uS_i[k])
-        try:
-            A = triad(*pair)
-        except DegenerateGeometryError:
-            skipped["collinear"] += 1
-            continue
-        est = quat_to_mrp(dcm_to_quat(A))
-        att[k] = rotation_angle_deg(est, truth_mrp[k])
+    sun[ok] = angle_between_deg(uS_c[ok], sun_true_b[ok])
+    mag[ok] = angle_between_deg(uB_m[ok], mag_true_b[ok])
+    if cfg.priority == "sun":
+        pair = (uS_c[ok], uB_m[ok], log.uS_i[ok], log.uB_i[ok])
+    else:
+        pair = (uB_m[ok], uS_c[ok], log.uB_i[ok], log.uS_i[ok])
+    A, collinear = _triad_solve(*pair)
+    steps = np.flatnonzero(ok)[~collinear]
+    est = quat_to_mrp(dcm_to_quat(A[~collinear]))
+    att[steps] = rotation_angle_deg(est, truth_mrp[steps])
+    skipped = {"unavailable": int(np.sum(~ok)), "collinear": int(np.sum(collinear))}
 
     solved = np.isfinite(att)
     if not np.any(solved):

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,42 @@ def test_train_infeasible_case_exit_3(tmp_path, fast_cfg_path):
     assert rc == 3
 
 
+def _corrupt_catalog(tmp_path, pass_args, pass_no, column, step, value):
+    """Copy the catalog and overwrite one cell of one pass CSV."""
+    d = tmp_path / "corrupt"
+    d.mkdir()
+    paths = []
+    for src in pass_args:
+        src = Path(src)
+        for f in (src, src.with_suffix(".manifest.json")):
+            shutil.copy(f, d / f.name)
+        paths.append(str(d / src.name))
+    target = Path(paths[pass_no - 1])
+    lines = target.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    cells = lines[step + 1].split(",")
+    cells[col] = value
+    lines[step + 1] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    return paths
+
+
+def test_train_rejects_nan_gyro_exit_2(tmp_path, pass_args, capsys):
+    passes = _corrupt_catalog(tmp_path, pass_args, 2, "w0", 40, "nan")
+    rc = main(["train", *passes, "--case", "C1a", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "P2.csv" in err and "column w0" in err and "step 40" in err
+
+
+def test_triad_rejects_off_unit_model_vector_exit_2(tmp_path, pass_args, capsys):
+    passes = _corrupt_catalog(tmp_path, pass_args, 3, "uSx", 7, "2.0")
+    rc = main(["triad", *passes, "--out", str(tmp_path / "t")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "P3.csv" in err and "uSx,uSy,uSz" in err and "step 7" in err
+
+
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path):
     d = tmp_path / "ablate"
     rc = main(["ablate", *pass_args, "--cases", "C1a,C4f", "--seeds", "R1",
@@ -146,8 +184,11 @@ def test_ablate_resume_identical(tmp_path, pass_args, fast_cfg_path):
             "--out", str(d), "--jobs", "1", "--config", fast_cfg_path]
     assert main(argv) == 0
     md1 = (d / "ablation_report.md").read_bytes()
-    # drop one cell artifact, rerun with --resume: identical report
+    # drop one cell artifact, rerun with --resume: the cell retrains and
+    # the report is identical
+    (d / "C1a_R1" / "result.json").unlink()
     assert main(argv + ["--resume"]) == 0
+    assert (d / "C1a_R1" / "result.json").exists()
     assert (d / "ablation_report.md").read_bytes() == md1
 
 

@@ -248,19 +248,3 @@ def test_gyro_scale_not_refit_on_test(catalog_logs):
     scaled = hot / train_scale
     assert np.max(np.abs(scaled)) > 1.0
 
-
-def test_window_debug_dump(tmp_path, catalog_logs):
-    import json
-
-    from attlab.features import dump_windows_jsonl
-
-    frames = build_frames(catalog_logs[0], gyro_scale=0.55)
-    labels = attitude_labels(catalog_logs[0])
-    ds = build_windows(frames, labels, 5, case_spec("C1a"))
-    p = tmp_path / "windows.jsonl"
-    dump_windows_jsonl(ds, p)
-    lines = p.read_text().splitlines()
-    assert len(lines) == len(ds)
-    rec = json.loads(lines[0])
-    assert np.array_equal(np.asarray(rec["X"]), ds.X[0])
-    assert np.array_equal(np.asarray(rec["Y"]), ds.Y[0])

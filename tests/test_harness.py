@@ -76,10 +76,12 @@ def test_aggregate_min_order_invariant():
 
 
 def test_table_header_structure():
-    from attlab.harness import TABLE_HEADER
-    assert TABLE_HEADER == ("case", "train_R1", "train_R2", "train_R3",
-                            "min_train(I)", "test_R1", "test_R2", "test_R3",
-                            "min_test(II)", "(I)+(II)")
+    rs = [fake_result("C1a", s, 1.0, 2.0, False) for s in ("R1", "R2", "R3")]
+    (table,) = group_tables([aggregate_case("C1a", rs)])
+    header = render_table_csv(table).splitlines()[0]
+    assert tuple(header.split(",")) == ("case", "train_R1", "train_R2", "train_R3",
+                                        "min_train(I)", "test_R1", "test_R2", "test_R3",
+                                        "min_test(II)", "(I)+(II)")
 
 
 def test_run_case_deterministic(catalog_logs):

@@ -138,3 +138,20 @@ def test_models_deterministic():
         dipole_field_eci([6771.0, 0.0, 0.0], 1.7e9),
         dipole_field_eci([6771.0, 0.0, 0.0], 1.7e9),
     )
+
+
+def test_whole_pass_calls_match_single_steps():
+    # this pass enters the Earth's shadow, so both is_sunlit branches run
+    el = OrbitElements(a_km=6771.0, inc_deg=51.6, raan_deg=40.0, arglat_deg=110.0,
+                       epoch=1639800000.0)
+    t = el.epoch + np.arange(362, dtype=float)
+    r = propagate_orbit(el, t)
+    u = sun_direction_eci(t)
+    assert np.array_equal(r, np.array([propagate_orbit(el, tk) for tk in t]))
+    assert np.array_equal(u, np.array([sun_direction_eci(tk) for tk in t]))
+    assert np.array_equal(dipole_field_eci(r, t),
+                          np.array([dipole_field_eci(rk, tk) for rk, tk in zip(r, t)]))
+    assert np.array_equal(earth_direction(r), np.array([earth_direction(rk) for rk in r]))
+    lit = is_sunlit(r, u)
+    assert lit.shape == (362,) and lit.any() and not lit.all()
+    assert np.array_equal(lit, np.array([is_sunlit(rk, uk) for rk, uk in zip(r, u)]))

@@ -12,6 +12,7 @@ from attlab.rotations import (
     quat_multiply,
     quat_normalize,
     quat_rotate,
+    quat_to_axis_angle,
     quat_to_dcm,
     quat_to_mrp,
     random_quat,
@@ -177,6 +178,30 @@ def test_dcm_to_quat_roundtrip():
     for q in quat_canonical(random_quat(rng, 200)):
         q2 = dcm_to_quat(quat_to_dcm(q))
         assert np.allclose(q2, q, atol=1e-12)
+
+
+def test_dcm_to_quat_stack_matches_rows_bitwise():
+    # identity and 180 deg about x, y, z take each of Shepperd's branches
+    special = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+               np.diag([-1.0, -1.0, 1.0])]
+    C = np.concatenate([special, [quat_to_dcm(q) for q in random_quat(RNG(52), 100)]])
+    Q = dcm_to_quat(C)
+    rows = np.array([dcm_to_quat(c) for c in C])
+    assert np.array_equal(Q, rows)
+    assert np.array_equal(Q[:4], [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+
+def test_axis_angle_stack_matches_rows_bitwise():
+    angles = np.linspace(-30.0, 200.0, 362)
+    q = quat_from_axis_angle([0.12, 0.1, 1.0], angles)
+    assert np.array_equal(q, [quat_from_axis_angle([0.12, 0.1, 1.0], a) for a in angles])
+    axis, ang = quat_to_axis_angle(q)
+    rows = [quat_to_axis_angle(qk) for qk in q]
+    assert np.array_equal(axis, [a for a, _ in rows])
+    assert np.array_equal(ang, [a for _, a in rows])
+    # zero rotation: the angle is zero and the axis falls back to +x
+    axis0, ang0 = quat_to_axis_angle([0.0, 0.0, 0.0, 1.0])
+    assert ang0 == 0.0 and np.array_equal(axis0, [1.0, 0.0, 0.0])
 
 
 def test_quat_normalize_rejects_zero_and_nonfinite():

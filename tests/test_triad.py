@@ -128,6 +128,27 @@ def test_pass_eval_series_csv(tmp_path, biased_pass):
     assert "nan" not in p.read_text().lower()
 
 
+def test_pass_eval_skips_collinear_steps(tmp_path):
+    log = synth_pass(default_catalog()[0])
+    frames = build_frames(log)
+    ok = frames.avail["uS_c"] & frames.avail["uB_m"]
+    rows = np.flatnonzero(ok)[[3, 50, 51, 200, 300]]
+    frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
+    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
+    k = len(rows)
+    assert ev.skip_reasons["collinear"] == k
+    unsolved = ~ok
+    unsolved[rows] = True
+    assert np.array_equal(np.isnan(ev.att_err_deg), unsolved)
+    assert ev.solved_steps == 362 - ev.skip_reasons["unavailable"] - k
+    p = tmp_path / "triad.csv"
+    write_triad_series_csv(ev, p)
+    lines = p.read_text().splitlines()[1:]
+    for step in range(362):
+        att_cell = lines[step].split(",")[1]
+        assert (att_cell == "") == unsolved[step]
+
+
 def test_bias_knob_monotonic_triad_rms():
     # Increasing a single structured-error knob degrades TRIAD monotonically.
     knob_sets = {
