@@ -73,7 +73,10 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return cfg
 
 
 def _write_manifest(outdir, subcommand, resolved_config, inputs, seeds, outputs,
@@ -110,6 +113,8 @@ def cmd_synth(args):
     else:
         errors = CATALOG_ERRORS
         if "errors" in cfg:
+            if not isinstance(cfg["errors"], dict):
+                raise ValueError("errors: expected an object")
             errors = SensorErrors.from_dict(
                 {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]})
         scenarios = default_catalog(base_seed=base_seed, errors=errors)

@@ -21,13 +21,14 @@ reinitializes the optimizer.
 
 import json
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IncompatibleModelError
 from .features import build_windows
-from .rotations import mrp_to_quat
+from .rotations import _mrp_to_quat, mrp_to_quat
 
 DIVERGENCE_FACTOR = 10.0
 ANGLE_GUARD_RAD = 1e-7  # gradient-path floor; the loss value is untouched
@@ -56,16 +57,43 @@ class NetConfig:
         return (self.n * self.channels, *self.widths)
 
 
-@dataclass
 class NetParams:
-    """Weight/bias pairs for the four affine maps, input to output."""
+    """Weight/bias pairs for the four affine maps, input to output.
 
-    weights: list  # [W0 (n*C, 64), W1 (64, 128), W2 (128, 64), W3 (64, 3)]
-    biases: list
+    ``weights`` and ``biases`` are views into one contiguous float64
+    vector ``vec``, laid out W0, W1, W2, W3, b0, b1, b2, b3 (the model
+    file's block order), so writing through a view changes ``vec`` and
+    a whole-model copy or update is one vector operation.
+    """
+
+    def __init__(self, weights, biases):
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        self._bind(np.concatenate([a.ravel() for a in arrays]),
+                   [a.shape for a in arrays])
+
+    @classmethod
+    def from_vector(cls, vec, shapes):
+        """Views over ``vec`` (not copied) for arrays of the given shapes."""
+        p = cls.__new__(cls)
+        p._bind(vec, shapes)
+        return p
+
+    def _bind(self, vec, shapes):
+        self.vec = vec
+        views, start = [], 0
+        for shape in shapes:
+            size = int(np.prod(shape))
+            views.append(vec[start:start + size].reshape(shape))
+            start += size
+        k = len(views) // 2
+        self.weights, self.biases = views[:k], views[k:]
+
+    @property
+    def shapes(self):
+        return [a.shape for a in self.weights + self.biases]
 
     def copy(self):
-        return NetParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+        return NetParams.from_vector(self.vec.copy(), self.shapes)
 
 
 def init_params(nc):
@@ -110,10 +138,9 @@ def forward(params, X, nc):
     return y[0] if single else y
 
 
-def _angles_deg(pred, labels):
-    """Per-sample rotation angle and the pieces reused by the gradient."""
-    qp = mrp_to_quat(pred)
-    ql = mrp_to_quat(labels)
+def _angles_deg(qp, ql):
+    """Per-sample rotation angle between predicted and label quaternions,
+    and the pieces reused by the gradient."""
     d = np.sum(qp * ql, axis=-1)  # cos(theta/2), signed
     sin_half = np.sqrt(np.maximum(0.0, 1.0 - d * d))
     theta = 2.0 * np.arctan2(sin_half, np.abs(d))
@@ -123,13 +150,18 @@ def _angles_deg(pred, labels):
 def loss(params, X, Y, nc):
     """RMS rotation angle in degrees over the batch."""
     pred = forward(params, np.asarray(X), nc)
-    ang, _, _ = _angles_deg(np.atleast_2d(pred), np.atleast_2d(Y))
+    ang, _, _ = _angles_deg(mrp_to_quat(np.atleast_2d(pred)),
+                            mrp_to_quat(np.atleast_2d(Y)))
     return float(np.sqrt(np.mean(ang * ang)))
 
 
-def _loss_grad_y(pred, labels):
-    """Loss value and its gradient with respect to the predicted MRPs."""
-    ang_deg, d, sin_half = _angles_deg(pred, labels)
+def _loss_grad_y(pred, ql):
+    """Loss value and its gradient with respect to the predicted MRPs.
+
+    ``ql`` holds the label quaternions. Predictions are not checked for
+    finiteness: a non-finite one gives a non-finite loss.
+    """
+    ang_deg, d, sin_half = _angles_deg(_mrp_to_quat(pred), ql)
     N = len(ang_deg)
     L = float(np.sqrt(np.mean(ang_deg * ang_deg)))
     if L == 0.0:
@@ -140,7 +172,6 @@ def _loss_grad_y(pred, labels):
     dtheta_dd = np.degrees(-2.0 * np.sign(d) / denom)
     # d = <q(pred), q(label)>; through the MRP->quaternion map:
     # dd/dsigma = 2 f v_l - 4 f^2 sigma ((sigma . v_l) + w_l),  f = 1/(1+|sigma|^2)
-    ql = mrp_to_quat(labels)
     v_l, w_l = ql[:, :3], ql[:, 3]
     s = np.sum(pred * pred, axis=1)
     f = 1.0 / (1.0 + s)
@@ -149,27 +180,22 @@ def _loss_grad_y(pred, labels):
     return L, (dL_dtheta * dtheta_dd)[:, None] * dd_dy
 
 
-def _backprop(params, Xf, Y, dropout_mask=None):
-    """Loss and hand-derived gradients for a flattened batch."""
-    y, cache = _forward_cached(params, Xf, dropout_mask)
-    L, g_y = _loss_grad_y(y, Y)
-    Xf, z0, a0, z1, a1, z2, a2, a2d = cache
-
-    gW3 = a2d.T @ g_y
-    gb3 = g_y.sum(axis=0)
-    g = g_y @ params.weights[3].T
-    if dropout_mask is not None:
-        g = g * dropout_mask
-    g = g * (z2 > 0.0)
-    gW2 = a1.T @ g
-    gb2 = g.sum(axis=0)
-    g = (g @ params.weights[2].T) * (z1 > 0.0)
-    gW1 = a0.T @ g
-    gb1 = g.sum(axis=0)
-    g = (g @ params.weights[1].T) * (z0 > 0.0)
-    gW0 = Xf.T @ g
-    gb0 = g.sum(axis=0)
-    return L, NetParams([gW0, gW1, gW2, gW3], [gb0, gb1, gb2, gb3])
+def _backprop(params, Xf, ql, dropout_mask, grads):
+    """Loss of a flattened batch; hand-derived gradients go into ``grads``."""
+    y, (Xf, z0, a0, z1, a1, z2, a2, a2d) = _forward_cached(params, Xf, dropout_mask)
+    L, g = _loss_grad_y(y, ql)
+    inputs = (Xf, a0, a1, a2d)  # input of each affine map
+    pre = (z0, z1, z2)  # pre-activation feeding each map after the first
+    for k in (3, 2, 1, 0):
+        np.matmul(inputs[k].T, g, out=grads.weights[k])
+        np.sum(g, axis=0, out=grads.biases[k])
+        if k == 0:
+            break
+        g = g @ params.weights[k].T
+        if k == 3 and dropout_mask is not None:
+            g *= dropout_mask
+        g *= pre[k - 1] > 0.0
+    return L
 
 
 def loss_and_gradient(params, X, Y, nc, dropout_mask=None):
@@ -179,8 +205,10 @@ def loss_and_gradient(params, X, Y, nc, dropout_mask=None):
     scaling; a fixed mask makes the gradient deterministic for checks.
     """
     Xf, _ = _flatten_windows(X, nc)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return _backprop(params, Xf, Y, dropout_mask)
+    ql = mrp_to_quat(np.atleast_2d(np.asarray(Y, dtype=float)))
+    grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
+    L = _backprop(params, Xf, ql, dropout_mask, grads)
+    return L, grads
 
 
 @dataclass
@@ -219,44 +247,61 @@ class TrainHistory:
 
 
 class _Adam:
-    def __init__(self, tc):
+    """Adam on a flat parameter vector, updated in place.
+
+    Each operation keeps the association order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, so the result matches a
+    per-array update bit for bit.
+    """
+
+    def __init__(self, tc, size):
         self.tc = tc
-        self.reset()
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
+        self.t = 0
 
     def reset(self):
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m.fill(0.0)
+        self.v.fill(0.0)
 
-    def step(self, params, grads, lr):
-        tc = self.tc
-        if self.m is None:
-            self.m = [np.zeros_like(a) for a in params.weights + params.biases]
-            self.v = [np.zeros_like(a) for a in params.weights + params.biases]
+    def step(self, vec, g, lr):
+        tc, m, v, num, den = self.tc, self.m, self.v, self._num, self._den
         self.t += 1
         c1 = 1.0 - tc.beta1 ** self.t
         c2 = 1.0 - tc.beta2 ** self.t
-        arrays = params.weights + params.biases
-        gs = grads.weights + grads.biases
-        for i, (a, g) in enumerate(zip(arrays, gs)):
-            self.m[i] = tc.beta1 * self.m[i] + (1.0 - tc.beta1) * g
-            self.v[i] = tc.beta2 * self.v[i] + (1.0 - tc.beta2) * g * g
-            a -= lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + tc.eps)
+        m *= tc.beta1
+        m += np.multiply(g, 1.0 - tc.beta1, out=num)
+        v *= tc.beta2
+        np.multiply(g, 1.0 - tc.beta2, out=num)
+        v += np.multiply(num, g, out=num)
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += tc.eps
+        np.divide(m, c1, out=num)
+        num *= lr
+        vec -= np.divide(num, den, out=num)
 
 
 def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     """Train on a window dataset; returns (best params, history).
 
-    Epoch loss is evaluated over the full training set with dropout off.
-    Early stop fires when the trailing 40-epoch mean exceeds the previous
-    40-epoch mean (so never before epoch 80). A non-finite epoch loss, or
-    one above 10x the running best, rolls parameters back two accepted
-    epochs, multiplies the learning rate by 0.9, and reinitializes the
-    optimizer; such epochs still consume budget but are excluded from
-    best-model selection and the early-stop statistic.
+    Epoch loss is evaluated over the full training set with dropout off,
+    in batch-sized blocks. Early stop fires when the trailing 40-epoch
+    mean exceeds the previous 40-epoch mean (so never before epoch 80).
+    A non-finite epoch loss, or one above 10x the running best, rolls
+    parameters back two accepted epochs, multiplies the learning rate by
+    0.9, and reinitializes the optimizer; such epochs still consume
+    budget but are excluded from best-model selection and the early-stop
+    statistic. A non-finite prediction or gradient inside an epoch is
+    not raised: it makes that epoch's loss non-finite.
 
     ``loss_fault(epoch, loss) -> loss`` lets tests inject divergence;
-    ``on_epoch(epoch, loss, lr, event, params)`` observes each epoch.
+    ``on_epoch(epoch, loss, lr, event, params)`` observes each epoch;
+    ``params`` is updated in place, so an observer that keeps it copies.
     """
     N = len(ds)
     if N < tc.batch_size:
@@ -266,34 +311,41 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
         raise ValueError("dataset window shape does not match the net config")
 
     Xf_all = np.asarray(ds.X, dtype=float).reshape(N, -1)
-    Y_all = np.asarray(ds.Y, dtype=float)
+    ql_all = mrp_to_quat(np.asarray(ds.Y, dtype=float))
     keep = 1.0 - nc.dropout
     rng = np.random.default_rng(tc.seed)
 
+    # Batch-sized blocks keep every GEMM small enough for OpenBLAS to run
+    # it on the calling thread, so its helper threads never wake.
+    blocks = [slice(start, min(start + tc.batch_size, N))
+              for start in range(0, N, tc.batch_size)]
     params = init_params(nc)
-    initial = params.copy()
-    adam = _Adam(tc)
+    grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
+    initial = params.vec.copy()
+    adam = _Adam(tc, params.vec.size)
     lr = tc.lr
     history = TrainHistory()
-    checkpoints = []  # params after each accepted epoch, newest last
+    # parameter vectors after each accepted epoch, newest last
+    checkpoints = deque(maxlen=max(tc.rollback_depth, 1) + 1)
     accepted_losses = []
-    best_params = params.copy()
-    n_batches = (N + tc.batch_size - 1) // tc.batch_size
+    best = params.vec.copy()
+    ang = np.empty(N)
     win = tc.early_stop_window
 
     for epoch in range(1, tc.max_epochs + 1):
-        for b in range(n_batches):
-            sl = slice(b * tc.batch_size, min((b + 1) * tc.batch_size, N))
-            Xb, Yb = Xf_all[sl], Y_all[sl]
-            mask = None
-            if nc.dropout > 0.0:
-                mask = (rng.random((len(Xb), nc.widths[2])) < keep) / keep
-            _, grads = _backprop(params, Xb, Yb, mask)
-            adam.step(params, grads, lr)
+        # a NaN or inf from here on shows as a non-finite epoch loss
+        with np.errstate(all="ignore"):
+            for sl in blocks:
+                mask = None
+                if nc.dropout > 0.0:
+                    mask = (rng.random((sl.stop - sl.start, nc.widths[2])) < keep) / keep
+                _backprop(params, Xf_all[sl], ql_all[sl], mask, grads)
+                adam.step(params.vec, grads.vec, lr)
 
-        y_full, _ = _forward_cached(params, Xf_all)
-        ang, _, _ = _angles_deg(y_full, Y_all)
-        epoch_loss = float(np.sqrt(np.mean(ang * ang)))
+            for sl in blocks:
+                y, _ = _forward_cached(params, Xf_all[sl])
+                ang[sl] = _angles_deg(_mrp_to_quat(y), ql_all[sl])[0]
+            epoch_loss = float(np.sqrt(np.mean(ang * ang)))
         if loss_fault is not None:
             epoch_loss = float(loss_fault(epoch, epoch_loss))
 
@@ -302,8 +354,8 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
             and epoch_loss > DIVERGENCE_FACTOR * history.best_loss)
         if diverged:
             history.divergence_count += 1
-            target = checkpoints[-tc.rollback_depth] if len(checkpoints) >= tc.rollback_depth else initial
-            params = target.copy()
+            np.copyto(params.vec, checkpoints[-tc.rollback_depth]
+                      if len(checkpoints) >= tc.rollback_depth else initial)
             lr *= tc.lr_decay
             adam.reset()
             history.rows.append((epoch, epoch_loss, lr, "divergence"))
@@ -311,14 +363,12 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
                 on_epoch(epoch, epoch_loss, lr, "divergence", params)
             continue
 
-        checkpoints.append(params.copy())
-        if len(checkpoints) > max(tc.rollback_depth, 1) + 1:
-            checkpoints.pop(0)
+        checkpoints.append(params.vec.copy())
         accepted_losses.append(epoch_loss)
         if epoch_loss < history.best_loss:
             history.best_loss = epoch_loss
             history.best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best, params.vec)
         history.rows.append((epoch, epoch_loss, lr, ""))
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss, lr, "", params)
@@ -333,7 +383,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     if not history.stop_reason:
         history.stop_reason = "max-epoch"
         history.max_epoch_flag = True
-    return best_params, history
+    return NetParams.from_vector(best, params.shapes), history
 
 
 def predict_pass(params, frames, labels, n, case, nc):
@@ -368,8 +418,7 @@ def save_model(params, nc, path, provenance=None):
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for a in params.weights + params.biases:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(params.vec.astype("<f8", copy=False).tobytes())
     return path
 
 
@@ -389,12 +438,10 @@ def load_model(path):
         if header["shapes"] != expect:
             raise IncompatibleModelError(
                 f"shape header {header['shapes']} does not match config {expect}")
-        arrays = []
-        for shape in header["shapes"]:
-            count = int(np.prod(shape))
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise IncompatibleModelError("model file truncated")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    k = len(arrays) // 2
-    return NetParams(arrays[:k], arrays[k:]), nc, header["provenance"]
+        shapes = [tuple(shape) for shape in header["shapes"]]
+        count = sum(int(np.prod(shape)) for shape in shapes)
+        buf = f.read(count * 8)
+        if len(buf) != count * 8:
+            raise IncompatibleModelError("model file truncated")
+    vec = np.frombuffer(buf, dtype="<f8").astype(float)
+    return NetParams.from_vector(vec, shapes), nc, header["provenance"]

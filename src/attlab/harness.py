@@ -284,8 +284,9 @@ def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
     tasks = [(cid, sn, list(map(str, pass_paths)), n, outdir, resume, tc_dict,
               css_bias)
              for cid in case_ids for sn in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_worker, tasks))
     else:
         results = [_cell_worker(t) for t in tasks]

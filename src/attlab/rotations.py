@@ -175,6 +175,12 @@ def mrp_to_quat(m):
     """Unit quaternion from an MRP; inverse of quat_to_mrp for |sigma| <= 1."""
     m = np.asarray(m, dtype=float)
     _check_finite(m, "mrp")
+    return _mrp_to_quat(m)
+
+
+def _mrp_to_quat(m):
+    """``mrp_to_quat`` without the finiteness check, for training's inner
+    loop: a non-finite MRP gives a non-finite quaternion."""
     s2 = np.sum(m * m, axis=-1, keepdims=True)
     f = 1.0 / (1.0 + s2)
     return np.concatenate([2.0 * m * f, (1.0 - s2) * f], axis=-1)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 The ablation matrix (17 cases x 3 seeds) is executed twice by a
-module-scoped fixture; the first run feeds the result-quality criteria
-and the pair feeds the byte-level determinism criterion. Run with
+module-scoped fixture, in-process and then on two worker processes; the
+first run feeds the result-quality criteria and the pair feeds the
+byte-level determinism criterion. Run with
 ``pytest -s tests/test_acceptance.py`` to watch the verdict lines.
 """
 
@@ -45,13 +46,14 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def matrix_env(tmp_path_factory, catalog_dir, catalog_logs):
-    """Full ablation matrix, run twice with identical seeds."""
+    """Full ablation matrix, run twice with identical seeds: at jobs=1 and
+    at jobs=2, so the determinism criterion also spans the worker pool."""
     _, pass_paths = catalog_dir
     runs = {}
-    for label in ("first", "second"):
+    for label, jobs in (("first", 1), ("second", 2)):
         out = tmp_path_factory.mktemp(f"matrix_{label}")
         tables, results = run_matrix(pass_paths, list(DEFAULT_CASE_IDS),
-                                     outdir=out, jobs=1)
+                                     outdir=out, jobs=jobs)
         meta = {"cases": list(DEFAULT_CASE_IDS), "seeds": ["R1", "R2", "R3"],
                 "window": 5}
         write_matrix_reports(tables, results, out, meta)
@@ -260,7 +262,7 @@ def test_criterion_9_determinism(matrix_env):
     ok = same_names and not mismatched
     _verdict(9, ok,
              f"{len(a)} artifacts (models, histories, reports) byte-identical "
-             f"across reruns; mismatches: {mismatched[:5]}")
+             f"across --jobs 1 and --jobs 2; mismatches: {mismatched[:5]}")
 
 
 def test_criterion_10_toy_overfit():

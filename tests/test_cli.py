@@ -62,6 +62,19 @@ def test_synth_rejects_bad_config(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("config, named", [
+    ('{"scenarios": [{"pass_id": "X"}]}', "'orbit'"),
+    ('{"errors": {"css_gian": [1]}}', "'css_gian'"),
+    ('{"errors": [1]}', "errors"),
+    ('[1]', "JSON object"),
+])
+def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(config)
+    assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_triad_both_priorities(tmp_path, pass_args):
     d = tmp_path / "triad"
     assert main(["triad", *pass_args, "--out", str(d)]) == 0

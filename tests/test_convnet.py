@@ -127,10 +127,7 @@ def test_gradient_with_fixed_dropout_mask_matches_fd():
     mask = (rng.random((6, nc.widths[2])) < keep) / keep
 
     def masked_loss():
-        from attlab.convnet import _backprop, _flatten_windows
-        Xf, _ = _flatten_windows(X, nc)
-        L, _ = _backprop(params, Xf, Y, mask)
-        return L
+        return loss_and_gradient(params, X, Y, nc, dropout_mask=mask)[0]
 
     _, grads = loss_and_gradient(params, X, Y, nc, dropout_mask=mask)
     h = 1e-5
@@ -231,6 +228,17 @@ def test_divergence_rollback_mechanism():
     assert hist.rows[-1][0] == 12
 
 
+def test_real_fault_takes_rollback():
+    # lr=1e300 sends the parameters to inf/NaN within one batch; the epoch
+    # loss goes non-finite and the rollback keeps training alive
+    ds = toy_dataset()
+    nc = NetConfig(n=3, channels=6, seed=1, dropout=0.0)
+    best, hist = train(ds, nc, TrainConfig(batch_size=5, lr=1e300, seed=2, max_epochs=10))
+    assert hist.divergence_count > 0
+    assert not np.isfinite(hist.rows[0][1])
+    assert np.all(np.isfinite(best.vec))
+
+
 def test_divergence_on_loss_blowup():
     ds = toy_dataset()
     nc = NetConfig(n=3, channels=6, seed=1, dropout=0.0)
@@ -292,6 +300,67 @@ def test_returned_params_are_best_checkpoint():
     assert all(np.array_equal(a, b) for a, b in zip(best.weights, ref.weights))
 
 
+def reference_train(ds, nc, tc):
+    """The per-array training loop: Adam over each weight and bias array
+    in turn, and the epoch loss from one forward over the whole set. No
+    divergence handling or early stop, so keep runs short."""
+    rng = np.random.default_rng(tc.seed)
+    keep = 1.0 - nc.dropout
+    p = init_params(nc)
+    m = [np.zeros_like(a) for a in p.weights + p.biases]
+    v = [np.zeros_like(a) for a in p.weights + p.biases]
+    t, rows, best, best_loss = 0, [], None, np.inf
+    for epoch in range(1, tc.max_epochs + 1):
+        for start in range(0, len(ds), tc.batch_size):
+            Xb = ds.X[start:start + tc.batch_size]
+            Yb = ds.Y[start:start + tc.batch_size]
+            mask = (rng.random((len(Xb), nc.widths[2])) < keep) / keep
+            _, g = loss_and_gradient(p, Xb, Yb, nc, dropout_mask=mask)
+            t += 1
+            c1 = 1.0 - tc.beta1 ** t
+            c2 = 1.0 - tc.beta2 ** t
+            for i, (a, gi) in enumerate(zip(p.weights + p.biases, g.weights + g.biases)):
+                m[i] = tc.beta1 * m[i] + (1.0 - tc.beta1) * gi
+                v[i] = tc.beta2 * v[i] + (1.0 - tc.beta2) * gi * gi
+                a -= tc.lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + tc.eps)
+        L = loss(p, ds.X, ds.Y, nc)
+        rows.append((epoch, L, tc.lr, ""))
+        if L < best_loss:
+            best, best_loss = p.copy(), L
+    return best, rows
+
+
+def test_train_matches_per_array_reference_bitwise():
+    # 100 windows in batches of 32 (the last one short); the reference's
+    # full-set GEMMs are large enough for BLAS to split them over threads
+    rng = np.random.default_rng(12)
+    ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
+                       Y=rng.normal(scale=0.2, size=(100, 3)),
+                       n=3, case_id="toy", provenance={})
+    nc = NetConfig(n=3, channels=6, seed=4, dropout=0.01)
+    tc = TrainConfig(max_epochs=5, seed=6)
+    ref_params, ref_rows = reference_train(ds, nc, tc)
+    params, hist = train(ds, nc, tc)
+    assert hist.rows == ref_rows
+    assert all(np.array_equal(a, b) for a, b in
+               zip(params.weights + params.biases, ref_params.weights + ref_params.biases))
+
+
+def test_netparams_views_share_one_vector():
+    p = init_params(TINY)
+    assert p.vec.size == sum(a.size for a in p.weights + p.biases)
+    p.weights[1][2, 3] = 7.0
+    p.biases[3][:] = -1.0
+    offset = p.weights[0].size + 2 * p.weights[1].shape[1] + 3
+    assert p.vec[offset] == 7.0
+    assert np.all(p.vec[-3:] == -1.0)
+    q = p.copy()
+    q.vec[:] = 0.0
+    assert p.vec[offset] == 7.0 and np.all(q.weights[1] == 0.0)
+    rebuilt = NetParams(p.weights, p.biases)
+    assert np.array_equal(rebuilt.vec, p.vec) and rebuilt.vec is not p.vec
+
+
 def test_dropout_inference_invariance():
     # same params, dropout on or off in config: inference identical
     nc_drop = NetConfig(n=3, channels=6, seed=5, dropout=0.01)
@@ -323,6 +392,10 @@ def test_save_load_roundtrip(tmp_path):
     assert prov["gyro_scale"] == 0.5
     assert all(np.array_equal(a, b) for a, b in zip(p.weights, p2.weights))
     assert all(np.array_equal(a, b) for a, b in zip(p.biases, p2.biases))
+    # the loaded arrays are writable views into the loaded vector
+    p2.weights[0][0, 0] = 5.0
+    assert p2.vec[0] == 5.0
+    p2.weights[0][0, 0] = p.weights[0][0, 0]
     # forward bit-identical on 100 seeded windows
     x = np.random.default_rng(9).normal(size=(100, nc.n, nc.channels))
     assert np.array_equal(forward(p, x, nc), forward(p2, x, nc2))

@@ -125,6 +125,31 @@ def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
     assert results2 == results
 
 
+def test_run_matrix_pool_capped_at_cell_count(monkeypatch, catalog_dir):
+    _, paths = catalog_dir
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("attlab.harness.ProcessPoolExecutor", InlinePool)
+    tc = TrainConfig(max_epochs=2)
+    run_matrix(paths, ["C1a"], seeds=("R1",), jobs=4, tc=tc)
+    assert sizes == []  # one cell runs in-process
+    run_matrix(paths, ["C1a"], seeds=("R1", "R2"), jobs=4, tc=tc)
+    assert sizes == [2]
+
+
 def test_run_matrix_rejects_empty_cases(catalog_dir):
     _, paths = catalog_dir
     with pytest.raises(ValueError):
