@@ -154,7 +154,8 @@ def cmd_triad(args):
     for r in rows:
         print(f"priority={r['priority']} rms_att_deg={r['rms_att_deg']:.3f} "
               f"rms_sun_deg={r['rms_sun_deg']:.3f} rms_mag_deg={r['rms_mag_deg']:.3f} "
-              f"skipped={r['skipped_steps']}")
+              f"skipped={r['skipped_steps']} "
+              + " ".join(f"{k}={v}" for k, v in r["skip_reasons"].items()))
     _write_manifest(outdir, "triad", {"priority": args.priority},
                     args.passes, {}, outputs, started)
     return 0
@@ -191,6 +192,14 @@ def cmd_train(args):
     return 0
 
 
+def _report_cell(result, seconds):
+    """One stderr progress line per finished ablation cell."""
+    print(f"cell case={result.case_id} seed={result.seed_name} "
+          f"stop={result.stop_reason} best_epoch={result.best_epoch} "
+          f"divergences={result.divergence_count} seconds={seconds:.1f}",
+          file=sys.stderr, flush=True)
+
+
 def cmd_ablate(args):
     started = _now()
     cfg = _load_config(args.config)
@@ -213,7 +222,7 @@ def cmd_ablate(args):
     css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
     tables, results = run_matrix(args.passes, case_ids, seeds=seeds, n=n,
                                  outdir=outdir, jobs=jobs, resume=args.resume,
-                                 tc=tc, css_bias=css_bias)
+                                 tc=tc, css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
             "pass_ids": [read_passlog(p).pass_id for p in args.passes]}

@@ -17,6 +17,14 @@ it. Training follows a fixed schedule: Adam, early stopping on trailing
 40-epoch mean loss under a 240-epoch cap, and divergence recovery that
 rolls parameters back two epochs, decays the learning rate by 0.9, and
 reinitializes the optimizer.
+
+Cost is kept flat and on the calling thread. Inference (``forward``,
+``predict_pass``, ``loss`` and the per-epoch full-set loss) runs through
+one blocked forward of 32-row GEMMs, small enough that OpenBLAS never
+wakes its helper threads, with the bits of a whole-set GEMM. Each epoch draws its dropout masks in one call. Adam flushes tiny
+first moments to zero, since the moments of dead-ReLU weights otherwise
+decay into subnormals and slow every later step; the flush does not
+change the parameters' bits.
 """
 
 import json
@@ -31,7 +39,16 @@ from .features import build_windows
 from .rotations import _mrp_to_quat, mrp_to_quat
 
 DIVERGENCE_FACTOR = 10.0
+# Rows per GEMM. OpenBLAS runs a GEMM on the calling thread while
+# M*N*K <= 4*65536, which 32 rows keep for every layer while n*C <= 128.
+GEMM_ROWS = 32
+# Rows per chunk of the per-epoch full-set loss: bounds its activations.
+LOSS_CHUNK_ROWS = 256
 ANGLE_GUARD_RAD = 1e-7  # gradient-path floor; the loss value is untouched
+# _Adam zeroes first moments below FLUSH_BELOW every FLUSH_EVERY steps;
+# 2**-960 is 2**62 times the smallest normal double.
+FLUSH_EVERY = 16
+FLUSH_BELOW = 2.0 ** -960
 
 _MAGIC = b"ATTNET01"
 
@@ -131,17 +148,46 @@ def _forward_cached(params, Xf, dropout_mask=None):
     return y, (Xf, z0, a0, z1, a1, z2, a2, a2d)
 
 
+def _blocked_forward(params, a):
+    """Inference forward (no dropout) of the flattened rows ``a``.
+
+    Each affine map is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs
+    plus one GEMM for the tail rows, so every GEMM stays on the calling
+    thread. Every row gets the bits of one whole-set GEMM: the output
+    layer's rows depend on where they fall in OpenBLAS's row tiles, and
+    ``GEMM_ROWS`` is a multiple of the tile height. A lone tail row would
+    go to a matrix-vector product, whose bits differ, so it joins the
+    last full block instead.
+    """
+    full = len(a) - len(a) % GEMM_ROWS
+    if len(a) - full == 1 and full:
+        full -= GEMM_ROWS
+    last = len(params.weights) - 1
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        out = np.empty((len(a), W.shape[1]))
+        if full:
+            np.matmul(a[:full].reshape(-1, GEMM_ROWS, a.shape[1]), W,
+                      out=out[:full].reshape(-1, GEMM_ROWS, W.shape[1]))
+        if full < len(a):
+            np.matmul(a[full:], W, out=out[full:])
+        out += b
+        if k < last:
+            np.maximum(out, 0.0, out=out)
+        a = out
+    return a
+
+
 def forward(params, X, nc):
     """Predicted MRP(s) for one window or a stack; inference, no dropout."""
     Xf, single = _flatten_windows(X, nc)
-    y, _ = _forward_cached(params, Xf)
+    y = _blocked_forward(params, Xf)
     return y[0] if single else y
 
 
 def _angles_deg(qp, ql):
     """Per-sample rotation angle between predicted and label quaternions,
     and the pieces reused by the gradient."""
-    d = np.sum(qp * ql, axis=-1)  # cos(theta/2), signed
+    d = np.add.reduce(qp * ql, axis=-1)  # cos(theta/2), signed
     sin_half = np.sqrt(np.maximum(0.0, 1.0 - d * d))
     theta = 2.0 * np.arctan2(sin_half, np.abs(d))
     return np.degrees(theta), d, sin_half
@@ -163,7 +209,7 @@ def _loss_grad_y(pred, ql):
     """
     ang_deg, d, sin_half = _angles_deg(_mrp_to_quat(pred), ql)
     N = len(ang_deg)
-    L = float(np.sqrt(np.mean(ang_deg * ang_deg)))
+    L = float(np.sqrt(np.add.reduce(ang_deg * ang_deg) / N))
     if L == 0.0:
         return L, np.zeros_like(pred)
     # dL/dtheta_deg, with theta floored inside the gradient path only
@@ -173,9 +219,9 @@ def _loss_grad_y(pred, ql):
     # d = <q(pred), q(label)>; through the MRP->quaternion map:
     # dd/dsigma = 2 f v_l - 4 f^2 sigma ((sigma . v_l) + w_l),  f = 1/(1+|sigma|^2)
     v_l, w_l = ql[:, :3], ql[:, 3]
-    s = np.sum(pred * pred, axis=1)
+    s = np.add.reduce(pred * pred, axis=1)
     f = 1.0 / (1.0 + s)
-    sv = np.sum(pred * v_l, axis=1)
+    sv = np.add.reduce(pred * v_l, axis=1)
     dd_dy = 2.0 * f[:, None] * v_l - (4.0 * f * f * (sv + w_l))[:, None] * pred
     return L, (dL_dtheta * dtheta_dd)[:, None] * dd_dy
 
@@ -188,7 +234,7 @@ def _backprop(params, Xf, ql, dropout_mask, grads):
     pre = (z0, z1, z2)  # pre-activation feeding each map after the first
     for k in (3, 2, 1, 0):
         np.matmul(inputs[k].T, g, out=grads.weights[k])
-        np.sum(g, axis=0, out=grads.biases[k])
+        np.add.reduce(g, axis=0, out=grads.biases[k])
         if k == 0:
             break
         g = g @ params.weights[k].T
@@ -253,6 +299,22 @@ class _Adam:
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, so the result matches a
     per-array update bit for bit.
+
+    Every ``FLUSH_EVERY`` steps, after its update, each ``m`` entry with
+    ``|m| < FLUSH_BELOW`` is set to zero. A weight whose gradient stays
+    zero, behind a dead ReLU, has its ``m`` scaled by ``b1`` every step
+    and would otherwise decay into subnormal doubles, on which each
+    whole-vector pass runs about 20x slower. An entry kept at a flush is
+    at least ``FLUSH_BELOW`` and decays by at most ``b1**FLUSH_EVERY``
+    before the next one, so it stays normal while ``b1 >= 0.07``. A
+    flush every step would cost three more passes per step.
+
+    The flush leaves the parameters' bits unchanged. The update a
+    flushed entry would still have made, ``lr*(m/c1)/(sqrt(v/c2)+eps)``,
+    is below ``lr*FLUSH_BELOW/(c1*eps)``, about 1e-283 at the default
+    ``lr`` (``c1 >= 1 - b1**FLUSH_EVERY``). That is under half an ulp of
+    any parameter with ``|p| > ~1e-267``. A later gradient above
+    ~1e-271 swamps the flushed remainder in the next ``m`` update.
     """
 
     def __init__(self, tc, size):
@@ -261,6 +323,7 @@ class _Adam:
         self.v = np.zeros(size)
         self._num = np.empty(size)
         self._den = np.empty(size)
+        self._small = np.empty(size, dtype=bool)
         self.t = 0
 
     def reset(self):
@@ -275,6 +338,9 @@ class _Adam:
         c2 = 1.0 - tc.beta2 ** self.t
         m *= tc.beta1
         m += np.multiply(g, 1.0 - tc.beta1, out=num)
+        if self.t % FLUSH_EVERY == 0:
+            np.less(np.abs(m, out=num), FLUSH_BELOW, out=self._small)
+            np.copyto(m, 0.0, where=self._small)
         v *= tc.beta2
         np.multiply(g, 1.0 - tc.beta2, out=num)
         v += np.multiply(num, g, out=num)
@@ -289,9 +355,14 @@ class _Adam:
 def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     """Train on a window dataset; returns (best params, history).
 
-    Epoch loss is evaluated over the full training set with dropout off,
-    in batch-sized blocks. Early stop fires when the trailing 40-epoch
-    mean exceeds the previous 40-epoch mean (so never before epoch 80).
+    Each epoch draws its dropout masks in one call and slices them per
+    batch. Epoch loss is evaluated over the full training set with
+    dropout off, through the blocked inference forward in 256-row
+    chunks, so no GEMM wakes the BLAS threads and the activations stay
+    small. Adam flushes tiny first moments to zero before they turn
+    subnormal (see ``_Adam``), so every epoch costs the same. Early stop
+    fires when the trailing 40-epoch mean exceeds the previous 40-epoch
+    mean (so never before epoch 80).
     A non-finite epoch loss, or one above 10x the running best, rolls
     parameters back two accepted epochs, multiplies the learning rate by
     0.9, and reinitializes the optimizer; such epochs still consume
@@ -314,11 +385,14 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     ql_all = mrp_to_quat(np.asarray(ds.Y, dtype=float))
     keep = 1.0 - nc.dropout
     rng = np.random.default_rng(tc.seed)
+    # one dropout draw per epoch, sliced per batch: the generator fills
+    # it in the order that per-batch draws would, so the bits are the same
+    masks = np.empty((N, nc.widths[2])) if nc.dropout > 0.0 else None
 
-    # Batch-sized blocks keep every GEMM small enough for OpenBLAS to run
-    # it on the calling thread, so its helper threads never wake.
-    blocks = [slice(start, min(start + tc.batch_size, N))
-              for start in range(0, N, tc.batch_size)]
+    batches = [slice(start, min(start + tc.batch_size, N))
+               for start in range(0, N, tc.batch_size)]
+    chunks = [slice(start, min(start + LOSS_CHUNK_ROWS, N))
+              for start in range(0, N, LOSS_CHUNK_ROWS)]
     params = init_params(nc)
     grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
     initial = params.vec.copy()
@@ -335,17 +409,18 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     for epoch in range(1, tc.max_epochs + 1):
         # a NaN or inf from here on shows as a non-finite epoch loss
         with np.errstate(all="ignore"):
-            for sl in blocks:
-                mask = None
-                if nc.dropout > 0.0:
-                    mask = (rng.random((sl.stop - sl.start, nc.widths[2])) < keep) / keep
+            if masks is not None:
+                rng.random(out=masks)
+                np.divide(masks < keep, keep, out=masks)
+            for sl in batches:
+                mask = None if masks is None else masks[sl]
                 _backprop(params, Xf_all[sl], ql_all[sl], mask, grads)
                 adam.step(params.vec, grads.vec, lr)
 
-            for sl in blocks:
-                y, _ = _forward_cached(params, Xf_all[sl])
+            for sl in chunks:
+                y = _blocked_forward(params, Xf_all[sl])
                 ang[sl] = _angles_deg(_mrp_to_quat(y), ql_all[sl])[0]
-            epoch_loss = float(np.sqrt(np.mean(ang * ang)))
+            epoch_loss = float(np.sqrt(np.add.reduce(ang * ang) / N))
         if loss_fault is not None:
             epoch_loss = float(loss_fault(epoch, epoch_loss))
 

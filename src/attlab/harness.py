@@ -7,8 +7,10 @@ JSON. Also produces the TRIAD baseline report and per-step time-series
 exports for a trained model.
 """
 
+import contextlib
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -134,16 +136,19 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
 
 
 def _cell_worker(args):
+    """One cell, reused under ``resume`` or trained; returns (result, wall s)."""
+    started = time.perf_counter()
     case_id, seed_name, pass_paths, n, outdir, resume, tc_dict, css_bias = args
     if resume and outdir is not None:
         marker = os.path.join(str(outdir), f"{case_id}_{seed_name}", "result.json")
         if os.path.exists(marker):
             with open(marker) as f:
-                return RunResult(**json.load(f))
+                return RunResult(**json.load(f)), time.perf_counter() - started
     logs = [read_passlog(p) for p in pass_paths]
     tc = TrainConfig(**tc_dict) if tc_dict else None
-    return run_case(case_id, seed_name, logs, n=n, outdir=outdir, tc=tc,
-                    css_bias=css_bias)
+    result = run_case(case_id, seed_name, logs, n=n, outdir=outdir, tc=tc,
+                      css_bias=css_bias)
+    return result, time.perf_counter() - started
 
 
 @dataclass
@@ -275,8 +280,12 @@ def report_json(tables, results, meta):
 
 
 def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
-               jobs=1, resume=False, tc=None, css_bias=None):
-    """All (case, seed) cells; returns (tables, results) in catalog order."""
+               jobs=1, resume=False, tc=None, css_bias=None, on_cell=None):
+    """All (case, seed) cells; returns (tables, results) in catalog order.
+
+    ``on_cell(result, seconds)`` observes each cell, in catalog order, as
+    soon as its result arrives; ``seconds`` is the cell's wall time.
+    """
     if not case_ids:
         raise ValueError("no cases selected")
     tc_dict = asdict(tc) if tc is not None else None
@@ -285,11 +294,15 @@ def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
               css_bias)
              for cid in case_ids for sn in seeds]
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, tasks))
-    else:
-        results = [_cell_worker(t) for t in tasks]
+    results = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for result, seconds in mapper(_cell_worker, tasks):
+            if on_cell is not None:
+                on_cell(result, seconds)
+            results.append(result)
     by_case = {}
     for r in results:
         by_case.setdefault(r.case_id, []).append(r)
@@ -332,7 +345,8 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
     """Pooled attitude/sensor RMS per priority choice over the passes.
 
     Each row also keeps the per-pass ``evaluations`` it pooled, in pass
-    order, so their series can be written without solving again.
+    order, so their series can be written without solving again, and
+    their ``skip_reasons`` summed over the passes.
     """
     frames = [build_frames(log, css_bias=css_bias) for log in logs]
     rows = []
@@ -346,6 +360,8 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
             "rms_mag_deg": _pooled_finite_rms(ev.mag_err_deg for ev in evs),
             "solved_steps": sum(ev.solved_steps for ev in evs),
             "skipped_steps": sum(ev.skipped_steps for ev in evs),
+            "skip_reasons": {reason: sum(ev.skip_reasons[reason] for ev in evs)
+                             for reason in evs[0].skip_reasons},
             "evaluations": evs,
         })
     return rows

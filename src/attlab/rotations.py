@@ -181,7 +181,7 @@ def mrp_to_quat(m):
 def _mrp_to_quat(m):
     """``mrp_to_quat`` without the finiteness check, for training's inner
     loop: a non-finite MRP gives a non-finite quaternion."""
-    s2 = np.sum(m * m, axis=-1, keepdims=True)
+    s2 = np.add.reduce(m * m, axis=-1, keepdims=True)
     f = 1.0 / (1.0 + s2)
     return np.concatenate([2.0 * m * f, (1.0 - s2) * f], axis=-1)
 

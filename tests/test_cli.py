@@ -75,11 +75,16 @@ def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
-def test_triad_both_priorities(tmp_path, pass_args):
+def test_triad_both_priorities(tmp_path, pass_args, capsys):
     d = tmp_path / "triad"
     assert main(["triad", *pass_args, "--out", str(d)]) == 0
     lines = (d / "triad_baseline.csv").read_text().splitlines()
     assert len(lines) == 3  # header + sun + mag
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["priority=sun", "priority=mag"]
+    for line in out:
+        fields = dict(f.split("=") for f in line.split())
+        assert int(fields["skipped"]) == int(fields["unavailable"]) + int(fields["collinear"])
     assert (d / "triad_P1_sun.csv").exists()
     assert (d / "triad_P5_mag.csv").exists()
 
@@ -179,11 +184,18 @@ def test_triad_rejects_off_unit_model_vector_exit_2(tmp_path, pass_args, capsys)
     assert "P3.csv" in err and "uSx,uSy,uSz" in err and "step 7" in err
 
 
-def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path):
+def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):
     d = tmp_path / "ablate"
     rc = main(["ablate", *pass_args, "--cases", "C1a,C4f", "--seeds", "R1",
                "--out", str(d), "--jobs", "1", "--config", fast_cfg_path])
     assert rc == 0
+    # one progress line per cell on stderr, in catalog order
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("cell ")]
+    assert [line.split()[1:3] for line in err] == [["case=C1a", "seed=R1"],
+                                                   ["case=C4f", "seed=R1"]]
+    assert all(("stop=" in line and "best_epoch=" in line and "divergences=" in line
+                and "seconds=" in line) for line in err)
     assert (d / "ablation_report.md").exists()
     assert (d / "ablation_report.json").exists()
     report = json.loads((d / "ablation_report.json").read_text())

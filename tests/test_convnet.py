@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from attlab.convnet import (
+    FLUSH_BELOW,
+    FLUSH_EVERY,
     NetConfig,
     NetParams,
     TrainConfig,
+    _Adam,
     forward,
     init_params,
     load_model,
@@ -16,7 +19,7 @@ from attlab.convnet import (
 )
 from attlab.errors import IncompatibleModelError
 from attlab.features import WindowDataset
-from attlab.rotations import quat_from_axis_angle, quat_to_mrp
+from attlab.rotations import mrp_to_quat, quat_from_axis_angle, quat_to_mrp
 
 TINY = NetConfig(n=3, channels=6, widths=(4, 8, 4, 3), dropout=0.0, seed=11)
 
@@ -300,15 +303,27 @@ def test_returned_params_are_best_checkpoint():
     assert all(np.array_equal(a, b) for a, b in zip(best.weights, ref.weights))
 
 
+def whole_set_forward(p, Xf):
+    """The plain inference forward: one ``x @ W + b`` per layer over all rows."""
+    a = Xf
+    for k, (W, b) in enumerate(zip(p.weights, p.biases)):
+        a = a @ W + b
+        if k < len(p.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a
+
+
 def reference_train(ds, nc, tc):
     """The per-array training loop: Adam over each weight and bias array
-    in turn, and the epoch loss from one forward over the whole set. No
-    divergence handling or early stop, so keep runs short."""
+    in turn, a dropout draw per batch, and the epoch loss from one
+    forward over the whole set. No divergence handling or early stop, so
+    keep runs short."""
     rng = np.random.default_rng(tc.seed)
     keep = 1.0 - nc.dropout
     p = init_params(nc)
     m = [np.zeros_like(a) for a in p.weights + p.biases]
     v = [np.zeros_like(a) for a in p.weights + p.biases]
+    ql = mrp_to_quat(ds.Y)
     t, rows, best, best_loss = 0, [], None, np.inf
     for epoch in range(1, tc.max_epochs + 1):
         for start in range(0, len(ds), tc.batch_size):
@@ -323,7 +338,9 @@ def reference_train(ds, nc, tc):
                 m[i] = tc.beta1 * m[i] + (1.0 - tc.beta1) * gi
                 v[i] = tc.beta2 * v[i] + (1.0 - tc.beta2) * gi * gi
                 a -= tc.lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + tc.eps)
-        L = loss(p, ds.X, ds.Y, nc)
+        d = np.sum(mrp_to_quat(whole_set_forward(p, ds.X.reshape(len(ds), -1))) * ql, axis=-1)
+        ang = np.degrees(2.0 * np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - d * d)), np.abs(d)))
+        L = float(np.sqrt(np.mean(ang * ang)))
         rows.append((epoch, L, tc.lr, ""))
         if L < best_loss:
             best, best_loss = p.copy(), L
@@ -344,6 +361,56 @@ def test_train_matches_per_array_reference_bitwise():
     assert hist.rows == ref_rows
     assert all(np.array_equal(a, b) for a, b in
                zip(params.weights + params.biases, ref_params.weights + ref_params.biases))
+
+
+def test_adam_flushes_small_moments_without_changing_the_update():
+    tiny, floor = np.finfo(float).tiny, FLUSH_BELOW
+    tc = TrainConfig()
+    b1 = tc.beta1
+    # after m *= b1 with a zero gradient: subnormal, below, at and just
+    # above the flush floor, and just above tiny
+    edge = np.array([5e-324, tiny * 0.5, floor * 0.5, floor / b1,
+                     floor / b1 * (1 + 1e-15), floor * 1.2, tiny / b1 * 1.01,
+                     -floor / b1, -floor * 0.5, -tiny * 0.5, 0.0])
+    rng = np.random.default_rng(3)
+    size = 2 * len(edge)
+    m0 = np.concatenate([edge, rng.normal(scale=1e-3, size=len(edge))])
+    v0 = np.concatenate([np.zeros(3), rng.uniform(1e-12, 1e-6, size - 3)])
+    p0 = rng.normal(size=size)
+    adam = _Adam(tc, size)
+    adam.m[:], adam.v[:], adam.t = m0, v0, FLUSH_EVERY - 1
+    vec = p0.copy()
+    m, v, p = m0.copy(), v0.copy(), p0.copy()
+    subnormal_seen = False
+    # zero gradients on the edge entries through the flush step and up to
+    # the next one, then a gradient on every entry
+    dead = np.concatenate([np.zeros(len(edge)), np.ones(len(edge))])
+    grads = [rng.normal(scale=1e-4, size=size) * dead for _ in range(FLUSH_EVERY + 1)]
+    grads.append(rng.normal(scale=1e-4, size=size))
+    for t, g in enumerate(grads, start=FLUSH_EVERY):
+        adam.step(vec, g, tc.lr)
+        c1 = 1.0 - tc.beta1 ** t
+        c2 = 1.0 - tc.beta2 ** t
+        m = tc.beta1 * m + (1.0 - tc.beta1) * g
+        v = tc.beta2 * v + (1.0 - tc.beta2) * g * g
+        p -= tc.lr * (m / c1) / (np.sqrt(v / c2) + tc.eps)
+        subnormal_seen |= np.any((m != 0.0) & (np.abs(m) < tiny))
+        assert np.all((adam.m == 0.0) | (np.abs(adam.m) >= tiny)), t
+        assert np.array_equal(vec, p), t
+        if t == FLUSH_EVERY:
+            kept = np.abs(m) >= floor
+            assert np.array_equal(adam.m[kept], m[kept])
+            assert np.all(adam.m[~kept] == 0.0) and not kept[:3].any() and kept[3:5].all()
+    assert subnormal_seen  # the unflushed moments went subnormal
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 353, 358, 1432])
+def test_forward_rows_match_whole_set_forward_bitwise(rows):
+    # stacked 32-row GEMMs and the tail give each row the whole-set bits
+    nc = NetConfig(n=5, channels=21, seed=7)
+    p = init_params(nc)
+    X = np.random.default_rng(rows).normal(size=(rows, nc.n, nc.channels))
+    assert np.array_equal(forward(p, X, nc), whole_set_forward(p, X.reshape(rows, -1)))
 
 
 def test_netparams_views_share_one_vector():

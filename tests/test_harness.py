@@ -111,9 +111,12 @@ def test_run_case_rejects_wrong_pass_count(catalog_logs):
 def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
     _, paths = catalog_dir
     out = tmp_path / "m1"
+    seen = []
     tables, results = run_matrix(paths, ["C1a", "C4f"], seeds=("R1",), n=5,
-                                 outdir=out, tc=FAST_TC)
+                                 outdir=out, tc=FAST_TC,
+                                 on_cell=lambda r, s: seen.append((r, s)))
     assert len(results) == 2
+    assert [r for r, _ in seen] == results and all(s > 0.0 for _, s in seen)
     assert [t.title for t in tables][0].startswith("Case family C1")
     rep = write_matrix_reports(tables, results, out, meta={"seeds": ["R1"]})
     md1 = open(rep["markdown"]).read()
