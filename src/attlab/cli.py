@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 input/config error, 3 infeasible case,
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -40,7 +39,7 @@ from .harness import (
     write_raw_profile_csv,
     write_timeseries_csv,
 )
-from .passlog import read_passlog, write_passlog
+from .passlog import read_passlog, sha256_file, write_json, write_passlog, write_text
 from .synth import (
     CATALOG_ERRORS,
     SensorErrors,
@@ -53,14 +52,6 @@ from .triad import write_triad_series_csv
 
 OUT_ROOT_ENV = "ATTLAB_OUT"
 FORMAT_VERSION = 1
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _out_dir(args):
@@ -86,17 +77,13 @@ def _write_manifest(outdir, subcommand, resolved_config, inputs, seeds, outputs,
         "format_version": FORMAT_VERSION,
         "subcommand": subcommand,
         "resolved_config": resolved_config,
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
+        "input_hashes": {str(p): sha256_file(p) for p in inputs},
         "seeds": seeds,
         "outputs": [str(p) for p in outputs],
         "started_utc": started,
-        "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "finished_utc": _now(),
     }
-    path = os.path.join(outdir, "run_manifest.json")
-    with open(path, "w", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    return write_json(os.path.join(outdir, "run_manifest.json"), manifest)
 
 
 def _now():
@@ -142,10 +129,8 @@ def cmd_triad(args):
     priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
     rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
     outputs = []
-    report = os.path.join(outdir, "triad_baseline.csv")
-    with open(report, "w", newline="\n") as f:
-        f.write(render_baseline_csv(rows))
-    outputs.append(report)
+    outputs.append(write_text(os.path.join(outdir, "triad_baseline.csv"),
+                              render_baseline_csv(rows)))
     for k, log in enumerate(logs):
         for row in rows:
             p = os.path.join(outdir, f"triad_{log.pass_id}_{row['priority']}.csv")
@@ -241,9 +226,9 @@ def cmd_export(args):
     if args.model:
         params, nc, prov = load_model(args.model)
         case = case_spec(prov["case_id"])
-        rows = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"))
+        series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"))
         p = os.path.join(outdir, f"errors_{log.pass_id}.csv")
-        write_timeseries_csv(rows, p)
+        write_timeseries_csv(series, p)
         outputs.append(p)
         print(f"wrote {p}")
     if args.raw or not args.model:
@@ -306,7 +291,7 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
                    help="parallel worker processes")
     p.add_argument("--resume", action="store_true",
-                   help="skip (case, seed) cells whose results already exist")
+                   help="reuse (case, seed) cells trained from the same inputs")
     p.add_argument("--css-bias", help="six comma-separated bias counts")
     p.add_argument("--config", help="JSON config (training overrides)")
     p.add_argument("--out", help="output directory")

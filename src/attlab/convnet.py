@@ -21,10 +21,11 @@ reinitializes the optimizer.
 Cost is kept flat and on the calling thread. Inference (``forward``,
 ``predict_pass``, ``loss`` and the per-epoch full-set loss) runs through
 one blocked forward of 32-row GEMMs, small enough that OpenBLAS never
-wakes its helper threads, with the bits of a whole-set GEMM. Each epoch draws its dropout masks in one call. Adam flushes tiny
-first moments to zero, since the moments of dead-ReLU weights otherwise
-decay into subnormals and slow every later step; the flush does not
-change the parameters' bits.
+wakes its helper threads, with the bits of a whole-set GEMM. Each epoch
+draws its dropout masks in one call. Adam flushes tiny first moments to
+zero, since the moments of dead-ReLU weights otherwise decay into
+subnormals and slow every later step; the flush does not change the
+parameters' bits.
 """
 
 import json
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import IncompatibleModelError
 from .features import build_windows
+from .passlog import write_text
 from .rotations import _mrp_to_quat, mrp_to_quat
 
 DIVERGENCE_FACTOR = 10.0
@@ -287,9 +289,7 @@ class TrainHistory:
         lines = ["epoch,loss_deg,lr,event"]
         for epoch, lo, lr, event in self.rows:
             lines.append(f"{epoch},{repr(float(lo))},{repr(float(lr))},{event}")
-        with open(path, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-        return path
+        return write_text(path, "\n".join(lines) + "\n")
 
 
 class _Adam:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .cases import case_spec
 from .convnet import NetConfig, TrainConfig, predict_pass, save_model, train
 from .features import (
@@ -26,7 +27,14 @@ from .features import (
     gyro_scale_from_passes,
     shuffle_windows,
 )
-from .passlog import read_passlog
+from .passlog import (
+    manifest_path_for,
+    read_passlog,
+    sha256_file,
+    write_csv,
+    write_json,
+    write_text,
+)
 from .rotations import (
     angle_between_deg,
     mrp_to_quat,
@@ -129,25 +137,43 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
         # paths are stored relative to outdir so reports stay byte-stable
         result.model_path = os.path.join(cell_name, "model.bin")
         result.history_path = os.path.join(cell_name, "history.csv")
-        with open(os.path.join(cell, "result.json"), "w", newline="\n") as f:
-            json.dump(result.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(os.path.join(cell, "result.json"), result.to_dict())
     return result
 
 
+def _read_json(path):
+    """The parsed file, or None when it is missing or not valid JSON."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
+
+
 def _cell_worker(args):
-    """One cell, reused under ``resume`` or trained; returns (result, wall s)."""
+    """One cell, reused under ``resume`` or trained; returns (result, wall s).
+
+    ``inputs.json`` is removed before training and written after it, so it
+    never vouches for a half-written cell.
+    """
     started = time.perf_counter()
-    case_id, seed_name, pass_paths, n, outdir, resume, tc_dict, css_bias = args
-    if resume and outdir is not None:
-        marker = os.path.join(str(outdir), f"{case_id}_{seed_name}", "result.json")
-        if os.path.exists(marker):
-            with open(marker) as f:
-                return RunResult(**json.load(f)), time.perf_counter() - started
+    pass_paths, outdir, resume, inputs = args
+    cell = None
+    if outdir is not None:
+        cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
+        marker = os.path.join(cell, "inputs.json")
+        if resume and _read_json(marker) == inputs:
+            saved = _read_json(os.path.join(cell, "result.json"))
+            if saved is not None:
+                return RunResult(**saved), time.perf_counter() - started
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(marker)
     logs = [read_passlog(p) for p in pass_paths]
-    tc = TrainConfig(**tc_dict) if tc_dict else None
-    result = run_case(case_id, seed_name, logs, n=n, outdir=outdir, tc=tc,
-                      css_bias=css_bias)
+    result = run_case(inputs["case"], inputs["seed"], logs, n=inputs["window"],
+                      outdir=outdir, tc=TrainConfig(**inputs["train_config"]),
+                      css_bias=inputs["css_bias"])
+    if cell is not None:
+        write_json(marker, inputs)
     return result, time.perf_counter() - started
 
 
@@ -206,12 +232,14 @@ def group_tables(rows):
     return tables
 
 
-def _cell(value, flag):
-    return f"{value:.1f}*" if flag else f"{value:.1f}"
+def _row_cells(r, blank):
+    """A table row's cells: ``*`` marks a max-epoch run and ``blank`` stands
+    in for a missing minimum."""
+    def cell(value, flag=False):
+        return blank if value is None else f"{value:.1f}{'*' if flag else ''}"
 
-
-def _min_cell(value):
-    return "-" if value is None else f"{value:.1f}"
+    return [r.case_id, *map(cell, r.train, r.flags), cell(r.min_train),
+            *map(cell, r.test, r.flags), cell(r.min_test), cell(r.combined)]
 
 
 def _header_for(table):
@@ -222,14 +250,7 @@ def _header_for(table):
 
 def render_table_csv(table):
     lines = [",".join(_header_for(table))]
-    for r in table.rows:
-        cells = [r.case_id]
-        cells += [_cell(v, f) for v, f in zip(r.train, r.flags)]
-        cells.append("" if r.min_train is None else f"{r.min_train:.1f}")
-        cells += [_cell(v, f) for v, f in zip(r.test, r.flags)]
-        cells.append("" if r.min_test is None else f"{r.min_test:.1f}")
-        cells.append("" if r.combined is None else f"{r.combined:.1f}")
-        lines.append(",".join(cells))
+    lines += [",".join(_row_cells(r, "")) for r in table.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -240,14 +261,7 @@ def render_tables_markdown(tables):
         out.append(f"## {table.title}\n")
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "---|" * len(header))
-        for r in table.rows:
-            cells = [r.case_id]
-            cells += [_cell(v, f) for v, f in zip(r.train, r.flags)]
-            cells.append(_min_cell(r.min_train))
-            cells += [_cell(v, f) for v, f in zip(r.test, r.flags)]
-            cells.append(_min_cell(r.min_test))
-            cells.append(_min_cell(r.combined))
-            out.append("| " + " | ".join(cells) + " |")
+        out += ["| " + " | ".join(_row_cells(r, "-")) + " |" for r in table.rows]
         out.append("")
     out.append("`*` = stopped at the max-epoch cap; excluded from the minima.\n")
     return "\n".join(out)
@@ -285,13 +299,23 @@ def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
 
     ``on_cell(result, seconds)`` observes each cell, in catalog order, as
     soon as its result arrives; ``seconds`` is the cell's wall time.
+    ``resume`` reuses a cell only when its ``inputs.json`` (case, seed,
+    window, training config, CSS bias, version, pass-file hashes; no paths
+    or times) equals this run's.
     """
     if not case_ids:
         raise ValueError("no cases selected")
-    tc_dict = asdict(tc) if tc is not None else None
-    css_bias = list(css_bias) if css_bias is not None else None
-    tasks = [(cid, sn, list(map(str, pass_paths)), n, outdir, resume, tc_dict,
-              css_bias)
+    pass_paths = list(map(str, pass_paths))
+    shared = {
+        "window": n,
+        "train_config": asdict(tc or TrainConfig()),
+        "css_bias": list(css_bias) if css_bias is not None else None,
+        "version": __version__,
+        "passes": [{"csv": sha256_file(p),
+                    "manifest": sha256_file(m) if os.path.exists(m) else None}
+                   for p, m in zip(pass_paths, map(manifest_path_for, pass_paths))],
+    }
+    tasks = [(pass_paths, outdir, resume, {"case": cid, "seed": sn, **shared})
              for cid in case_ids for sn in seeds]
     workers = min(jobs, len(tasks))
     results = []
@@ -314,21 +338,13 @@ def write_matrix_reports(tables, results, outdir, meta):
     """Markdown + per-table CSV + JSON; byte-stable for fixed inputs."""
     outdir = str(outdir)
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
-    md = os.path.join(outdir, "ablation_report.md")
-    with open(md, "w", newline="\n") as f:
-        f.write(render_tables_markdown(tables))
-    paths["markdown"] = md
+    paths = {"markdown": write_text(os.path.join(outdir, "ablation_report.md"),
+                                    render_tables_markdown(tables))}
     for i, table in enumerate(tables, start=1):
-        p = os.path.join(outdir, f"ablation_table{i}.csv")
-        with open(p, "w", newline="\n") as f:
-            f.write(render_table_csv(table))
-        paths[f"csv_table{i}"] = p
-    js = os.path.join(outdir, "ablation_report.json")
-    with open(js, "w", newline="\n") as f:
-        json.dump(report_json(tables, results, meta), f, indent=2, sort_keys=True)
-        f.write("\n")
-    paths["json"] = js
+        paths[f"csv_table{i}"] = write_text(
+            os.path.join(outdir, f"ablation_table{i}.csv"), render_table_csv(table))
+    paths["json"] = write_json(os.path.join(outdir, "ablation_report.json"),
+                               report_json(tables, results, meta))
     return paths
 
 
@@ -368,12 +384,10 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
 
 
 def render_baseline_csv(rows):
-    header = "priority,rms_att_deg,rms_sun_deg,rms_mag_deg,solved_steps,skipped_steps"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['priority']},{r['rms_att_deg']:.3f},{r['rms_sun_deg']:.3f},"
-            f"{r['rms_mag_deg']:.3f},{r['solved_steps']},{r['skipped_steps']}")
+    lines = ["priority,rms_att_deg,rms_sun_deg,rms_mag_deg,solved_steps,skipped_steps"]
+    lines += [f"{r['priority']},{r['rms_att_deg']:.3f},{r['rms_sun_deg']:.3f},"
+              f"{r['rms_mag_deg']:.3f},{r['solved_steps']},{r['skipped_steps']}"
+              for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -381,15 +395,17 @@ def render_baseline_csv(rows):
 # Time-series exports
 # ---------------------------------------------------------------------------
 
-_SERIES_KEYS = ("att_err_deg", "sun_err_deg", "mag_err_deg", "earth_err_deg")
+TIMESERIES_HEADER = "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
 
 
 def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     """Per-step error series for a trained model on one pass.
 
-    Sensor errors compare the measured body-frame unit vectors with the
-    model vectors rotated by the *predicted* attitude. Steps without a
-    prediction (the first n-1) or without a measurement yield gaps.
+    Returns ``t`` and each error column as ``(L,)`` arrays, keyed by the
+    ``TIMESERIES_HEADER`` names. Sensor errors compare the measured
+    body-frame unit vectors with the model vectors rotated by the
+    *predicted* attitude. Steps without a prediction (the first n-1) or
+    without a measurement are NaN.
     """
     frames = build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
     labels = attitude_labels(log)
@@ -398,44 +414,26 @@ def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     L = len(log.t)
     att = np.full(L, np.nan)
     att[steps] = rotation_angle_deg(pred, quat_to_mrp(log.q_true)[steps])
-    series = [att]
-    for group, model in (("uS_c", log.uS_i), ("uB_m", log.uB_i),
-                         ("uE_c", frames.groups["uE_i"])):
+    series = {"t": log.t.astype(np.int64), "att_err_deg": att}
+    for key, group, model in (("sun_err_deg", "uS_c", log.uS_i),
+                              ("mag_err_deg", "uB_m", log.uB_i),
+                              ("earth_err_deg", "uE_c", frames.groups["uE_i"])):
         err = np.full(L, np.nan)
         seen = frames.avail[group][steps]
         k = steps[seen]
         err[k] = angle_between_deg(frames.groups[group][k],
                                    quat_rotate(q_pred[seen], model[k]))
-        series.append(err)
-    cells = [np.where(np.isnan(x), None, x).tolist() for x in series]
-    return [{"t": t, **dict(zip(_SERIES_KEYS, row))}
-            for t, *row in zip(log.t.astype(int).tolist(), *cells)]
+        series[key] = err
+    return series
 
 
-TIMESERIES_HEADER = "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
-
-
-def write_timeseries_csv(rows, path):
-    lines = [TIMESERIES_HEADER]
-    for r in rows:
-        cells = [str(r["t"])]
-        for key in _SERIES_KEYS:
-            cells.append("" if r[key] is None else repr(r[key]))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    return path
+def write_timeseries_csv(series, path):
+    """``timeseries_rows`` output as CSV; gaps are empty cells, never NaN."""
+    return write_csv(path, TIMESERIES_HEADER,
+                     [series[key] for key in TIMESERIES_HEADER.split(",")])
 
 
 def write_raw_profile_csv(log, path):
     """Raw CSS/MAG counts per step, for profile-shape comparisons."""
-    lines = ["t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2"]
-    for k in range(len(log.t)):
-        cells = [str(int(log.t[k]))]
-        cells += [str(int(v)) for v in log.css[k]]
-        cells += [str(int(v)) for v in log.mag[k]]
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    return path
-
+    return write_csv(path, "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2",
+                     [np.asarray(x).astype(np.int64) for x in (log.t, log.css, log.mag)])

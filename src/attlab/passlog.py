@@ -8,6 +8,7 @@ attitude. On disk a pass is a CSV plus a JSON sidecar manifest
 sunlit/saturation flags.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -54,32 +55,52 @@ class PassLog:
         return self
 
 
-def _fmt(x):
-    return repr(float(x))
+def write_text(path, text):
+    """Write ``text`` with LF line endings; every text artifact goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+    return path
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, blocks):
+    """A CSV of whole-pass ``(L,)`` or ``(L, k)`` blocks, in column order.
+
+    Integer blocks print with ``str``, float blocks with ``repr`` (the
+    shortest text that reads back to the same double) and NaN as an empty
+    cell.
+    """
+    columns = []
+    for block in map(np.asarray, blocks):
+        cols = block.reshape(len(block), -1).T.tolist()
+        if block.dtype.kind in "iu":
+            columns += [list(map(str, col)) for col in cols]
+        else:
+            columns += [[repr(v) if v == v else "" for v in col] for col in cols]
+    rows = map(",".join, zip(*columns))
+    return write_text(path, "\n".join([header, *rows]) + "\n")
+
+
+def sha256_file(path):
+    """Hex SHA-256 of the file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_passlog(log, csv_path):
     """Write the pass CSV and its sidecar manifest; returns both paths."""
     log.validate()
-    lines = [CSV_COLUMNS]
-    for k in range(PASS_SAMPLES):
-        cells = [str(int(log.t[k]))]
-        cells += [str(int(v)) for v in log.css[k]]
-        cells += [str(int(v)) for v in log.mag[k]]
-        cells += [_fmt(v) for v in log.w[k]]
-        cells += [_fmt(v) for v in log.uS_i[k]]
-        cells += [_fmt(v) for v in log.uB_i[k]]
-        cells += [_fmt(v) for v in log.r_km[k]]
-        cells += [_fmt(v) for v in log.q_true[k]]
-        lines.append(",".join(cells))
-    csv_path = str(csv_path)
-    with open(csv_path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    manifest_path = manifest_path_for(csv_path)
-    with open(manifest_path, "w", newline="\n") as f:
-        json.dump(log.manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return csv_path, manifest_path
+    counts = [np.asarray(x).astype(np.int64) for x in (log.t, log.css, log.mag)]
+    csv_path = write_csv(str(csv_path), CSV_COLUMNS,
+                         [*counts, log.w, log.uS_i, log.uB_i, log.r_km, log.q_true])
+    return csv_path, write_json(manifest_path_for(csv_path), log.manifest)
 
 
 def manifest_path_for(csv_path):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
+from .passlog import write_csv
 from .rotations import (
     _dot,
     angle_between_deg,
@@ -132,12 +133,6 @@ def triad_pass_eval(log, frames, cfg):
 
 def write_triad_series_csv(ev, path):
     """Per-step error series; skipped steps are empty cells, never NaN."""
-    lines = ["t,att_err_deg,sun_err_deg,mag_err_deg"]
-    for k in range(len(ev.t)):
-        cells = [str(int(ev.t[k]))]
-        for x in (ev.att_err_deg[k], ev.sun_err_deg[k], ev.mag_err_deg[k]):
-            cells.append(repr(float(x)) if np.isfinite(x) else "")
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    return path
+    return write_csv(path, "t,att_err_deg,sun_err_deg,mag_err_deg",
+                     [ev.t.astype(np.int64), ev.att_err_deg, ev.sun_err_deg,
+                      ev.mag_err_deg])

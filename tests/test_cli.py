@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from attlab.cli import main
+from attlab.convnet import load_model
 from attlab.passlog import read_passlog
 
 
@@ -215,6 +216,37 @@ def test_ablate_resume_identical(tmp_path, pass_args, fast_cfg_path):
     assert main(argv + ["--resume"]) == 0
     assert (d / "C1a_R1" / "result.json").exists()
     assert (d / "ablation_report.md").read_bytes() == md1
+
+
+def test_ablate_resume_retrains_on_changed_inputs(tmp_path, pass_args):
+    d = tmp_path / "changed"
+    cell = d / "C1a_R1"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1",
+            "--out", str(d), "--jobs", "1", "--config"]
+
+    def config(max_epochs):
+        p = tmp_path / f"cfg{max_epochs}.json"
+        p.write_text(json.dumps({"max_epochs": max_epochs}))
+        return str(p)
+
+    def trained():
+        history = (cell / "history.csv").read_text().splitlines()[1:]
+        return load_model(cell / "model.bin")[2]["window"], len(history)
+
+    assert main(argv + [config(3)]) == 0
+    assert trained() == (5, 3)
+    # a window-5 cell is not reused under --window 9
+    assert main(argv + [config(3), "--resume", "--window", "9"]) == 0
+    assert trained() == (9, 3)
+    # nor under a changed max_epochs
+    assert main(argv + [config(4), "--resume", "--window", "9"]) == 0
+    assert trained() == (9, 4)
+    assert json.loads((cell / "inputs.json").read_text())["train_config"][
+        "max_epochs"] == 4
+    # unchanged inputs: the cell is reused, not rewritten
+    stamp = (cell / "model.bin").stat().st_mtime_ns
+    assert main(argv + [config(4), "--resume", "--window", "9"]) == 0
+    assert (cell / "model.bin").stat().st_mtime_ns == stamp
 
 
 def test_ablate_unknown_case_exit_2(tmp_path, pass_args):

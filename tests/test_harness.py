@@ -183,14 +183,15 @@ def test_timeseries_export(tmp_path, catalog_logs):
     r = run_case("C1e", "R1", catalog_logs, n=5, outdir=tmp_path, tc=FAST_TC)
     params, nc, prov = load_model(tmp_path / r.model_path)
     case = case_spec("C1e")
-    rows = timeseries_rows(params, nc, case, catalog_logs[4], prov["gyro_scale"])
-    assert len(rows) == 362
+    series = timeseries_rows(params, nc, case, catalog_logs[4], prov["gyro_scale"])
+    assert all(len(x) == 362 for x in series.values())
+    att = series["att_err_deg"]
     # first n-1 steps have no prediction
-    assert all(rows[k]["att_err_deg"] is None for k in range(4))
-    assert all(rows[k]["att_err_deg"] is not None for k in range(4, 362))
-    assert all(r["att_err_deg"] >= 0.0 for r in rows if r["att_err_deg"] is not None)
+    assert np.isnan(att[:4]).all()
+    assert not np.isnan(att[4:]).any()
+    assert (att[4:] >= 0.0).all()
     p = tmp_path / "series.csv"
-    write_timeseries_csv(rows, p)
+    write_timeseries_csv(series, p)
     text = p.read_text()
     lines = text.splitlines()
     assert lines[0] == "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
@@ -218,9 +219,8 @@ def test_timeseries_perfect_model_zero_error():
     params = NetParams([np.zeros_like(w) for w in p0.weights],
                        [np.zeros_like(b) for b in p0.biases])
     params.biases[3][:] = label
-    rows = timeseries_rows(params, nc, case, log, gyro_scale=None)
-    att = [r["att_err_deg"] for r in rows if r["att_err_deg"] is not None]
-    assert max(att) < 1e-9
+    att = timeseries_rows(params, nc, case, log, gyro_scale=None)["att_err_deg"]
+    assert np.nanmax(att) < 1e-9
 
 
 def test_raw_profile_export(tmp_path, catalog_logs):

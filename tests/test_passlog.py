@@ -1,0 +1,112 @@
+"""The whole-pass text writers against per-row reference formatting."""
+
+import dataclasses
+
+import numpy as np
+
+from attlab.cases import case_spec
+from attlab.convnet import NetConfig, NetParams, init_params
+from attlab.features import attitude_labels, build_frames
+from attlab.harness import TIMESERIES_HEADER, timeseries_rows, write_timeseries_csv
+from attlab.passlog import (
+    CSV_COLUMNS,
+    read_passlog,
+    write_csv,
+    write_json,
+    write_passlog,
+)
+from attlab.synth import Maneuver, SensorErrors, default_catalog, synth_pass
+from attlab.triad import TriadConfig, triad_pass_eval, write_triad_series_csv
+
+
+def reference_csv(header, columns):
+    """Per-row formatting as the writers did it before ``write_csv``.
+
+    ``columns`` is a list of ``(block, kind)``; an ``int`` block prints
+    ``str(int(v))``, a ``float`` block ``repr(float(v))`` or an empty cell
+    for NaN.
+    """
+    blocks = [(np.asarray(b).reshape(len(b), -1), kind) for b, kind in columns]
+    lines = [header]
+    for k in range(len(blocks[0][0])):
+        cells = []
+        for block, kind in blocks:
+            for v in block[k]:
+                if kind == "int":
+                    cells.append(str(int(v)))
+                else:
+                    cells.append("" if np.isnan(v) else repr(float(v)))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def pass_columns(log):
+    return ([(log.t, "int"), (log.css, "int"), (log.mag, "int")]
+            + [(x, "float") for x in (log.w, log.uS_i, log.uB_i, log.r_km, log.q_true)])
+
+
+def test_write_passlog_matches_per_row_reference(tmp_path):
+    log = synth_pass(default_catalog()[0])
+    assert log.css.dtype == np.int64 and log.mag.dtype == np.int64
+    a = tmp_path / "a.csv"
+    write_passlog(log, a)
+    assert a.read_bytes() == reference_csv(CSV_COLUMNS, pass_columns(log))
+
+    # read back, the counts are floats; the bytes must not change
+    back = read_passlog(a)
+    assert back.css.dtype == np.float64
+    b = tmp_path / "b.csv"
+    write_passlog(back, b)
+    assert b.read_bytes() == reference_csv(CSV_COLUMNS, pass_columns(back))
+    assert b.read_bytes() == a.read_bytes()
+    assert (b.with_name("b.manifest.json").read_bytes()
+            == a.with_name("a.manifest.json").read_bytes())
+
+
+def test_write_triad_series_matches_reference_with_collinear_gaps(tmp_path):
+    log = synth_pass(default_catalog()[0])
+    frames = build_frames(log)
+    ok = frames.avail["uS_c"] & frames.avail["uB_m"]
+    rows = np.flatnonzero(ok)[[0, 1, 100, 200]]
+    frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
+    ev = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
+    assert ev.skip_reasons["collinear"] == len(rows)
+    assert np.isnan(ev.att_err_deg[rows]).all()
+    p = tmp_path / "triad.csv"
+    write_triad_series_csv(ev, p)
+    expected = reference_csv("t,att_err_deg,sun_err_deg,mag_err_deg",
+                             [(ev.t, "int"), (ev.att_err_deg, "float"),
+                              (ev.sun_err_deg, "float"), (ev.mag_err_deg, "float")])
+    assert p.read_bytes() == expected
+
+
+def test_write_timeseries_matches_reference_with_leading_gap(tmp_path):
+    sc = default_catalog(errors=SensorErrors(css_gain=(1000.0,) * 6))[0]
+    log = synth_pass(dataclasses.replace(sc, maneuver=Maneuver(magnitude_deg=0.0)))
+    case = case_spec("C1a")
+    nc = NetConfig(n=5, channels=case.channel_count, seed=0)
+    p0 = init_params(nc)
+    params = NetParams([np.zeros_like(w) for w in p0.weights],
+                       [np.zeros_like(b) for b in p0.biases])
+    params.biases[3][:] = attitude_labels(log)[0]
+    series = timeseries_rows(params, nc, case, log, gyro_scale=None)
+    assert list(series) == TIMESERIES_HEADER.split(",")
+    assert series["t"].dtype == np.int64
+    for key in TIMESERIES_HEADER.split(",")[1:]:
+        assert np.isnan(series[key][:nc.n - 1]).all()
+    p = tmp_path / "errors.csv"
+    write_timeseries_csv(series, p)
+    expected = reference_csv(TIMESERIES_HEADER,
+                             [(series["t"], "int")]
+                             + [(series[key], "float")
+                                for key in TIMESERIES_HEADER.split(",")[1:]])
+    assert p.read_bytes() == expected
+
+
+def test_write_csv_blocks_and_json(tmp_path):
+    t = np.arange(3, dtype=np.int64)
+    x = np.array([[0.1, -0.0], [np.nan, 1e-300], [2.5, np.inf]])
+    p = write_csv(tmp_path / "x.csv", "t,a,b", [t, x])
+    assert p.read_bytes() == b"t,a,b\n0,0.1,-0.0\n1,,1e-300\n2,2.5,inf\n"
+    j = write_json(tmp_path / "x.json", {"b": [1, 2], "a": None})
+    assert j.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
