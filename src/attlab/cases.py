@@ -9,9 +9,8 @@ the fixed order below. A case is a subset of groups:
 * C3* drops the Sun-sensor measurements and the Sun model vector.
 * C4f keeps only the scaled gyro rates.
 
-C3b and C3e collapse onto C3a and C3d after the removal, so the default
-catalog skips them; ``case_catalog(include_redundant=True)`` yields them
-anyway.
+C3b and C3e collapse onto C3a and C3d after the removal, so
+``DEFAULT_CASE_IDS`` skips them; ``case_spec`` still parses them.
 """
 
 from dataclasses import dataclass
@@ -65,12 +64,3 @@ def case_spec(case_id):
     if not ordered:
         raise ValueError(f"case {case_id!r} selects no channel groups")
     return CaseSpec(case_id=cid, groups=ordered)
-
-
-def case_catalog(include_redundant=False):
-    """The reported case list; optionally also the collapsed C3b/C3e rows."""
-    ids = list(DEFAULT_CASE_IDS)
-    if include_redundant:
-        ids[ids.index("C3c"):ids.index("C3c")] = ["C3b"]
-        ids[ids.index("C3f"):ids.index("C3f")] = ["C3e"]
-    return [case_spec(cid) for cid in ids]

@@ -39,13 +39,23 @@ from .harness import (
     write_raw_profile_csv,
     write_timeseries_csv,
 )
-from .passlog import read_passlog, sha256_file, write_json, write_passlog, write_text
+from .features import WINDOW_MAX
+from .passlog import (
+    check_type,
+    from_dict,
+    read_manifest,
+    read_passlog,
+    sha256_file,
+    write_json,
+    write_passlog,
+    write_text,
+)
 from .synth import (
     CATALOG_ERRORS,
+    Scenario,
     SensorErrors,
     default_catalog,
     eclipse_variant,
-    scenario_from_dict,
     synth_pass,
 )
 from .triad import write_triad_series_csv
@@ -93,18 +103,28 @@ def _now():
 def cmd_synth(args):
     started = _now()
     cfg = _load_config(args.config)
-    outdir = _out_dir(args)
-    base_seed = args.seed if args.seed is not None else cfg.get("base_seed", 20211218)
+    where = args.config
+    for key in cfg:
+        if key not in ("base_seed", "errors", "scenarios"):
+            raise ValueError(f"{where}: unknown key {key!r}")
+    base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
+    if args.seed is not None:
+        base_seed = args.seed
     if "scenarios" in cfg:
-        scenarios = [scenario_from_dict(d) for d in cfg["scenarios"]]
+        if not isinstance(cfg["scenarios"], list):
+            raise ValueError(f"{where}: key 'scenarios' must be a list")
+        scenarios = [from_dict(Scenario, d, f"{where}: scenarios[{k}]")
+                     for k, d in enumerate(cfg["scenarios"])]
     else:
         errors = CATALOG_ERRORS
         if "errors" in cfg:
             if not isinstance(cfg["errors"], dict):
-                raise ValueError("errors: expected an object")
-            errors = SensorErrors.from_dict(
-                {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]})
+                raise ValueError(f"{where}: key 'errors' must be an object")
+            errors = from_dict(SensorErrors,
+                               {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]},
+                               f"{where}: errors")
         scenarios = default_catalog(base_seed=base_seed, errors=errors)
+    outdir = _out_dir(args)
     if args.eclipse:
         scenarios = [eclipse_variant(sc) for sc in scenarios]
     outputs = []
@@ -146,22 +166,38 @@ def cmd_triad(args):
     return 0
 
 
-def _train_config(cfg, args):
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    overrides = {k: v for k, v in cfg.items() if k in fields}
-    return TrainConfig(**overrides)
+def _train_inputs(args):
+    """``(tc, window, css_bias)`` for ``train`` and ``ablate``, checked
+    before any pass is read. ``--config`` may hold the ``TrainConfig``
+    fields and ``window``, but not ``seed``: the seed label sets it."""
+    if len(args.passes) != 5:
+        raise ValueError(f"{args.command} requires exactly 5 passes: four train, last tests")
+    cfg = _load_config(args.config)
+    where = args.config
+    if "seed" in cfg:
+        raise ValueError(f"{where}: key 'seed' is not accepted; the seed label sets it")
+    window = check_type(where, "window", cfg.pop("window", 5), int)
+    tc = from_dict(TrainConfig, cfg, where)
+    source = f"{where}: key 'window'"
+    if args.window is not None:
+        window, source = args.window, "--window"
+    if not 1 <= window <= WINDOW_MAX:
+        raise ValueError(f"{source} must be in 1..{WINDOW_MAX}, got {window}")
+    css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
+    return tc, window, css_bias
+
+
+def _reject_repeats(labels, option):
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"{option}: label {label!r} is repeated")
 
 
 def cmd_train(args):
     started = _now()
-    cfg = _load_config(args.config)
+    tc, n, css_bias = _train_inputs(args)
     outdir = _out_dir(args)
-    if len(args.passes) != 5:
-        raise ValueError("train requires exactly 5 passes: four train, last tests")
     logs = [read_passlog(p) for p in args.passes]
-    tc = _train_config(cfg, args)
-    n = args.window if args.window is not None else cfg.get("window", 5)
-    css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
     result = run_case(args.case, args.seed, logs, n=n, outdir=outdir, tc=tc,
                       css_bias=css_bias)
     print(f"case={result.case_id} seed={result.seed_name} "
@@ -187,30 +223,27 @@ def _report_cell(result, seconds):
 
 def cmd_ablate(args):
     started = _now()
-    cfg = _load_config(args.config)
-    outdir = _out_dir(args)
-    if len(args.passes) != 5:
-        raise ValueError("ablate requires exactly 5 passes: four train, last tests")
+    tc, n, css_bias = _train_inputs(args)
     if args.cases == "all":
         case_ids = list(DEFAULT_CASE_IDS)
     else:
         case_ids = [c.strip() for c in args.cases.split(",") if c.strip()]
         for cid in case_ids:
             case_spec(cid)  # validate early
+        _reject_repeats(case_ids, "--cases")
     seeds = tuple(s.strip() for s in args.seeds.split(","))
     for s in seeds:
         if s not in SEED_NAMES:
             raise ValueError(f"unknown seed label {s!r}; choose from {SEED_NAMES}")
-    tc = _train_config(cfg, args)
-    n = args.window if args.window is not None else cfg.get("window", 5)
+    _reject_repeats(seeds, "--seeds")
     jobs = args.jobs or 1
-    css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
+    outdir = _out_dir(args)
     tables, results = run_matrix(args.passes, case_ids, seeds=seeds, n=n,
                                  outdir=outdir, jobs=jobs, resume=args.resume,
                                  tc=tc, css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
-            "pass_ids": [read_passlog(p).pass_id for p in args.passes]}
+            "pass_ids": [read_manifest(p)[1] for p in args.passes]}
     paths = write_matrix_reports(tables, results, outdir, meta)
     print(render_tables_markdown(tables))
     _write_manifest(outdir, "ablate", meta, args.passes,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompatibleModelError
-from .features import build_windows
+from .features import WINDOW_MAX, build_windows
 from .passlog import write_text
 from .rotations import _mrp_to_quat, mrp_to_quat
 
@@ -64,8 +64,8 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n <= 11:
-            raise ValueError("window length must be in 1..11")
+        if not 1 <= self.n <= WINDOW_MAX:
+            raise ValueError(f"window length must be in 1..{WINDOW_MAX}")
         if len(self.widths) != 4 or self.widths[-1] != 3:
             raise ValueError("widths must be four layer sizes ending in 3")
         if not 0.0 <= self.dropout < 1.0:
@@ -281,9 +281,6 @@ class TrainHistory:
     stop_reason: str = ""
     max_epoch_flag: bool = False
     divergence_count: int = 0
-
-    def losses(self):
-        return [r[1] for r in self.rows]
 
     def to_csv(self, path):
         lines = ["epoch,loss_deg,lr,event"]

@@ -7,11 +7,10 @@ data: the gyro scale comes from the training passes and the CSS bias /
 MAG reference values come from preflight configuration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import GROUP_ORDER
 from .errors import CaseInfeasibleError, DataIntegrityError
 from .rotations import quat_to_mrp
 
@@ -80,15 +79,10 @@ class FeatureFrames:
     pass_id: str
     groups: dict  # name -> (L, 3) float array
     avail: dict  # name -> (L,) bool array
-    gyro_scale: float | None = None
 
     @property
     def length(self):
         return len(next(iter(self.groups.values())))
-
-    def full_matrix(self):
-        """All 21 channels in canonical group order."""
-        return np.hstack([self.groups[g] for g in GROUP_ORDER])
 
 
 def build_frames(log, css_bias=None, mag_ref=None, mag_scale=None, gyro_scale=None):
@@ -132,8 +126,7 @@ def build_frames(log, css_bias=None, mag_ref=None, mag_scale=None, gyro_scale=No
         "uE_i": ones.copy(),
         "W_g": ones.copy() if gyro_scale else np.zeros(L, dtype=bool),
     }
-    return FeatureFrames(pass_id=log.pass_id, groups=groups, avail=avail,
-                         gyro_scale=gyro_scale)
+    return FeatureFrames(pass_id=log.pass_id, groups=groups, avail=avail)
 
 
 def select_channels(frames, case):
@@ -154,7 +147,6 @@ class WindowDataset:
     Y: np.ndarray  # (N, 3)
     n: int
     case_id: str
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.X)
@@ -180,11 +172,7 @@ def build_windows(frames, labels, n, case):
     idx = np.arange(count)[:, None] + np.arange(n)[None, :]
     X = mat[idx]  # (count, n, C)
     Y = labels[n - 1:]
-    return WindowDataset(
-        X=X, Y=Y.copy(), n=n, case_id=case.case_id,
-        provenance={"pass_ids": [frames.pass_id], "windows_per_pass": [count],
-                    "shuffle_seed": None},
-    )
+    return WindowDataset(X=X, Y=Y.copy(), n=n, case_id=case.case_id)
 
 
 def concat_windows(datasets):
@@ -194,23 +182,15 @@ def concat_windows(datasets):
     for ds in datasets[1:]:
         if ds.n != first.n or ds.case_id != first.case_id:
             raise ValueError("datasets disagree on window length or case")
-    prov = {
-        "pass_ids": sum((ds.provenance["pass_ids"] for ds in datasets), []),
-        "windows_per_pass": sum((ds.provenance["windows_per_pass"] for ds in datasets), []),
-        "shuffle_seed": None,
-    }
     return WindowDataset(
         X=np.concatenate([ds.X for ds in datasets]),
         Y=np.concatenate([ds.Y for ds in datasets]),
-        n=first.n, case_id=first.case_id, provenance=prov,
+        n=first.n, case_id=first.case_id,
     )
 
 
 def shuffle_windows(ds, seed):
     """Deterministic permutation of the window set; X-Y pairing preserved."""
     perm = np.random.default_rng(seed).permutation(len(ds))
-    prov = dict(ds.provenance)
-    prov["shuffle_seed"] = int(seed)
-    return WindowDataset(X=ds.X[perm], Y=ds.Y[perm], n=ds.n,
-                         case_id=ds.case_id, provenance=prov)
+    return WindowDataset(X=ds.X[perm], Y=ds.Y[perm], n=ds.n, case_id=ds.case_id)
 

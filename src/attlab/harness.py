@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .features import (
     shuffle_windows,
 )
 from .passlog import (
+    from_dict,
     manifest_path_for,
     read_passlog,
     sha256_file,
@@ -96,8 +97,7 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
             f"defines {case.channel_count}")
 
     nc = NetConfig(n=n, channels=case.channel_count, seed=net_seed)
-    tc = tc or TrainConfig()
-    tc = TrainConfig(**{**asdict(tc), "seed": train_seed})
+    tc = replace(tc or TrainConfig(), seed=train_seed)
     params, history = train(ds, nc, tc)
 
     train_chunks = []
@@ -157,21 +157,22 @@ def _cell_worker(args):
     never vouches for a half-written cell.
     """
     started = time.perf_counter()
-    pass_paths, outdir, resume, inputs = args
+    pass_paths, outdir, resume, tc, inputs = args
     cell = None
     if outdir is not None:
         cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
         marker = os.path.join(cell, "inputs.json")
         if resume and _read_json(marker) == inputs:
-            saved = _read_json(os.path.join(cell, "result.json"))
+            saved_path = os.path.join(cell, "result.json")
+            saved = _read_json(saved_path)
             if saved is not None:
-                return RunResult(**saved), time.perf_counter() - started
+                return (from_dict(RunResult, saved, saved_path),
+                        time.perf_counter() - started)
         with contextlib.suppress(FileNotFoundError):
             os.remove(marker)
     logs = [read_passlog(p) for p in pass_paths]
     result = run_case(inputs["case"], inputs["seed"], logs, n=inputs["window"],
-                      outdir=outdir, tc=TrainConfig(**inputs["train_config"]),
-                      css_bias=inputs["css_bias"])
+                      outdir=outdir, tc=tc, css_bias=inputs["css_bias"])
     if cell is not None:
         write_json(marker, inputs)
     return result, time.perf_counter() - started
@@ -306,16 +307,17 @@ def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
     if not case_ids:
         raise ValueError("no cases selected")
     pass_paths = list(map(str, pass_paths))
+    tc = tc or TrainConfig()
     shared = {
         "window": n,
-        "train_config": asdict(tc or TrainConfig()),
+        "train_config": asdict(tc),
         "css_bias": list(css_bias) if css_bias is not None else None,
         "version": __version__,
         "passes": [{"csv": sha256_file(p),
                     "manifest": sha256_file(m) if os.path.exists(m) else None}
                    for p, m in zip(pass_paths, map(manifest_path_for, pass_paths))],
     }
-    tasks = [(pass_paths, outdir, resume, {"case": cid, "seed": sn, **shared})
+    tasks = [(pass_paths, outdir, resume, tc, {"case": cid, "seed": sn, **shared})
              for cid in case_ids for sn in seeds]
     workers = min(jobs, len(tasks))
     results = []

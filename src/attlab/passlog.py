@@ -5,12 +5,13 @@ cadence. Each record carries the raw coarse-sensor counts, the gyro
 rates, the inertial model vectors, the orbit position, and the truth
 attitude. On disk a pass is a CSV plus a JSON sidecar manifest
 (``<name>.manifest.json``) holding the scenario, seed, and per-step
-sunlit/saturation flags.
+sunlit/saturation flags. ``from_dict`` is the one path from a JSON-style
+dict to a dataclass.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +25,49 @@ CSV_COLUMNS = (
     "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2,w0,w1,w2,"
     "uSx,uSy,uSz,uBx,uBy,uBz,rx,ry,rz,qx,qy,qz,qw"
 )
+
+
+# Types a scalar field accepts; a bool (a Python int) is never a number.
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
+def check_type(where, key, value, kind):
+    """``value`` when it has the scalar type ``kind`` (int, float, bool or
+    str), else a ValueError, prefixed with ``where``, naming ``key``."""
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or isinstance(value, bool) != (kind is bool)):
+        raise ValueError(f"{where}: key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def from_dict(cls, d, where):
+    """A ``cls`` dataclass from a JSON-style dict. A dataclass field is read
+    from its nested dict the same way and a tuple field from a list; an
+    int, float, bool or str field must get a value of that type, kept
+    unconverted. Raises ValueError, prefixed with ``where``, naming an
+    unknown, missing or wrongly typed key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for name, f in known.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing key {name!r}")
+    values = {}
+    for key, v in d.items():
+        kind = known[key].type
+        if is_dataclass(kind):
+            v = from_dict(kind, v, f"{where} {key}")
+        elif kind is tuple:
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{where}: key {key!r} must be a list")
+            v = tuple(v)
+        elif kind in _JSON_TYPES:
+            check_type(where, key, v, kind)
+        values[key] = v
+    return cls(**values)
 
 
 @dataclass
@@ -109,6 +153,17 @@ def manifest_path_for(csv_path):
     return stem + ".manifest.json"
 
 
+def read_manifest(csv_path):
+    """The pass's sidecar manifest (``{}`` when it has none) and its pass
+    id: the manifest's ``pass_id``, else the CSV path."""
+    try:
+        with open(manifest_path_for(csv_path)) as f:
+            manifest = json.load(f)
+    except FileNotFoundError:
+        manifest = {}
+    return manifest, manifest.get("pass_id", str(csv_path))
+
+
 def _check_cells(data, csv_path):
     """Reject non-finite cells and model vectors off unit norm, naming the
     file, the column and the step of the first offending record."""
@@ -138,13 +193,7 @@ def read_passlog(csv_path):
     if data.shape[1] != 26:
         raise DataIntegrityError(f"expected 26 columns, found {data.shape[1]}")
     _check_cells(data, csv_path)
-    manifest = {}
-    try:
-        with open(manifest_path_for(csv_path)) as f:
-            manifest = json.load(f)
-    except FileNotFoundError:
-        pass
-    pass_id = manifest.get("pass_id", str(csv_path))
+    manifest, pass_id = read_manifest(csv_path)
     log = PassLog(
         pass_id=pass_id,
         t=data[:, 0],

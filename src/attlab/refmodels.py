@@ -27,7 +27,6 @@ R_EARTH_KM = 6378.137
 DIPOLE_B0_GAUSS = 0.306
 DIPOLE_TILT_DEG = 11.5
 
-_EARTH_ROT_RAD_S = 7.2921159e-5
 _JD_UNIX_EPOCH = 2440587.5
 _JD_J2000 = 2451545.0
 

@@ -201,18 +201,6 @@ def rotation_angle_deg(a, b):
     return np.degrees(2.0 * np.arctan2(vn, np.abs(rel[..., 3])))
 
 
-def rms_rotation_angle_deg(a_seq, b_seq):
-    """RMS of the pairwise rotation angle over two equal-length MRP sequences."""
-    a = np.atleast_2d(np.asarray(a_seq, dtype=float))
-    b = np.atleast_2d(np.asarray(b_seq, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"sequence shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty sequences")
-    ang = rotation_angle_deg(a, b)
-    return float(np.sqrt(np.mean(ang * ang)))
-
-
 def angle_between_deg(u, v):
     """Angle in degrees between two 3-vectors (broadcasts over leading axes).
 

@@ -14,13 +14,13 @@ two indistinguishable.
 
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import refmodels
 from .errors import ScenarioInfeasibleError
-from .passlog import PASS_SAMPLES, PassLog
+from .passlog import PASS_SAMPLES, PassLog, from_dict
 from .refmodels import OrbitElements
 from .rotations import (
     quat_canonical,
@@ -46,33 +46,6 @@ PANEL_NORMALS = np.array([
 MAG_RAIL_GAUSS = 2.0  # sensor saturates at +/- 2 gauss
 
 
-def _from_dict(cls, d, where, parsers=None):
-    """A ``cls`` from a JSON-style dict. ``parsers`` maps a key to the
-    function that builds its value; list values of other tuple fields
-    become tuples. Raises ValueError naming an unknown or a missing key,
-    or a tuple field given something other than a list."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}")
-    for name, f in known.items():
-        if name not in d and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{where}: missing key {name!r}")
-    parsers = parsers or {}
-    values = {}
-    for key, v in d.items():
-        if key in parsers:
-            v = parsers[key](v)
-        elif known[key].type is tuple:
-            if not isinstance(v, (list, tuple)):
-                raise ValueError(f"{where}: key {key!r} must be a list")
-            v = tuple(v)
-        values[key] = v
-    return cls(**values)
-
-
 @dataclass
 class SensorErrors:
     """Error knobs for the coarse-sensor suite; all counts are ADC counts."""
@@ -95,11 +68,6 @@ class SensorErrors:
             raise ValueError("noise sigmas must be non-negative")
         if self.mag_scale <= 0:
             raise ValueError("mag scale must be positive")
-
-    @classmethod
-    def from_dict(cls, d):
-        """From a JSON-style dict; ValueError names a bad key."""
-        return _from_dict(cls, d, "errors")
 
 
 @dataclass
@@ -135,16 +103,6 @@ class Scenario:
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def scenario_from_dict(d):
-    """A Scenario from its ``to_dict`` form; raises ValueError naming an
-    unknown or a missing key."""
-    return _from_dict(Scenario, d, "scenario", {
-        "orbit": lambda v: _from_dict(OrbitElements, v, "scenario orbit"),
-        "maneuver": lambda v: _from_dict(Maneuver, v, "scenario maneuver"),
-        "errors": SensorErrors.from_dict,
-    })
 
 
 def make_attitude_profile(sc):

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from attlab.cases import DEFAULT_CASE_IDS, case_catalog, case_spec
+from attlab.cases import DEFAULT_CASE_IDS, case_spec
 from attlab.convnet import NetConfig, TrainConfig, init_params, loss, loss_and_gradient, train
 from attlab.features import WindowDataset, attitude_labels, build_frames, build_windows
 from attlab.harness import (
@@ -77,7 +77,7 @@ def test_criterion_1_windowing(catalog_logs):
 def test_criterion_2_case_catalog():
     c1_counts = [case_spec(f"C1{v}").channel_count for v in "abcdef"]
     ok = c1_counts == [6, 9, 12, 15, 18, 21]
-    for spec in case_catalog():
+    for spec in map(case_spec, DEFAULT_CASE_IDS):
         if spec.case_id.startswith("C2"):
             ok &= not (set(spec.groups) & {"uB_m", "uB_i"})
         if spec.case_id.startswith("C3"):
@@ -170,7 +170,7 @@ def _toy_ds():
     rng = np.random.default_rng(5)
     return WindowDataset(X=rng.normal(scale=0.05, size=(10, 3, 6)),
                          Y=rng.normal(scale=0.01, size=(10, 3)),
-                         n=3, case_id="toy", provenance={})
+                         n=3, case_id="toy")
 
 
 def test_criterion_6_schedule_mechanics():
@@ -195,7 +195,7 @@ def test_criterion_6_schedule_mechanics():
 
     # (c) best-epoch selection equals the argmin of recorded losses
     _, h_nat = train(ds, nc, TrainConfig(batch_size=5, seed=2, max_epochs=60))
-    best_ok = h_nat.best_epoch == int(np.argmin(h_nat.losses())) + 1
+    best_ok = h_nat.best_epoch == int(np.argmin([r[1] for r in h_nat.rows])) + 1
 
     # (d) max-epoch runs are flagged and excluded from the minima
     from attlab.harness import RunResult

@@ -68,12 +68,17 @@ def test_synth_rejects_bad_config(tmp_path):
     ('{"errors": {"css_gian": [1]}}', "'css_gian'"),
     ('{"errors": [1]}', "errors"),
     ('[1]', "JSON object"),
+    ('{"errors": {"css_noise": "x"}}', "'css_noise'"),
+    ('{"base_sed": 7}', "'base_sed'"),
+    ('{"base_seed": "7"}', "'base_seed'"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(config)
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and str(cfg) in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_triad_both_priorities(tmp_path, pass_args, capsys):
@@ -247,6 +252,39 @@ def test_ablate_resume_retrains_on_changed_inputs(tmp_path, pass_args):
     stamp = (cell / "model.bin").stat().st_mtime_ns
     assert main(argv + [config(4), "--resume", "--window", "9"]) == 0
     assert (cell / "model.bin").stat().st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("config, named", [
+    ({"max_epochs": 3, "windw": 9}, "'windw'"),
+    ({"seed": 99}, "'seed'"),
+    ({"lr": "0.01"}, "'lr'"),
+    ({"max_epochs": True}, "'max_epochs'"),
+    ({"window": 0}, "'window'"),
+    ({"window": 12}, "'window'"),
+])
+def test_train_config_bad_key_exit_2(tmp_path, capsys, command, config, named):
+    # the passes do not exist: the config is rejected before any is read
+    passes = [str(tmp_path / f"missing{k}.csv") for k in range(5)]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, *passes, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    argv += ["--case", "C1a"] if command == "train" else ["--cases", "C1a"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(cfg) in err
+    assert "missing" not in err
+
+
+@pytest.mark.parametrize("labels, named", [
+    (["--cases", "C1a,C4f,C1a", "--seeds", "R1"], "'C1a'"),
+    (["--cases", "C1a", "--seeds", "R1,R2,R1"], "'R1'"),
+])
+def test_ablate_repeated_label_exit_2(tmp_path, capsys, labels, named):
+    passes = [str(tmp_path / f"missing{k}.csv") for k in range(5)]
+    assert main(["ablate", *passes, *labels, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "repeated" in err
 
 
 def test_ablate_unknown_case_exit_2(tmp_path, pass_args):

@@ -34,7 +34,7 @@ def toy_dataset(x_scale=0.05, y_scale=0.01, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=x_scale, size=(10, 3, 6))
     Y = rng.normal(scale=y_scale, size=(10, 3))
-    return WindowDataset(X=X, Y=Y, n=3, case_id="toy", provenance={})
+    return WindowDataset(X=X, Y=Y, n=3, case_id="toy")
 
 
 def test_forward_zero_params_returns_output_bias():
@@ -269,7 +269,7 @@ def test_early_stop_never_before_epoch_80():
     assert hist.rows[-1][0] == 80
     assert not hist.max_epoch_flag
     # best = argmin of the recorded series
-    losses = hist.losses()
+    losses = [r[1] for r in hist.rows]
     assert hist.best_epoch == int(np.argmin(losses)) + 1
 
 
@@ -353,7 +353,7 @@ def test_train_matches_per_array_reference_bitwise():
     rng = np.random.default_rng(12)
     ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
                        Y=rng.normal(scale=0.2, size=(100, 3)),
-                       n=3, case_id="toy", provenance={})
+                       n=3, case_id="toy")
     nc = NetConfig(n=3, channels=6, seed=4, dropout=0.01)
     tc = TrainConfig(max_epochs=5, seed=6)
     ref_params, ref_rows = reference_train(ds, nc, tc)

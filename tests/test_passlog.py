@@ -1,21 +1,26 @@
-"""The whole-pass text writers against per-row reference formatting."""
+"""The whole-pass text writers against per-row reference formatting, and
+the JSON dict reader."""
 
 import dataclasses
+import shutil
 
 import numpy as np
+import pytest
 
 from attlab.cases import case_spec
-from attlab.convnet import NetConfig, NetParams, init_params
+from attlab.convnet import NetConfig, NetParams, TrainConfig, init_params
 from attlab.features import attitude_labels, build_frames
 from attlab.harness import TIMESERIES_HEADER, timeseries_rows, write_timeseries_csv
 from attlab.passlog import (
     CSV_COLUMNS,
+    from_dict,
+    read_manifest,
     read_passlog,
     write_csv,
     write_json,
     write_passlog,
 )
-from attlab.synth import Maneuver, SensorErrors, default_catalog, synth_pass
+from attlab.synth import Maneuver, Scenario, SensorErrors, default_catalog, synth_pass
 from attlab.triad import TriadConfig, triad_pass_eval, write_triad_series_csv
 
 
@@ -110,3 +115,41 @@ def test_write_csv_blocks_and_json(tmp_path):
     assert p.read_bytes() == b"t,a,b\n0,0.1,-0.0\n1,,1e-300\n2,2.5,inf\n"
     j = write_json(tmp_path / "x.json", {"b": [1, 2], "a": None})
     assert j.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+
+
+def test_from_dict_passes_scalars_through_unconverted():
+    tc = from_dict(TrainConfig, {"lr": 1, "max_epochs": 3}, "cfg.json")
+    assert tc == TrainConfig(lr=1, max_epochs=3)
+    assert type(tc.lr) is int  # an int is a float, but is not converted
+    sc = default_catalog()[0]
+    assert from_dict(Scenario, sc.to_dict(), "scenario") == sc
+
+
+@pytest.mark.parametrize("cls, d, named", [
+    (TrainConfig, {"lr": "0.01"}, "'lr' must be float"),
+    (TrainConfig, {"max_epochs": True}, "'max_epochs' must be int"),
+    (TrainConfig, {"lr": False}, "'lr' must be float"),
+    (TrainConfig, {"max_epochs": 3.0}, "'max_epochs' must be int"),
+    (TrainConfig, {"max_epochs": None}, "'max_epochs' must be int"),
+    (TrainConfig, {"max_epoch": 3}, "unknown key 'max_epoch'"),
+    (SensorErrors, {"css_gain": 1.0}, "'css_gain' must be a list"),
+    (Scenario, {**default_catalog()[0].to_dict(), "force_eclipse": 1},
+     "'force_eclipse' must be bool"),
+    (Scenario, {**default_catalog()[0].to_dict(), "pass_id": 7}, "'pass_id' must be str"),
+    (Scenario, {**default_catalog()[0].to_dict(), "maneuver": {"start_s": "60"}},
+     "cfg.json maneuver: key 'start_s' must be float"),
+])
+def test_from_dict_rejects_wrong_types_naming_the_key(cls, d, named):
+    with pytest.raises(ValueError) as ei:
+        from_dict(cls, d, "cfg.json")
+    assert named in str(ei.value) and str(ei.value).startswith("cfg.json")
+
+
+def test_pass_id_from_manifest_else_path(tmp_path):
+    log = synth_pass(default_catalog()[1])
+    csv, _ = write_passlog(log, tmp_path / "a.csv")
+    assert read_manifest(csv)[1] == "P2" == read_passlog(csv).pass_id
+    bare = tmp_path / "bare.csv"
+    shutil.copy(csv, bare)
+    assert read_manifest(bare) == ({}, str(bare))
+    assert read_passlog(bare).pass_id == str(bare)

@@ -16,7 +16,6 @@ from attlab.rotations import (
     quat_to_dcm,
     quat_to_mrp,
     random_quat,
-    rms_rotation_angle_deg,
     rotation_angle_deg,
 )
 
@@ -100,30 +99,22 @@ def test_rotation_angle_range_property(seed):
     assert rotation_angle_deg(a, b) == rotation_angle_deg(b, a)
 
 
-def test_rms_rotation_angle_examples():
+def test_rotation_angle_sequence_examples():
     rng = RNG(5)
     m = quat_to_mrp(random_quat(rng, 10))
-    assert rms_rotation_angle_deg(m, m) == 0.0
+    assert np.array_equal(rotation_angle_deg(m, m), np.zeros(10))
 
     # every pair offset by the same fixed 2 deg rotation
     dq = quat_from_axis_angle([1, 2, 3], 2.0)
     q = random_quat(rng, 20)
     q_off = quat_multiply(q, dq)
-    rms = rms_rotation_angle_deg(quat_to_mrp(q), quat_to_mrp(q_off))
-    assert abs(rms - 2.0) < 1e-9
+    ang = rotation_angle_deg(quat_to_mrp(q), quat_to_mrp(q_off))
+    assert ang.shape == (20,) and np.max(np.abs(ang - 2.0)) < 1e-9
 
-    # angles {0, 2} -> sqrt(2)
+    # an identity pair and a 2 deg pair, row by row
     a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     b = np.array([[0.0, 0.0, 0.0], quat_to_mrp(quat_from_axis_angle([0, 0, 1], 2.0))])
-    assert abs(rms_rotation_angle_deg(a, b) - np.sqrt(2.0)) < 1e-9
-
-
-def test_rms_rotation_angle_rejects_mismatch_and_empty():
-    a = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        rms_rotation_angle_deg(a, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        rms_rotation_angle_deg(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert np.allclose(rotation_angle_deg(a, b), [0.0, 2.0], rtol=0, atol=1e-9)
 
 
 def test_quat_rotate_identity():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attlab.errors import DataIntegrityError, ScenarioInfeasibleError
-from attlab.passlog import PASS_SAMPLES, read_passlog, write_passlog
+from attlab.passlog import PASS_SAMPLES, from_dict, read_passlog, write_passlog
 from attlab.refmodels import OrbitElements
 from attlab.rotations import (
     angle_between_deg,
@@ -18,7 +18,6 @@ from attlab.synth import (
     default_catalog,
     eclipse_variant,
     make_attitude_profile,
-    scenario_from_dict,
     simulate_css,
     simulate_gyro,
     simulate_mag,
@@ -195,7 +194,7 @@ def test_synth_pass_deterministic(tmp_path):
 
 def test_synth_pass_seed_changes_output(tmp_path):
     sc = default_catalog()[0]
-    sc2 = scenario_from_dict({**sc.to_dict(), "seed": sc.seed + 100})
+    sc2 = from_dict(Scenario, {**sc.to_dict(), "seed": sc.seed + 100}, "scenario")
     log1 = synth_pass(sc)
     log2 = synth_pass(sc2)
     assert not np.array_equal(log1.css, log2.css)
@@ -260,7 +259,7 @@ def test_passlog_rejects_bad_data(tmp_path):
 
 def test_scenario_roundtrip_through_dict():
     sc = default_catalog()[2]
-    back = scenario_from_dict(sc.to_dict())
+    back = from_dict(Scenario, sc.to_dict(), "scenario")
     assert back == sc
     assert back.hash() == sc.hash()
 
