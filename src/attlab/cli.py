@@ -107,15 +107,21 @@ def cmd_synth(args):
     for key in cfg:
         if key not in ("base_seed", "errors", "scenarios"):
             raise ValueError(f"{where}: unknown key {key!r}")
-    base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
-    if args.seed is not None:
-        base_seed = args.seed
     if "scenarios" in cfg:
+        ignored = [f"key {key!r}" for key in ("base_seed", "errors") if key in cfg]
+        ignored += ["--seed"] if args.seed is not None else []
+        if ignored:
+            raise ValueError(f"{where}: {' and '.join(ignored)} cannot go with key "
+                             "'scenarios': each scenario carries its own seed and errors")
         if not isinstance(cfg["scenarios"], list):
             raise ValueError(f"{where}: key 'scenarios' must be a list")
+        base_seed = None
         scenarios = [from_dict(Scenario, d, f"{where}: scenarios[{k}]")
                      for k, d in enumerate(cfg["scenarios"])]
     else:
+        base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
+        if args.seed is not None:
+            base_seed = args.seed
         errors = CATALOG_ERRORS
         if "errors" in cfg:
             if not isinstance(cfg["errors"], dict):

@@ -18,14 +18,16 @@ it. Training follows a fixed schedule: Adam, early stopping on trailing
 rolls parameters back two epochs, decays the learning rate by 0.9, and
 reinitializes the optimizer.
 
-Cost is kept flat and on the calling thread. Inference (``forward``,
-``predict_pass``, ``loss`` and the per-epoch full-set loss) runs through
-one blocked forward of 32-row GEMMs, small enough that OpenBLAS never
-wakes its helper threads, with the bits of a whole-set GEMM. Each epoch
-draws its dropout masks in one call. Adam flushes tiny first moments to
-zero, since the moments of dead-ReLU weights otherwise decay into
-subnormals and slow every later step; the flush does not change the
-parameters' bits.
+Cost is kept flat and on the calling thread. Training batches,
+inference (``forward``, ``predict_pass``) and the RMS-angle loss
+(``loss`` and the per-epoch full-set loss) share one forward of GEMMs
+of at most 32 rows, small enough that OpenBLAS never wakes its helper
+threads, with the bits of a whole-set GEMM; backprop reads the input
+of each affine map that this forward keeps. Each epoch draws its
+dropout masks in one call. Adam flushes tiny first moments to zero,
+since the moments of dead-ReLU weights otherwise decay into subnormals
+and slow every later step; the flush does not change the parameters'
+bits.
 """
 
 import json
@@ -44,8 +46,6 @@ DIVERGENCE_FACTOR = 10.0
 # Rows per GEMM. OpenBLAS runs a GEMM on the calling thread while
 # M*N*K <= 4*65536, which 32 rows keep for every layer while n*C <= 128.
 GEMM_ROWS = 32
-# Rows per chunk of the per-epoch full-set loss: bounds its activations.
-LOSS_CHUNK_ROWS = 256
 ANGLE_GUARD_RAD = 1e-7  # gradient-path floor; the loss value is untouched
 # _Adam zeroes first moments below FLUSH_BELOW every FLUSH_EVERY steps;
 # 2**-960 is 2**62 times the smallest normal double.
@@ -137,35 +137,31 @@ def _flatten_windows(X, nc):
     return X.reshape(X.shape[0], -1), single
 
 
-def _forward_cached(params, Xf, dropout_mask=None):
-    """Forward pass keeping intermediates for backprop."""
-    z0 = Xf @ params.weights[0] + params.biases[0]
-    a0 = np.maximum(z0, 0.0)
-    z1 = a0 @ params.weights[1] + params.biases[1]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.weights[2] + params.biases[2]
-    a2 = np.maximum(z2, 0.0)
-    a2d = a2 if dropout_mask is None else a2 * dropout_mask
-    y = a2d @ params.weights[3] + params.biases[3]
-    return y, (Xf, z0, a0, z1, a1, z2, a2, a2d)
+def _blocked_forward(params, a, dropout_mask=None, acts=None):
+    """Forward pass of the flattened rows ``a``; returns the output rows.
 
+    ``dropout_mask``, when given, scales the last hidden layer's output
+    (training). ``acts``, when given, receives each affine map's input,
+    first to last, for backprop.
 
-def _blocked_forward(params, a):
-    """Inference forward (no dropout) of the flattened rows ``a``.
-
-    Each affine map is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs
-    plus one GEMM for the tail rows, so every GEMM stays on the calling
+    Up to ``GEMM_ROWS`` rows, each affine map is one plain GEMM. Above
+    that, it is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs plus
+    one GEMM for the tail rows, so every GEMM stays on the calling
     thread. Every row gets the bits of one whole-set GEMM: the output
     layer's rows depend on where they fall in OpenBLAS's row tiles, and
     ``GEMM_ROWS`` is a multiple of the tile height. A lone tail row would
     go to a matrix-vector product, whose bits differ, so it joins the
     last full block instead.
     """
-    full = len(a) - len(a) % GEMM_ROWS
+    full = len(a) - len(a) % GEMM_ROWS if len(a) > GEMM_ROWS else 0
     if len(a) - full == 1 and full:
         full -= GEMM_ROWS
     last = len(params.weights) - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if k == last and dropout_mask is not None:
+            a = a * dropout_mask
+        if acts is not None:
+            acts.append(a)
         out = np.empty((len(a), W.shape[1]))
         if full:
             np.matmul(a[:full].reshape(-1, GEMM_ROWS, a.shape[1]), W,
@@ -195,12 +191,17 @@ def _angles_deg(qp, ql):
     return np.degrees(theta), d, sin_half
 
 
+def _rms_angle_deg(params, Xf, ql):
+    """RMS rotation angle in degrees of the flattened rows ``Xf`` against
+    the label quaternions ``ql``; inference forward, no dropout."""
+    ang = _angles_deg(_mrp_to_quat(_blocked_forward(params, Xf)), ql)[0]
+    return float(np.sqrt(np.add.reduce(ang * ang) / len(ang)))
+
+
 def loss(params, X, Y, nc):
     """RMS rotation angle in degrees over the batch."""
-    pred = forward(params, np.asarray(X), nc)
-    ang, _, _ = _angles_deg(mrp_to_quat(np.atleast_2d(pred)),
-                            mrp_to_quat(np.atleast_2d(Y)))
-    return float(np.sqrt(np.mean(ang * ang)))
+    Xf, _ = _flatten_windows(X, nc)
+    return _rms_angle_deg(params, Xf, mrp_to_quat(np.atleast_2d(Y)))
 
 
 def _loss_grad_y(pred, ql):
@@ -230,19 +231,20 @@ def _loss_grad_y(pred, ql):
 
 def _backprop(params, Xf, ql, dropout_mask, grads):
     """Loss of a flattened batch; hand-derived gradients go into ``grads``."""
-    y, (Xf, z0, a0, z1, a1, z2, a2, a2d) = _forward_cached(params, Xf, dropout_mask)
+    acts = []  # input of each affine map
+    y = _blocked_forward(params, Xf, dropout_mask, acts)
     L, g = _loss_grad_y(y, ql)
-    inputs = (Xf, a0, a1, a2d)  # input of each affine map
-    pre = (z0, z1, z2)  # pre-activation feeding each map after the first
     for k in (3, 2, 1, 0):
-        np.matmul(inputs[k].T, g, out=grads.weights[k])
+        np.matmul(acts[k].T, g, out=grads.weights[k])
         np.add.reduce(g, axis=0, out=grads.biases[k])
         if k == 0:
             break
         g = g @ params.weights[k].T
         if k == 3 and dropout_mask is not None:
             g *= dropout_mask
-        g *= pre[k - 1] > 0.0
+        # ReLU gate: a post-activation is > 0 exactly where its input was;
+        # a unit that dropout zeroed has its g zeroed already
+        g *= acts[k] > 0.0
     return L
 
 
@@ -272,6 +274,18 @@ class TrainConfig:
     lr_decay: float = 0.9
     seed: int = 0  # dropout-mask stream
 
+    def __post_init__(self):
+        for keys, ok, rule in (
+                (("max_epochs", "early_stop_window", "batch_size", "rollback_depth"),
+                 lambda v: v >= 1, ">= 1"),
+                (("lr", "eps"), lambda v: 0 < v < np.inf, "finite and > 0"),
+                (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
+                (("lr_decay",), lambda v: 0 < v <= 1, "in (0, 1]")):
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ValueError(
+                        f"key {key!r} must be {rule}, got {getattr(self, key)!r}")
+
 
 @dataclass
 class TrainHistory:
@@ -279,8 +293,11 @@ class TrainHistory:
     best_epoch: int = -1
     best_loss: float = np.inf
     stop_reason: str = ""
-    max_epoch_flag: bool = False
     divergence_count: int = 0
+
+    @property
+    def max_epoch_flag(self):
+        return self.stop_reason == "max-epoch"
 
     def to_csv(self, path):
         lines = ["epoch,loss_deg,lr,event"]
@@ -353,13 +370,12 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     """Train on a window dataset; returns (best params, history).
 
     Each epoch draws its dropout masks in one call and slices them per
-    batch. Epoch loss is evaluated over the full training set with
-    dropout off, through the blocked inference forward in 256-row
-    chunks, so no GEMM wakes the BLAS threads and the activations stay
-    small. Adam flushes tiny first moments to zero before they turn
-    subnormal (see ``_Adam``), so every epoch costs the same. Early stop
-    fires when the trailing 40-epoch mean exceeds the previous 40-epoch
-    mean (so never before epoch 80).
+    batch. The batches and the epoch loss (the RMS angle over the full
+    training set, dropout off) run through one blocked forward, so no
+    GEMM wakes the BLAS threads. Adam flushes tiny first moments to zero
+    before they turn subnormal (see ``_Adam``), so every epoch costs the
+    same. Early stop fires when the trailing 40-epoch mean exceeds the
+    previous 40-epoch mean (so never before epoch 80).
     A non-finite epoch loss, or one above 10x the running best, rolls
     parameters back two accepted epochs, multiplies the learning rate by
     0.9, and reinitializes the optimizer; such epochs still consume
@@ -388,8 +404,6 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
 
     batches = [slice(start, min(start + tc.batch_size, N))
                for start in range(0, N, tc.batch_size)]
-    chunks = [slice(start, min(start + LOSS_CHUNK_ROWS, N))
-              for start in range(0, N, LOSS_CHUNK_ROWS)]
     params = init_params(nc)
     grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
     initial = params.vec.copy()
@@ -397,10 +411,9 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     lr = tc.lr
     history = TrainHistory()
     # parameter vectors after each accepted epoch, newest last
-    checkpoints = deque(maxlen=max(tc.rollback_depth, 1) + 1)
+    checkpoints = deque(maxlen=tc.rollback_depth + 1)
     accepted_losses = []
     best = params.vec.copy()
-    ang = np.empty(N)
     win = tc.early_stop_window
 
     for epoch in range(1, tc.max_epochs + 1):
@@ -413,11 +426,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
                 mask = None if masks is None else masks[sl]
                 _backprop(params, Xf_all[sl], ql_all[sl], mask, grads)
                 adam.step(params.vec, grads.vec, lr)
-
-            for sl in chunks:
-                y = _blocked_forward(params, Xf_all[sl])
-                ang[sl] = _angles_deg(_mrp_to_quat(y), ql_all[sl])[0]
-            epoch_loss = float(np.sqrt(np.add.reduce(ang * ang) / N))
+            epoch_loss = _rms_angle_deg(params, Xf_all, ql_all)
         if loss_fault is not None:
             epoch_loss = float(loss_fault(epoch, epoch_loss))
 
@@ -454,7 +463,6 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
 
     if not history.stop_reason:
         history.stop_reason = "max-epoch"
-        history.max_epoch_flag = True
     return NetParams.from_vector(best, params.shapes), history
 
 

@@ -85,24 +85,20 @@ class FeatureFrames:
         return len(next(iter(self.groups.values())))
 
 
-def build_frames(log, css_bias=None, mag_ref=None, mag_scale=None, gyro_scale=None):
+def build_frames(log, css_bias=None, gyro_scale=None):
     """FeatureFrames from a pass log.
 
-    MAG reference/scale default to the preflight values recorded in the
-    pass manifest. ``gyro_scale`` must come from the training passes; if
+    MAG reference/scale are the preflight values recorded in the pass
+    manifest. ``gyro_scale`` must come from the training passes; if
     omitted, the raw rates are stored and W_g is marked unavailable so a
     gyro-using case cannot silently train on unscaled data.
     """
-    if mag_ref is None or mag_scale is None:
-        err = log.manifest.get("scenario", {}).get("errors")
-        if not err:
-            raise ValueError(
-                "pass manifest carries no sensor config; pass mag_ref/mag_scale explicitly")
-        mag_ref = err["mag_ref"] if mag_ref is None else mag_ref
-        mag_scale = err["mag_scale"] if mag_scale is None else mag_scale
+    err = log.manifest.get("scenario", {}).get("errors")
+    if not err:
+        raise ValueError("pass manifest carries no sensor config (mag_ref, mag_scale)")
 
     uS_c, uE_c, sun_avail, earth_avail = css_to_sun_earth(log.css, css_bias)
-    uB_m, mag_avail = mag_to_unit(log.mag, mag_ref, mag_scale)
+    uB_m, mag_avail = mag_to_unit(log.mag, err["mag_ref"], err["mag_scale"])
     uE_i = -log.r_km / np.linalg.norm(log.r_km, axis=1, keepdims=True)
     L = len(log.t)
     ones = np.ones(L, dtype=bool)
@@ -150,10 +146,6 @@ class WindowDataset:
 
     def __len__(self):
         return len(self.X)
-
-    @property
-    def channels(self):
-        return self.X.shape[2]
 
 
 def build_windows(frames, labels, n, case):

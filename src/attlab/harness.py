@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cases import case_spec
-from .convnet import NetConfig, TrainConfig, predict_pass, save_model, train
+from .convnet import NetConfig, TrainConfig, forward, predict_pass, save_model, train
 from .features import (
     attitude_labels,
     build_frames,
@@ -89,29 +89,22 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
               for log in logs]
     labels = [attitude_labels(log) for log in logs]
 
-    parts = [build_windows(f, lab, n, case) for f, lab in zip(frames[:4], labels[:4])]
-    ds = shuffle_windows(concat_windows(parts), seed=shuffle_seed)
-    if ds.channels != case.channel_count:
-        raise ValueError(
-            f"dataset carries {ds.channels} channels, case {case_id} "
-            f"defines {case.channel_count}")
+    # in-order windows of each pass, built once: the first four train
+    # (shuffled together) and all five are scored
+    windows = [build_windows(f, lab, n, case) for f, lab in zip(frames, labels)]
+    ds = shuffle_windows(concat_windows(windows[:4]), seed=shuffle_seed)
 
     nc = NetConfig(n=n, channels=case.channel_count, seed=net_seed)
     tc = replace(tc or TrainConfig(), seed=train_seed)
     params, history = train(ds, nc, tc)
 
-    train_chunks = []
-    for f, lab in zip(frames[:4], labels[:4]):
-        _, pred = predict_pass(params, f, lab, n, case, nc)
-        train_chunks.append(rotation_angle_deg(pred, lab[n - 1:]))
-    _, pred_test = predict_pass(params, frames[4], labels[4], n, case, nc)
-    test_chunk = rotation_angle_deg(pred_test, labels[4][n - 1:])
+    errors = [rotation_angle_deg(forward(params, w.X, nc), w.Y) for w in windows]
 
     result = RunResult(
         case_id=case_id,
         seed_name=seed_name,
-        train_rms_deg=_pooled_rms(train_chunks),
-        test_rms_deg=_pooled_rms([test_chunk]),
+        train_rms_deg=_pooled_rms(errors[:4]),
+        test_rms_deg=_pooled_rms(errors[4:]),
         max_epoch_flag=history.max_epoch_flag,
         best_epoch=history.best_epoch,
         stop_reason=history.stop_reason,

@@ -45,7 +45,8 @@ def from_dict(cls, d, where):
     from its nested dict the same way and a tuple field from a list; an
     int, float, bool or str field must get a value of that type, kept
     unconverted. Raises ValueError, prefixed with ``where``, naming an
-    unknown, missing or wrongly typed key."""
+    unknown, missing or wrongly typed key; a ValueError from ``cls``
+    itself gets the same prefix."""
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
     known = {f.name: f for f in fields(cls)}
@@ -67,7 +68,10 @@ def from_dict(cls, d, where):
         elif kind in _JSON_TYPES:
             check_type(where, key, v, kind)
         values[key] = v
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as e:  # the dataclass's own range checks
+        raise ValueError(f"{where}: {e}") from None
 
 
 @dataclass

@@ -45,6 +45,10 @@ PANEL_NORMALS = np.array([
 
 MAG_RAIL_GAUSS = 2.0  # sensor saturates at +/- 2 gauss
 
+# Entries of each list field of SensorErrors: one per panel or axis.
+_ERROR_LIST_SIZES = {"css_gain": 6, "css_bias": 6, "mag_ref": 3, "mag_hard_iron": 3,
+                     "mag_misalign_axis": 3, "gyro_bias_dps": 3}
+
 
 @dataclass
 class SensorErrors:
@@ -64,6 +68,11 @@ class SensorErrors:
     gyro_noise_dps: float = 0.0
 
     def __post_init__(self):
+        for key, size in _ERROR_LIST_SIZES.items():
+            value = getattr(self, key)
+            if len(value) != size or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+                raise ValueError(f"key {key!r} must be a list of {size} numbers, got {value!r}")
         if self.css_noise < 0 or self.mag_noise < 0 or self.gyro_noise_dps < 0:
             raise ValueError("noise sigmas must be non-negative")
         if self.mag_scale <= 0:
@@ -96,9 +105,7 @@ class Scenario:
     force_eclipse: bool = False
 
     def to_dict(self):
-        d = asdict(self)
-        d["orbit"] = asdict(self.orbit)
-        return d
+        return asdict(self)
 
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

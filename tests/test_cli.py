@@ -8,6 +8,7 @@ import pytest
 from attlab.cli import main
 from attlab.convnet import load_model
 from attlab.passlog import read_passlog
+from attlab.synth import default_catalog
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,8 @@ def test_synth_rejects_bad_config(tmp_path):
     ('{"errors": {"css_noise": "x"}}', "'css_noise'"),
     ('{"base_sed": 7}', "'base_sed'"),
     ('{"base_seed": "7"}', "'base_seed'"),
+    ('{"errors": {"css_gain": [1000.0]}}', "'css_gain'"),
+    ('{"errors": {"mag_ref": [32768, 32768, true]}}', "'mag_ref'"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
@@ -79,6 +82,23 @@ def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert named in err and str(cfg) in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("extra, argv, named", [
+    ({"base_seed": 5}, [], "'base_seed'"),
+    ({"errors": {"css_noise": 50.0}}, [], "'errors'"),
+    ({}, ["--seed", "7"], "--seed"),
+])
+def test_synth_scenarios_reject_catalog_options(tmp_path, capsys, extra, argv, named):
+    # a scenarios config replaces the catalog, so its seed and errors
+    # options would be ignored
+    cfg = tmp_path / "scenarios.json"
+    cfg.write_text(json.dumps({"scenarios": [default_catalog()[0].to_dict()], **extra}))
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(cfg) in err
+    assert not out.exists()
 
 
 def test_triad_both_priorities(tmp_path, pass_args, capsys):
@@ -262,6 +282,20 @@ def test_ablate_resume_retrains_on_changed_inputs(tmp_path, pass_args):
     ({"max_epochs": True}, "'max_epochs'"),
     ({"window": 0}, "'window'"),
     ({"window": 12}, "'window'"),
+    ({"max_epochs": -1}, "'max_epochs'"),
+    ({"max_epochs": 0}, "'max_epochs'"),
+    ({"early_stop_window": 0}, "'early_stop_window'"),
+    ({"batch_size": 0}, "'batch_size'"),
+    ({"rollback_depth": 0}, "'rollback_depth'"),
+    ({"lr": 0}, "'lr'"),
+    ({"lr": float("inf")}, "'lr'"),
+    ({"eps": -1e-8}, "'eps'"),
+    ({"eps": float("nan")}, "'eps'"),
+    ({"beta1": 1.0}, "'beta1'"),
+    ({"beta1": -0.1}, "'beta1'"),
+    ({"beta2": 1}, "'beta2'"),
+    ({"lr_decay": 0}, "'lr_decay'"),
+    ({"lr_decay": 1.5}, "'lr_decay'"),
 ])
 def test_train_config_bad_key_exit_2(tmp_path, capsys, command, config, named):
     # the passes do not exist: the config is rejected before any is read

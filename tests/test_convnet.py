@@ -8,6 +8,7 @@ from attlab.convnet import (
     NetParams,
     TrainConfig,
     _Adam,
+    _loss_grad_y,
     forward,
     init_params,
     load_model,
@@ -411,6 +412,52 @@ def test_forward_rows_match_whole_set_forward_bitwise(rows):
     p = init_params(nc)
     X = np.random.default_rng(rows).normal(size=(rows, nc.n, nc.channels))
     assert np.array_equal(forward(p, X, nc), whole_set_forward(p, X.reshape(rows, -1)))
+
+
+def reference_gradient(p, X, Y, dropout_mask=None):
+    """The plain backprop: one ``x @ W + b`` per layer, keeping the
+    pre-activations ``z`` for the ReLU gates, and the chain back through
+    the four affine maps. The output-side gradient comes from
+    ``_loss_grad_y``, which the finite-difference tests pin. Returns the
+    loss and the gradient in ``NetParams.vec`` order."""
+    Xf = X.reshape(len(X), -1)
+    z0 = Xf @ p.weights[0] + p.biases[0]
+    a0 = np.maximum(z0, 0.0)
+    z1 = a0 @ p.weights[1] + p.biases[1]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ p.weights[2] + p.biases[2]
+    a2 = np.maximum(z2, 0.0)
+    a2d = a2 if dropout_mask is None else a2 * dropout_mask
+    y = a2d @ p.weights[3] + p.biases[3]
+    L, g = _loss_grad_y(y, mrp_to_quat(Y))
+    inputs, pre = (Xf, a0, a1, a2d), (z0, z1, z2)
+    gw, gb = [None] * 4, [None] * 4
+    for k in (3, 2, 1, 0):
+        gw[k] = inputs[k].T @ g
+        gb[k] = g.sum(axis=0)
+        if k == 0:
+            break
+        g = g @ p.weights[k].T
+        if k == 3 and dropout_mask is not None:
+            g = g * dropout_mask
+        g = g * (pre[k - 1] > 0.0)
+    return L, np.concatenate([a.ravel() for a in gw + gb])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("rows", [1, 5, 31, 32])
+def test_gradient_matches_plain_backprop_bitwise(rows, masked):
+    nc = NetConfig(n=5, channels=21, seed=7)
+    p = init_params(nc)
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, nc.n, nc.channels))
+    Y = rng.normal(scale=0.2, size=(rows, 3))
+    mask = (rng.random((rows, nc.widths[2])) < 0.8) / 0.8 if masked else None
+    L, grads = loss_and_gradient(p, X, Y, nc, dropout_mask=mask)
+    ref_L, ref_g = reference_gradient(p, X, Y, dropout_mask=mask)
+    assert L == ref_L
+    assert np.array_equal(grads.vec, ref_g)
+    assert np.any(grads.weights[0] != 0.0)
 
 
 def test_netparams_views_share_one_vector():

@@ -91,6 +91,14 @@ def test_scenario_validation():
         Maneuver(rate_limit_dps=6.0)
     with pytest.raises(ValueError):
         SensorErrors(css_noise=-1.0)
+    # list fields: 6 or 3 numbers (an int counts, a bool does not)
+    for key, value in (("css_gain", (1000.0,)), ("css_bias", (0.0,) * 7),
+                       ("mag_ref", (32768.0, 32768.0)), ("mag_hard_iron", (0.0, 0.0, "0")),
+                       ("mag_misalign_axis", (1.0, True, 1.0)),
+                       ("gyro_bias_dps", (0.0, 0.0, None))):
+        with pytest.raises(ValueError, match=repr(key)):
+            SensorErrors(**{key: value})
+    SensorErrors(css_bias=(0,) * 6, mag_hard_iron=(0, 0, 0))
 
 
 def test_css_single_panel():
