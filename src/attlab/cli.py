@@ -31,7 +31,6 @@ from .harness import (
     SEED_NAMES,
     render_baseline_csv,
     render_tables_markdown,
-    run_case,
     run_matrix,
     timeseries_rows,
     triad_baseline_report,
@@ -200,12 +199,13 @@ def _reject_repeats(labels, option):
 
 
 def cmd_train(args):
+    """One cell of the ablation matrix: ``ablate --resume`` into the same
+    directory reuses it."""
     started = _now()
     tc, n, css_bias = _train_inputs(args)
     outdir = _out_dir(args)
-    logs = [read_passlog(p) for p in args.passes]
-    result = run_case(args.case, args.seed, logs, n=n, outdir=outdir, tc=tc,
-                      css_bias=css_bias)
+    _, (result,) = run_matrix(args.passes, [args.case], outdir, seeds=(args.seed,),
+                              n=n, tc=tc, css_bias=css_bias, on_cell=_report_cell)
     print(f"case={result.case_id} seed={result.seed_name} "
           f"train_rms_deg={result.train_rms_deg:.3f} "
           f"test_rms_deg={result.test_rms_deg:.3f} "
@@ -219,10 +219,11 @@ def cmd_train(args):
     return 0
 
 
-def _report_cell(result, seconds):
-    """One stderr progress line per finished ablation cell."""
+def _report_cell(result, epochs, seconds):
+    """One stderr progress line per finished cell; ``epochs`` is the length
+    of its training history."""
     print(f"cell case={result.case_id} seed={result.seed_name} "
-          f"stop={result.stop_reason} best_epoch={result.best_epoch} "
+          f"stop={result.stop_reason} epochs={epochs} best_epoch={result.best_epoch} "
           f"divergences={result.divergence_count} seconds={seconds:.1f}",
           file=sys.stderr, flush=True)
 
@@ -244,9 +245,9 @@ def cmd_ablate(args):
     _reject_repeats(seeds, "--seeds")
     jobs = args.jobs or 1
     outdir = _out_dir(args)
-    tables, results = run_matrix(args.passes, case_ids, seeds=seeds, n=n,
-                                 outdir=outdir, jobs=jobs, resume=args.resume,
-                                 tc=tc, css_bias=css_bias, on_cell=_report_cell)
+    tables, results = run_matrix(args.passes, case_ids, outdir, seeds=seeds, n=n,
+                                 jobs=jobs, resume=args.resume, tc=tc,
+                                 css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
             "pass_ids": [read_manifest(p)[1] for p in args.passes]}
@@ -288,6 +289,14 @@ def _parse_floats(text, count):
     return vals
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="attlab",
@@ -327,8 +336,8 @@ def build_parser():
     p.add_argument("--cases", default="all", help="'all' or comma-separated case ids")
     p.add_argument("--seeds", default="R1,R2,R3")
     p.add_argument("--window", type=int)
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+                   help="parallel worker processes (default: usable CPUs)")
     p.add_argument("--resume", action="store_true",
                    help="reuse (case, seed) cells trained from the same inputs")
     p.add_argument("--css-bias", help="six comma-separated bias counts")

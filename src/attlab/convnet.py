@@ -127,14 +127,12 @@ def init_params(nc):
 
 
 def _flatten_windows(X, nc):
+    """A stack of windows, ``(N, n, channels)``, as ``(N, n*channels)`` rows."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 2
-    if single:
-        X = X[None]
-    if X.shape[1:] != (nc.n, nc.channels):
-        raise ValueError(
-            f"window shape {X.shape[1:]} does not match config ({nc.n}, {nc.channels})")
-    return X.reshape(X.shape[0], -1), single
+    if X.ndim != 3 or X.shape[1:] != (nc.n, nc.channels):
+        raise ValueError(f"windows of shape {X.shape} are not a stack of "
+                         f"({nc.n}, {nc.channels}) windows")
+    return X.reshape(len(X), -1)
 
 
 def _blocked_forward(params, a, dropout_mask=None, acts=None):
@@ -176,10 +174,9 @@ def _blocked_forward(params, a, dropout_mask=None, acts=None):
 
 
 def forward(params, X, nc):
-    """Predicted MRP(s) for one window or a stack; inference, no dropout."""
-    Xf, single = _flatten_windows(X, nc)
-    y = _blocked_forward(params, Xf)
-    return y[0] if single else y
+    """Predicted MRPs, ``(N, 3)``, for a stack of windows ``(N, n,
+    channels)``; inference, no dropout."""
+    return _blocked_forward(params, _flatten_windows(X, nc))
 
 
 def _angles_deg(qp, ql):
@@ -200,7 +197,7 @@ def _rms_angle_deg(params, Xf, ql):
 
 def loss(params, X, Y, nc):
     """RMS rotation angle in degrees over the batch."""
-    Xf, _ = _flatten_windows(X, nc)
+    Xf = _flatten_windows(X, nc)
     return _rms_angle_deg(params, Xf, mrp_to_quat(np.atleast_2d(Y)))
 
 
@@ -254,7 +251,7 @@ def loss_and_gradient(params, X, Y, nc, dropout_mask=None):
     The dropout mask, when given, must already include the 1/keep
     scaling; a fixed mask makes the gradient deterministic for checks.
     """
-    Xf, _ = _flatten_windows(X, nc)
+    Xf = _flatten_windows(X, nc)
     ql = mrp_to_quat(np.atleast_2d(np.asarray(Y, dtype=float)))
     grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
     L = _backprop(params, Xf, ql, dropout_mask, grads)

@@ -40,7 +40,6 @@ from .rotations import (
     angle_between_deg,
     mrp_to_quat,
     quat_rotate,
-    quat_to_mrp,
     rotation_angle_deg,
 )
 from .triad import TriadConfig, triad_pass_eval
@@ -78,8 +77,9 @@ def _pooled_rms(chunks):
     return float(np.sqrt(np.mean(sq)))
 
 
-def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None):
-    """Train one (case, seed) cell on logs[0:4], test on logs[4]."""
+def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
+    """Train one (case, seed) cell on logs[0:4], test on logs[4], and write
+    its model, history and result under ``outdir``."""
     if len(logs) != 5:
         raise ValueError(f"expected 5 passes (4 train + 1 test), got {len(logs)}")
     case = case_spec(case_id)
@@ -100,6 +100,20 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
 
     errors = [rotation_angle_deg(forward(params, w.X, nc), w.Y) for w in windows]
 
+    cell_name = f"{case_id}_{seed_name}"
+    cell = os.path.join(str(outdir), cell_name)
+    os.makedirs(cell, exist_ok=True)
+    provenance = {
+        "case_id": case_id,
+        "seed_name": seed_name,
+        "seeds": {"net": net_seed, "shuffle": shuffle_seed, "dropout": train_seed},
+        "gyro_scale": gyro_scale,
+        "train_pass_ids": [log.pass_id for log in logs[:4]],
+        "test_pass_id": logs[4].pass_id,
+        "window": n,
+    }
+    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=provenance)
+    history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
         case_id=case_id,
         seed_name=seed_name,
@@ -110,27 +124,11 @@ def run_case(case_id, seed_name, logs, n=5, outdir=None, tc=None, css_bias=None)
         stop_reason=history.stop_reason,
         divergence_count=history.divergence_count,
         gyro_scale=gyro_scale,
+        # relative to outdir, so reports stay byte-stable
+        model_path=os.path.join(cell_name, "model.bin"),
+        history_path=os.path.join(cell_name, "history.csv"),
     )
-    if outdir is not None:
-        cell_name = f"{case_id}_{seed_name}"
-        cell = os.path.join(str(outdir), cell_name)
-        os.makedirs(cell, exist_ok=True)
-        provenance = {
-            "case_id": case_id,
-            "seed_name": seed_name,
-            "seeds": {"net": net_seed, "shuffle": shuffle_seed, "dropout": train_seed},
-            "gyro_scale": gyro_scale,
-            "train_pass_ids": [log.pass_id for log in logs[:4]],
-            "test_pass_id": logs[4].pass_id,
-            "window": n,
-        }
-        save_model(params, nc, os.path.join(cell, "model.bin"),
-                   provenance=provenance)
-        history.to_csv(os.path.join(cell, "history.csv"))
-        # paths are stored relative to outdir so reports stay byte-stable
-        result.model_path = os.path.join(cell_name, "model.bin")
-        result.history_path = os.path.join(cell_name, "history.csv")
-        write_json(os.path.join(cell, "result.json"), result.to_dict())
+    write_json(os.path.join(cell, "result.json"), result.to_dict())
     return result
 
 
@@ -143,32 +141,41 @@ def _read_json(path):
         return None
 
 
+def _epochs_run(cell):
+    """Epochs the cell's training ran (rows of its ``history.csv``), or
+    None when that file is missing."""
+    try:
+        with open(os.path.join(cell, "history.csv")) as f:
+            return sum(1 for _ in f) - 1
+    except OSError:
+        return None
+
+
 def _cell_worker(args):
-    """One cell, reused under ``resume`` or trained; returns (result, wall s).
+    """One cell, reused under ``resume`` or trained; returns (result,
+    epochs run, wall s).
 
     ``inputs.json`` is removed before training and written after it, so it
     never vouches for a half-written cell.
     """
     started = time.perf_counter()
     pass_paths, outdir, resume, tc, inputs = args
-    cell = None
-    if outdir is not None:
-        cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
-        marker = os.path.join(cell, "inputs.json")
-        if resume and _read_json(marker) == inputs:
-            saved_path = os.path.join(cell, "result.json")
-            saved = _read_json(saved_path)
-            if saved is not None:
-                return (from_dict(RunResult, saved, saved_path),
-                        time.perf_counter() - started)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(marker)
+    cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
+    marker = os.path.join(cell, "inputs.json")
+    if resume and _read_json(marker) == inputs:
+        saved_path = os.path.join(cell, "result.json")
+        saved = _read_json(saved_path)
+        epochs = _epochs_run(cell)
+        if saved is not None and epochs is not None:
+            return (from_dict(RunResult, saved, saved_path), epochs,
+                    time.perf_counter() - started)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(marker)
     logs = [read_passlog(p) for p in pass_paths]
-    result = run_case(inputs["case"], inputs["seed"], logs, n=inputs["window"],
-                      outdir=outdir, tc=tc, css_bias=inputs["css_bias"])
-    if cell is not None:
-        write_json(marker, inputs)
-    return result, time.perf_counter() - started
+    result = run_case(inputs["case"], inputs["seed"], logs, outdir, n=inputs["window"],
+                      tc=tc, css_bias=inputs["css_bias"])
+    write_json(marker, inputs)
+    return result, _epochs_run(cell), time.perf_counter() - started
 
 
 @dataclass
@@ -287,12 +294,14 @@ def report_json(tables, results, meta):
     }
 
 
-def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
-               jobs=1, resume=False, tc=None, css_bias=None, on_cell=None):
-    """All (case, seed) cells; returns (tables, results) in catalog order.
+def run_matrix(pass_paths, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
+               resume=False, tc=None, css_bias=None, on_cell=None):
+    """All (case, seed) cells, each in its directory under ``outdir``;
+    returns (tables, results) in catalog order.
 
-    ``on_cell(result, seconds)`` observes each cell, in catalog order, as
-    soon as its result arrives; ``seconds`` is the cell's wall time.
+    ``on_cell(result, epochs, seconds)`` observes each cell, in catalog
+    order, as soon as its result arrives; ``epochs`` is the length of the
+    cell's training history and ``seconds`` the cell's wall time.
     ``resume`` reuses a cell only when its ``inputs.json`` (case, seed,
     window, training config, CSS bias, version, pass-file hashes; no paths
     or times) equals this run's.
@@ -318,9 +327,9 @@ def run_matrix(pass_paths, case_ids, seeds=SEED_NAMES, n=5, outdir=None,
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for result, seconds in mapper(_cell_worker, tasks):
+        for result, epochs, seconds in mapper(_cell_worker, tasks):
             if on_cell is not None:
-                on_cell(result, seconds)
+                on_cell(result, epochs, seconds)
             results.append(result)
     by_case = {}
     for r in results:
@@ -347,11 +356,6 @@ def write_matrix_reports(tables, results, outdir, meta):
 # TRIAD baseline report
 # ---------------------------------------------------------------------------
 
-def _pooled_finite_rms(series):
-    """Pooled RMS over the finite entries; skipped steps are NaN."""
-    return _pooled_rms([x[np.isfinite(x)] for x in series])
-
-
 def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
     """Pooled attitude/sensor RMS per priority choice over the passes.
 
@@ -364,11 +368,14 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
     for priority in priorities:
         evs = [triad_pass_eval(log, f, TriadConfig(priority=priority))
                for log, f in zip(logs, frames)]
+        rms = {}
+        for key in ("att", "sun", "mag"):
+            # a skipped or unmeasured step is NaN in the per-pass series
+            series = (getattr(ev, f"{key}_err_deg") for ev in evs)
+            rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)] for x in series])
         rows.append({
             "priority": priority,
-            "rms_att_deg": _pooled_finite_rms(ev.att_err_deg for ev in evs),
-            "rms_sun_deg": _pooled_finite_rms(ev.sun_err_deg for ev in evs),
-            "rms_mag_deg": _pooled_finite_rms(ev.mag_err_deg for ev in evs),
+            **rms,
             "solved_steps": sum(ev.solved_steps for ev in evs),
             "skipped_steps": sum(ev.skipped_steps for ev in evs),
             "skip_reasons": {reason: sum(ev.skip_reasons[reason] for ev in evs)
@@ -408,7 +415,7 @@ def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     q_pred = mrp_to_quat(pred)
     L = len(log.t)
     att = np.full(L, np.nan)
-    att[steps] = rotation_angle_deg(pred, quat_to_mrp(log.q_true)[steps])
+    att[steps] = rotation_angle_deg(pred, labels[steps])
     series = {"t": log.t.astype(np.int64), "att_err_deg": att}
     for key, group, model in (("sun_err_deg", "uS_c", log.uS_i),
                               ("mag_err_deg", "uB_m", log.uB_i),

@@ -168,6 +168,20 @@ def read_manifest(csv_path):
     return manifest, manifest.get("pass_id", str(csv_path))
 
 
+def _check_flags(manifest, csv_path):
+    """Reject per-step ``sunlit`` / ``mag_saturated`` flags that are not a
+    list of one 0 or 1 per record, naming the manifest and the key."""
+    for key in ("sunlit", "mag_saturated"):
+        if key not in manifest:
+            continue
+        flags = manifest[key]
+        if not (isinstance(flags, list) and len(flags) == PASS_SAMPLES
+                and all(type(v) is int and v in (0, 1) for v in flags)):
+            raise DataIntegrityError(
+                f"{manifest_path_for(csv_path)}: key {key!r} must be a list of "
+                f"{PASS_SAMPLES} entries, each 0 or 1")
+
+
 def _check_cells(data, csv_path):
     """Reject non-finite cells and model vectors off unit norm, naming the
     file, the column and the step of the first offending record."""
@@ -198,6 +212,7 @@ def read_passlog(csv_path):
         raise DataIntegrityError(f"expected 26 columns, found {data.shape[1]}")
     _check_cells(data, csv_path)
     manifest, pass_id = read_manifest(csv_path)
+    _check_flags(manifest, csv_path)
     log = PassLog(
         pass_id=pass_id,
         t=data[:, 0],

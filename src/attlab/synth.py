@@ -14,6 +14,7 @@ two indistinguishable.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,8 @@ MAG_RAIL_GAUSS = 2.0  # sensor saturates at +/- 2 gauss
 # Entries of each list field of SensorErrors: one per panel or axis.
 _ERROR_LIST_SIZES = {"css_gain": 6, "css_bias": 6, "mag_ref": 3, "mag_hard_iron": 3,
                      "mag_misalign_axis": 3, "gyro_bias_dps": 3}
+_ERROR_SCALARS = ("css_noise", "albedo_coeff", "mag_scale", "mag_noise",
+                  "mag_misalign_deg", "gyro_noise_dps")
 
 
 @dataclass
@@ -71,8 +74,13 @@ class SensorErrors:
         for key, size in _ERROR_LIST_SIZES.items():
             value = getattr(self, key)
             if len(value) != size or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-                raise ValueError(f"key {key!r} must be a list of {size} numbers, got {value!r}")
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in value):
+                raise ValueError(
+                    f"key {key!r} must be a list of {size} finite numbers, got {value!r}")
+        for key in _ERROR_SCALARS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"key {key!r} must be finite, got {getattr(self, key)!r}")
         if self.css_noise < 0 or self.mag_noise < 0 or self.gyro_noise_dps < 0:
             raise ValueError("noise sigmas must be non-negative")
         if self.mag_scale <= 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
+from .features import attitude_labels
 from .passlog import write_csv
 from .rotations import (
     _dot,
@@ -66,9 +67,6 @@ def triad(v1_b, v2_b, v1_i, v2_i):
 class TriadEvaluation:
     pass_id: str
     priority: str
-    rms_att_deg: float
-    rms_sun_deg: float
-    rms_mag_deg: float
     t: np.ndarray
     att_err_deg: np.ndarray  # NaN where the step was skipped
     sun_err_deg: np.ndarray
@@ -88,7 +86,7 @@ def triad_pass_eval(log, frames, cfg):
     uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     L = frames.length
-    truth_mrp = quat_to_mrp(log.q_true)
+    truth_mrp = attitude_labels(log)
     sun_true_b = quat_rotate(log.q_true, log.uS_i)
     mag_true_b = quat_rotate(log.q_true, log.uB_i)
 
@@ -112,15 +110,9 @@ def triad_pass_eval(log, frames, cfg):
         raise DegenerateGeometryError(
             f"no valid TRIAD steps in pass {log.pass_id}")
 
-    def _rms(x, mask):
-        return float(np.sqrt(np.mean(x[mask] ** 2)))
-
     return TriadEvaluation(
         pass_id=log.pass_id,
         priority=cfg.priority,
-        rms_att_deg=_rms(att, solved),
-        rms_sun_deg=_rms(sun, np.isfinite(sun)),
-        rms_mag_deg=_rms(mag, np.isfinite(mag)),
         t=np.asarray(log.t, float),
         att_err_deg=att,
         sun_err_deg=sun,

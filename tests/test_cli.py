@@ -1,11 +1,12 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attlab.cli import main
+from attlab.cli import build_parser, main
 from attlab.convnet import load_model
 from attlab.passlog import read_passlog
 from attlab.synth import default_catalog
@@ -64,6 +65,13 @@ def test_synth_rejects_bad_config(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
 
 
+def _scenario_with_errors(**errors):
+    """The first catalog scenario, as a config dict, with ``errors`` changed."""
+    sc = default_catalog()[0].to_dict()
+    sc["errors"].update(errors)
+    return sc
+
+
 @pytest.mark.parametrize("config, named", [
     ('{"scenarios": [{"pass_id": "X"}]}', "'orbit'"),
     ('{"errors": {"css_gian": [1]}}', "'css_gian'"),
@@ -74,6 +82,17 @@ def test_synth_rejects_bad_config(tmp_path):
     ('{"base_seed": "7"}', "'base_seed'"),
     ('{"errors": {"css_gain": [1000.0]}}', "'css_gain'"),
     ('{"errors": {"mag_ref": [32768, 32768, true]}}', "'mag_ref'"),
+    # json reads the bare NaN and Infinity literals
+    ('{"errors": {"mag_scale": NaN}}', "'mag_scale'"),
+    ('{"errors": {"css_noise": NaN}}', "'css_noise'"),
+    ('{"errors": {"albedo_coeff": Infinity}}', "'albedo_coeff'"),
+    ('{"errors": {"mag_noise": NaN}}', "'mag_noise'"),
+    ('{"errors": {"mag_misalign_deg": -Infinity}}', "'mag_misalign_deg'"),
+    ('{"errors": {"gyro_noise_dps": NaN}}', "'gyro_noise_dps'"),
+    ('{"errors": {"css_bias": [0, 0, 0, NaN, 0, 0]}}', "'css_bias'"),
+    ('{"errors": {"mag_hard_iron": [0, Infinity, 0]}}', "'mag_hard_iron'"),
+    pytest.param(json.dumps({"scenarios": [_scenario_with_errors(mag_scale=float("nan"))]}),
+                 "'mag_scale'", id="scenario-mag_scale-NaN"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
@@ -126,16 +145,60 @@ def test_triad_missing_file_exit_2(tmp_path):
     assert main(["triad", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
 
-def test_train_single_case(tmp_path, pass_args, fast_cfg_path):
+def test_train_single_case(tmp_path, pass_args, fast_cfg_path, capsys):
     d = tmp_path / "train"
     rc = main(["train", *pass_args, "--case", "C1a", "--seed", "R1",
                "--window", "5", "--out", str(d), "--config", fast_cfg_path])
     assert rc == 0
+    # the same per-cell progress line as ablate
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("cell case=C1a seed=R1 stop=max-epoch epochs=25 ")
     assert (d / "C1a_R1" / "model.bin").exists()
     assert (d / "C1a_R1" / "history.csv").exists()
     manifest = json.loads((d / "run_manifest.json").read_text())
     assert len(manifest["input_hashes"]) == 5
     assert manifest["seeds"] == {"seed": "R1"}
+
+
+def test_train_cell_reused_by_ablate_resume(tmp_path, pass_args, fast_cfg_path,
+                                            monkeypatch, capsys):
+    d = tmp_path / "cell"
+    assert main(["train", *pass_args, "--case", "C4f", "--seed", "R2", "--out", str(d),
+                 "--config", fast_cfg_path]) == 0
+    cell = d / "C4f_R2"
+    saved = {f.name: f.read_bytes() for f in cell.iterdir()}
+    stamp = (cell / "model.bin").stat().st_mtime_ns
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the train cell was trained again")
+
+    monkeypatch.setattr("attlab.harness.run_case", no_training)
+    assert main(["ablate", *pass_args, "--cases", "C4f", "--seeds", "R2", "--jobs", "1",
+                 "--out", str(d), "--config", fast_cfg_path, "--resume"]) == 0
+    assert {f.name: f.read_bytes() for f in cell.iterdir()} == saved
+    assert (cell / "model.bin").stat().st_mtime_ns == stamp
+    # the reused cell reports the epochs of its saved history
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("cell case=C4f seed=R2 stop=max-epoch epochs=25 ")
+    report = json.loads((d / "ablation_report.json").read_text())
+    assert report["runs"] == [json.loads((cell / "result.json").read_text())]
+
+
+def test_export_series_pools_to_test_rms(tmp_path, pass_args):
+    # one truth attitude per pass: the held-out pass's exported attitude
+    # errors pool to the cell's test RMS, bit for bit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_epochs": 5}))
+    d = tmp_path / "model"
+    assert main(["train", *pass_args, "--case", "C1f", "--out", str(d),
+                 "--config", str(cfg)]) == 0
+    assert main(["export", pass_args[4], "--model", str(d / "C1f_R1" / "model.bin"),
+                 "--out", str(tmp_path / "e")]) == 0
+    rows = (tmp_path / "e" / "errors_P5.csv").read_text().splitlines()[1:]
+    att = np.array([float(c) for c in (r.split(",")[1] for r in rows) if c])
+    result = json.loads((d / "C1f_R1" / "result.json").read_text())
+    assert float(np.sqrt(np.mean(np.square(att)))) == result["test_rms_deg"]
 
 
 def test_train_window_11_gives_352_windows(tmp_path, pass_args, fast_cfg_path):
@@ -174,8 +237,8 @@ def test_train_infeasible_case_exit_3(tmp_path, fast_cfg_path):
     assert rc == 3
 
 
-def _corrupt_catalog(tmp_path, pass_args, pass_no, column, step, value):
-    """Copy the catalog and overwrite one cell of one pass CSV."""
+def _copy_catalog(tmp_path, pass_args):
+    """The catalog's pass CSVs and manifests, copied; returns the CSV paths."""
     d = tmp_path / "corrupt"
     d.mkdir()
     paths = []
@@ -184,6 +247,12 @@ def _corrupt_catalog(tmp_path, pass_args, pass_no, column, step, value):
         for f in (src, src.with_suffix(".manifest.json")):
             shutil.copy(f, d / f.name)
         paths.append(str(d / src.name))
+    return paths
+
+
+def _corrupt_catalog(tmp_path, pass_args, pass_no, column, step, value):
+    """Copy the catalog and overwrite one cell of one pass CSV."""
+    paths = _copy_catalog(tmp_path, pass_args)
     target = Path(paths[pass_no - 1])
     lines = target.read_text().splitlines()
     col = lines[0].split(",").index(column)
@@ -200,6 +269,17 @@ def test_train_rejects_nan_gyro_exit_2(tmp_path, pass_args, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "P2.csv" in err and "column w0" in err and "step 40" in err
+
+
+def test_triad_rejects_bad_sunlit_flags_exit_2(tmp_path, pass_args, capsys):
+    passes = _copy_catalog(tmp_path, pass_args)
+    manifest = Path(passes[1]).with_suffix(".manifest.json")
+    data = json.loads(manifest.read_text())
+    data["sunlit"] = data["sunlit"][:-1]
+    manifest.write_text(json.dumps(data))
+    assert main(["triad", *passes, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'sunlit'" in err
 
 
 def test_triad_rejects_off_unit_model_vector_exit_2(tmp_path, pass_args, capsys):
@@ -222,6 +302,8 @@ def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):
                                                    ["case=C4f", "seed=R1"]]
     assert all(("stop=" in line and "best_epoch=" in line and "divergences=" in line
                 and "seconds=" in line) for line in err)
+    # epochs= is the length of the cell's history: C4f runs to the cap
+    assert err[1].split()[4] == f"epochs={FAST_CFG['max_epochs']}"
     assert (d / "ablation_report.md").exists()
     assert (d / "ablation_report.json").exists()
     report = json.loads((d / "ablation_report.json").read_text())
@@ -319,6 +401,16 @@ def test_ablate_repeated_label_exit_2(tmp_path, capsys, labels, named):
     assert main(["ablate", *passes, *labels, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert named in err and "repeated" in err
+
+
+def test_ablate_jobs_default_usable_cpus(monkeypatch):
+    # under a CPU-affinity limit, os.cpu_count() would start more workers
+    # than the process may use
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 8
 
 
 def test_ablate_unknown_case_exit_2(tmp_path, pass_args):

@@ -43,9 +43,9 @@ def test_forward_zero_params_returns_output_bias():
     p = zero_params(nc)
     p.biases[3][:] = [0.1, -0.2, 0.3]
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        out = forward(p, rng.normal(size=(nc.n, nc.channels)), nc)
-        assert np.array_equal(out, [0.1, -0.2, 0.3])
+    for rows in (1, 5):
+        out = forward(p, rng.normal(size=(rows, nc.n, nc.channels)), nc)
+        assert np.array_equal(out, [[0.1, -0.2, 0.3]] * rows)
 
 
 def test_forward_relu_saturation_returns_output_bias():
@@ -56,19 +56,21 @@ def test_forward_relu_saturation_returns_output_bias():
     p.biases[1][:] = -1e6
     p.biases[2][:] = -1e6
     p.biases[3][:] = [1.0, 2.0, 3.0]
-    out = forward(p, np.random.default_rng(1).normal(size=(nc.n, nc.channels)), nc)
-    assert np.array_equal(out, [1.0, 2.0, 3.0])
+    out = forward(p, np.random.default_rng(1).normal(size=(1, nc.n, nc.channels)), nc)
+    assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
 
 def test_forward_deterministic_and_shape_checked():
     nc = TINY
     p = init_params(nc)
-    x = np.random.default_rng(2).normal(size=(nc.n, nc.channels))
+    x = np.random.default_rng(2).normal(size=(4, nc.n, nc.channels))
     a = forward(p, x, nc)
     b = forward(p, x, nc)
-    assert np.array_equal(a, b)
+    assert a.shape == (4, 3) and np.array_equal(a, b)
     with pytest.raises(ValueError):
-        forward(p, np.zeros((nc.n + 1, nc.channels)), nc)
+        forward(p, np.zeros((4, nc.n + 1, nc.channels)), nc)
+    with pytest.raises(ValueError):  # one window is a stack of one
+        forward(p, x[0], nc)
 
 
 def test_loss_examples():

@@ -84,10 +84,13 @@ def test_table_header_structure():
                                         "min_test(II)", "(I)+(II)")
 
 
-def test_run_case_deterministic(catalog_logs):
-    a = run_case("C1a", "R1", catalog_logs, n=5, tc=FAST_TC)
-    b = run_case("C1a", "R1", catalog_logs, n=5, tc=FAST_TC)
+def test_run_case_deterministic(tmp_path, catalog_logs):
+    a = run_case("C1a", "R1", catalog_logs, tmp_path / "a", n=5, tc=FAST_TC)
+    b = run_case("C1a", "R1", catalog_logs, tmp_path / "b", n=5, tc=FAST_TC)
     assert a == b
+    for name in ("model.bin", "history.csv", "result.json"):
+        assert ((tmp_path / "a" / "C1a_R1" / name).read_bytes()
+                == (tmp_path / "b" / "C1a_R1" / name).read_bytes())
     assert a.train_rms_deg > 0.0 and np.isfinite(a.test_rms_deg)
 
 
@@ -103,9 +106,10 @@ def test_run_case_persists_artifacts(tmp_path, catalog_logs):
     assert saved["train_rms_deg"] == r.train_rms_deg
 
 
-def test_run_case_rejects_wrong_pass_count(catalog_logs):
+def test_run_case_rejects_wrong_pass_count(tmp_path, catalog_logs):
     with pytest.raises(ValueError):
-        run_case("C1a", "R1", catalog_logs[:3], tc=FAST_TC)
+        run_case("C1a", "R1", catalog_logs[:3], tmp_path, tc=FAST_TC)
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
@@ -114,21 +118,27 @@ def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
     seen = []
     tables, results = run_matrix(paths, ["C1a", "C4f"], seeds=("R1",), n=5,
                                  outdir=out, tc=FAST_TC,
-                                 on_cell=lambda r, s: seen.append((r, s)))
+                                 on_cell=lambda r, e, s: seen.append((r, e, s)))
     assert len(results) == 2
-    assert [r for r, _ in seen] == results and all(s > 0.0 for _, s in seen)
+    assert [r for r, _, _ in seen] == results and all(s > 0.0 for _, _, s in seen)
+    # epochs is the length of each cell's history; C4f runs to the cap
+    assert [e for _, e, _ in seen][1] == FAST_TC.max_epochs
     assert [t.title for t in tables][0].startswith("Case family C1")
     rep = write_matrix_reports(tables, results, out, meta={"seeds": ["R1"]})
     md1 = open(rep["markdown"]).read()
-    # resume: delete nothing, rerun -> identical bytes
+    # resume: delete nothing, rerun -> identical bytes, and the reused
+    # cells report the epochs of their saved histories
+    seen2 = []
     tables2, results2 = run_matrix(paths, ["C1a", "C4f"], seeds=("R1",), n=5,
-                                   outdir=out, resume=True, tc=FAST_TC)
+                                   outdir=out, resume=True, tc=FAST_TC,
+                                   on_cell=lambda r, e, s: seen2.append((r, e)))
+    assert seen2 == [(r, e) for r, e, _ in seen]
     rep2 = write_matrix_reports(tables2, results2, out, meta={"seeds": ["R1"]})
     assert open(rep2["markdown"]).read() == md1
     assert results2 == results
 
 
-def test_run_matrix_pool_capped_at_cell_count(monkeypatch, catalog_dir):
+def test_run_matrix_pool_capped_at_cell_count(tmp_path, monkeypatch, catalog_dir):
     _, paths = catalog_dir
     sizes = []
 
@@ -147,16 +157,16 @@ def test_run_matrix_pool_capped_at_cell_count(monkeypatch, catalog_dir):
 
     monkeypatch.setattr("attlab.harness.ProcessPoolExecutor", InlinePool)
     tc = TrainConfig(max_epochs=2)
-    run_matrix(paths, ["C1a"], seeds=("R1",), jobs=4, tc=tc)
+    run_matrix(paths, ["C1a"], tmp_path, seeds=("R1",), jobs=4, tc=tc)
     assert sizes == []  # one cell runs in-process
-    run_matrix(paths, ["C1a"], seeds=("R1", "R2"), jobs=4, tc=tc)
+    run_matrix(paths, ["C1a"], tmp_path, seeds=("R1", "R2"), jobs=4, tc=tc)
     assert sizes == [2]
 
 
-def test_run_matrix_rejects_empty_cases(catalog_dir):
+def test_run_matrix_rejects_empty_cases(tmp_path, catalog_dir):
     _, paths = catalog_dir
     with pytest.raises(ValueError):
-        run_matrix(paths, [], tc=FAST_TC)
+        run_matrix(paths, [], tmp_path, tc=FAST_TC)
 
 
 def test_triad_baseline_report_biased(catalog_logs):

@@ -2,13 +2,16 @@
 the JSON dict reader."""
 
 import dataclasses
+import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attlab.cases import case_spec
 from attlab.convnet import NetConfig, NetParams, TrainConfig, init_params
+from attlab.errors import DataIntegrityError
 from attlab.features import attitude_labels, build_frames
 from attlab.harness import TIMESERIES_HEADER, timeseries_rows, write_timeseries_csv
 from attlab.passlog import (
@@ -153,3 +156,32 @@ def test_pass_id_from_manifest_else_path(tmp_path):
     shutil.copy(csv, bare)
     assert read_manifest(bare) == ({}, str(bare))
     assert read_passlog(bare).pass_id == str(bare)
+
+
+@pytest.mark.parametrize("key, flags", [
+    ("sunlit", [1] * 361),
+    ("sunlit", [1] * 363),
+    ("sunlit", [1] * 361 + [2]),
+    ("sunlit", None),
+    ("mag_saturated", [0] * 361 + [True]),
+    ("mag_saturated", [0] * 361 + [0.0]),
+    ("mag_saturated", "0" * 362),
+])
+def test_read_passlog_rejects_bad_flags(tmp_path, key, flags):
+    csv, manifest_path = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
+    manifest = json.loads(Path(manifest_path).read_text())
+    manifest[key] = flags
+    write_json(manifest_path, manifest)
+    with pytest.raises(DataIntegrityError) as ei:
+        read_passlog(csv)
+    assert str(ei.value).startswith(f"{manifest_path}: key {key!r}")
+
+
+def test_read_passlog_flags_optional_and_kept(tmp_path):
+    log = synth_pass(default_catalog()[0])
+    csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
+    assert read_passlog(csv).manifest["sunlit"] == log.manifest["sunlit"]
+    manifest = json.loads(Path(manifest_path).read_text())
+    del manifest["sunlit"], manifest["mag_saturated"]
+    write_json(manifest_path, manifest)
+    assert "sunlit" not in read_passlog(csv).manifest

@@ -99,10 +99,15 @@ def clean_pass():
     return log, build_frames(log)
 
 
+def rms(series):
+    """RMS over the solved (finite) steps of a per-step error series."""
+    return float(np.sqrt(np.mean(series[np.isfinite(series)] ** 2)))
+
+
 def test_pass_eval_zero_error(clean_pass):
     log, frames = clean_pass
     ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    assert ev.rms_att_deg < 0.5
+    assert rms(ev.att_err_deg) < 0.5
     assert ev.solved_steps == 362
 
 
@@ -110,11 +115,11 @@ def test_pass_eval_biased_catalog(biased_pass):
     log, frames = biased_pass
     ev_sun = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
     ev_mag = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    assert np.isfinite(ev_sun.rms_att_deg) and np.isfinite(ev_mag.rms_att_deg)
-    assert ev_sun.rms_att_deg != ev_mag.rms_att_deg
+    assert np.isfinite(rms(ev_sun.att_err_deg)) and np.isfinite(rms(ev_mag.att_err_deg))
+    assert rms(ev_sun.att_err_deg) != rms(ev_mag.att_err_deg)
     # sensor-direction errors do not depend on the solution priority
-    assert ev_sun.rms_sun_deg == ev_mag.rms_sun_deg
-    assert ev_sun.rms_mag_deg == ev_mag.rms_mag_deg
+    assert np.array_equal(ev_sun.sun_err_deg, ev_mag.sun_err_deg, equal_nan=True)
+    assert np.array_equal(ev_sun.mag_err_deg, ev_mag.mag_err_deg, equal_nan=True)
 
 
 def test_pass_eval_series_csv(tmp_path, biased_pass):
@@ -157,7 +162,7 @@ def test_bias_knob_monotonic_triad_rms():
         "mag_misalign_deg": [0.0, 3.0, 8.0],
     }
     for knob, levels in knob_sets.items():
-        rms = []
+        levels_rms = []
         for level in levels:
             overrides = dict(css_noise=0.0, mag_noise=0.0,
                              mag_hard_iron=(0.0, 0.0, 0.0), albedo_coeff=0.0,
@@ -166,5 +171,5 @@ def test_bias_knob_monotonic_triad_rms():
             errors = dataclasses.replace(CATALOG_ERRORS, **overrides)
             log = synth_pass(default_catalog(errors=errors)[0])
             ev = triad_pass_eval(log, build_frames(log), TriadConfig(priority="mag"))
-            rms.append(ev.rms_att_deg)
-        assert rms[0] < rms[1] < rms[2], f"{knob}: {rms}"
+            levels_rms.append(rms(ev.att_err_deg))
+        assert levels_rms[0] < levels_rms[1] < levels_rms[2], f"{knob}: {levels_rms}"
