@@ -36,7 +36,6 @@ from .harness import (
     triad_baseline_report,
     write_matrix_reports,
     write_raw_profile_csv,
-    write_timeseries_csv,
 )
 from .features import WINDOW_MAX
 from .passlog import (
@@ -47,6 +46,7 @@ from .passlog import (
     sha256_file,
     write_json,
     write_passlog,
+    write_series_csv,
     write_text,
 )
 from .synth import (
@@ -57,7 +57,6 @@ from .synth import (
     eclipse_variant,
     synth_pass,
 )
-from .triad import write_triad_series_csv
 
 OUT_ROOT_ENV = "ATTLAB_OUT"
 FORMAT_VERSION = 1
@@ -159,8 +158,7 @@ def cmd_triad(args):
     for k, log in enumerate(logs):
         for row in rows:
             p = os.path.join(outdir, f"triad_{log.pass_id}_{row['priority']}.csv")
-            write_triad_series_csv(row["evaluations"][k], p)
-            outputs.append(p)
+            outputs.append(write_series_csv(p, row["evaluations"][k].series))
     for r in rows:
         print(f"priority={r['priority']} rms_att_deg={r['rms_att_deg']:.3f} "
               f"rms_sun_deg={r['rms_sun_deg']:.3f} rms_mag_deg={r['rms_mag_deg']:.3f} "
@@ -268,8 +266,7 @@ def cmd_export(args):
         case = case_spec(prov["case_id"])
         series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"))
         p = os.path.join(outdir, f"errors_{log.pass_id}.csv")
-        write_timeseries_csv(series, p)
-        outputs.append(p)
+        outputs.append(write_series_csv(p, series))
         print(f"wrote {p}")
     if args.raw or not args.model:
         p = os.path.join(outdir, f"profile_{log.pass_id}.csv")

@@ -19,7 +19,7 @@ rolls parameters back two epochs, decays the learning rate by 0.9, and
 reinitializes the optimizer.
 
 Cost is kept flat and on the calling thread. Training batches,
-inference (``forward``, ``predict_pass``) and the RMS-angle loss
+inference (``forward``) and the RMS-angle loss
 (``loss`` and the per-epoch full-set loss) share one forward of GEMMs
 of at most 32 rows, small enough that OpenBLAS never wakes its helper
 threads, with the bits of a whole-set GEMM; backprop reads the input
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompatibleModelError
-from .features import WINDOW_MAX, build_windows
+from .features import WINDOW_MAX
 from .passlog import write_text
 from .rotations import _mrp_to_quat, mrp_to_quat
 
@@ -461,18 +461,6 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     if not history.stop_reason:
         history.stop_reason = "max-epoch"
     return NetParams.from_vector(best, params.shapes), history
-
-
-def predict_pass(params, frames, labels, n, case, nc):
-    """Predictions over one pass; no prediction exists before step n-1.
-
-    Returns (steps, predicted MRPs): len(pass) - n + 1 rows aligned to
-    the window end times.
-    """
-    ds = build_windows(frames, labels, n, case)
-    pred = forward(params, ds.X, nc)
-    steps = np.arange(n - 1, frames.length)
-    return steps, pred
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseInfeasibleError, DataIntegrityError
-from .rotations import quat_to_mrp
+from .rotations import angle_between_deg, quat_rotate, quat_to_mrp
 
 WINDOW_MAX = 11
 
@@ -123,6 +123,31 @@ def build_frames(log, css_bias=None, gyro_scale=None):
         "W_g": ones.copy() if gyro_scale else np.zeros(L, dtype=bool),
     }
     return FeatureFrames(pass_id=log.pass_id, groups=groups, avail=avail)
+
+
+# Each measured body-frame group, its inertial model group and the column
+# of its error in a per-pass series.
+SENSOR_MODELS = (("uS_c", "uS_i", "sun_err_deg"), ("uB_m", "uB_i", "mag_err_deg"),
+                 ("uE_c", "uE_i", "earth_err_deg"))
+
+
+def sensor_errors_deg(frames, q, steps, models=SENSOR_MODELS):
+    """Sensor-direction errors over a pass, in degrees, keyed by column.
+
+    For each ``(group, model, column)`` of ``models``, the angle between
+    the measured ``group`` vector and the ``model`` vector rotated by
+    ``q``, one attitude quaternion per entry of ``steps``. A step outside
+    ``steps`` or where the group did not measure is NaN.
+    """
+    out = {}
+    for group, model, column in models:
+        err = np.full(frames.length, np.nan)
+        seen = frames.avail[group][steps]
+        k = steps[seen]
+        err[k] = angle_between_deg(frames.groups[group][k],
+                                   quat_rotate(q[seen], frames.groups[model][k]))
+        out[column] = err
+    return out
 
 
 def select_channels(frames, case):

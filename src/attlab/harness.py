@@ -18,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from .cases import case_spec
-from .convnet import NetConfig, TrainConfig, forward, predict_pass, save_model, train
+from .convnet import NetConfig, TrainConfig, forward, save_model, train
 from .features import (
     attitude_labels,
     build_frames,
     build_windows,
     concat_windows,
     gyro_scale_from_passes,
+    sensor_errors_deg,
     shuffle_windows,
 )
 from .passlog import (
@@ -36,12 +37,7 @@ from .passlog import (
     write_json,
     write_text,
 )
-from .rotations import (
-    angle_between_deg,
-    mrp_to_quat,
-    quat_rotate,
-    rotation_angle_deg,
-)
+from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import TriadConfig, triad_pass_eval
 
 SEED_NAMES = ("R1", "R2", "R3")
@@ -72,6 +68,13 @@ class RunResult:
         return asdict(self)
 
 
+def _score(params, nc, windows):
+    """Predicted MRPs of an in-order window set and their attitude errors
+    in degrees against its labels."""
+    pred = forward(params, windows.X, nc)
+    return pred, rotation_angle_deg(pred, windows.Y)
+
+
 def _pooled_rms(chunks):
     sq = np.concatenate([np.square(c) for c in chunks])
     return float(np.sqrt(np.mean(sq)))
@@ -98,7 +101,7 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     tc = replace(tc or TrainConfig(), seed=train_seed)
     params, history = train(ds, nc, tc)
 
-    errors = [rotation_angle_deg(forward(params, w.X, nc), w.Y) for w in windows]
+    errors = [_score(params, nc, w)[1] for w in windows]
 
     cell_name = f"{case_id}_{seed_name}"
     cell = os.path.join(str(outdir), cell_name)
@@ -371,7 +374,7 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
         rms = {}
         for key in ("att", "sun", "mag"):
             # a skipped or unmeasured step is NaN in the per-pass series
-            series = (getattr(ev, f"{key}_err_deg") for ev in evs)
+            series = (ev.series[f"{key}_err_deg"] for ev in evs)
             rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)] for x in series])
         rows.append({
             "priority": priority,
@@ -397,42 +400,23 @@ def render_baseline_csv(rows):
 # Time-series exports
 # ---------------------------------------------------------------------------
 
-TIMESERIES_HEADER = "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
-
-
 def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     """Per-step error series for a trained model on one pass.
 
-    Returns ``t`` and each error column as ``(L,)`` arrays, keyed by the
-    ``TIMESERIES_HEADER`` names. Sensor errors compare the measured
+    Returns ``t`` and the attitude, Sun, field and Earth error columns as
+    ``(L,)`` arrays, keyed by column. Sensor errors compare the measured
     body-frame unit vectors with the model vectors rotated by the
     *predicted* attitude. Steps without a prediction (the first n-1) or
     without a measurement are NaN.
     """
     frames = build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
-    labels = attitude_labels(log)
-    steps, pred = predict_pass(params, frames, labels, nc.n, case, nc)
-    q_pred = mrp_to_quat(pred)
-    L = len(log.t)
-    att = np.full(L, np.nan)
-    att[steps] = rotation_angle_deg(pred, labels[steps])
-    series = {"t": log.t.astype(np.int64), "att_err_deg": att}
-    for key, group, model in (("sun_err_deg", "uS_c", log.uS_i),
-                              ("mag_err_deg", "uB_m", log.uB_i),
-                              ("earth_err_deg", "uE_c", frames.groups["uE_i"])):
-        err = np.full(L, np.nan)
-        seen = frames.avail[group][steps]
-        k = steps[seen]
-        err[k] = angle_between_deg(frames.groups[group][k],
-                                   quat_rotate(q_pred[seen], model[k]))
-        series[key] = err
-    return series
-
-
-def write_timeseries_csv(series, path):
-    """``timeseries_rows`` output as CSV; gaps are empty cells, never NaN."""
-    return write_csv(path, TIMESERIES_HEADER,
-                     [series[key] for key in TIMESERIES_HEADER.split(",")])
+    pred, errors = _score(params, nc, build_windows(frames, attitude_labels(log),
+                                                    nc.n, case))
+    steps = np.arange(nc.n - 1, frames.length)
+    att = np.full(frames.length, np.nan)
+    att[steps] = errors
+    return {"t": log.t.astype(np.int64), "att_err_deg": att,
+            **sensor_errors_deg(frames, mrp_to_quat(pred), steps)}
 
 
 def write_raw_profile_csv(log, path):

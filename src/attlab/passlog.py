@@ -133,6 +133,12 @@ def write_csv(path, header, blocks):
     return write_text(path, "\n".join([header, *rows]) + "\n")
 
 
+def write_series_csv(path, series):
+    """A per-pass series: a dict of ``(L,)`` arrays keyed by column, in
+    column order, written as ``write_csv`` writes blocks."""
+    return write_csv(path, ",".join(series), series.values())
+
+
 def sha256_file(path):
     """Hex SHA-256 of the file's bytes."""
     h = hashlib.sha256()

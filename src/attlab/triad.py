@@ -12,16 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .features import attitude_labels
-from .passlog import write_csv
-from .rotations import (
-    _dot,
-    angle_between_deg,
-    dcm_to_quat,
-    quat_rotate,
-    quat_to_mrp,
-    rotation_angle_deg,
-)
+from .features import SENSOR_MODELS, attitude_labels, sensor_errors_deg
+from .rotations import _dot, dcm_to_quat, quat_to_mrp, rotation_angle_deg
 
 COLLINEAR_EPS = 1e-6
 
@@ -67,13 +59,16 @@ def triad(v1_b, v2_b, v1_i, v2_i):
 class TriadEvaluation:
     pass_id: str
     priority: str
-    t: np.ndarray
-    att_err_deg: np.ndarray  # NaN where the step was skipped
-    sun_err_deg: np.ndarray
-    mag_err_deg: np.ndarray
-    solved_steps: int = 0
-    skipped_steps: int = 0
+    series: dict  # t, att_err_deg (NaN where unsolved), sun_err_deg, mag_err_deg
     skip_reasons: dict = field(default_factory=dict)
+
+    @property
+    def solved_steps(self):
+        return int(np.sum(np.isfinite(self.series["att_err_deg"])))
+
+    @property
+    def skipped_steps(self):
+        return len(self.series["t"]) - self.solved_steps
 
 
 def triad_pass_eval(log, frames, cfg):
@@ -86,45 +81,24 @@ def triad_pass_eval(log, frames, cfg):
     uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     L = frames.length
-    truth_mrp = attitude_labels(log)
-    sun_true_b = quat_rotate(log.q_true, log.uS_i)
-    mag_true_b = quat_rotate(log.q_true, log.uB_i)
-
-    att = np.full(L, np.nan)
-    sun = np.full(L, np.nan)
-    mag = np.full(L, np.nan)
-    sun[ok] = angle_between_deg(uS_c[ok], sun_true_b[ok])
-    mag[ok] = angle_between_deg(uB_m[ok], mag_true_b[ok])
     if cfg.priority == "sun":
         pair = (uS_c[ok], uB_m[ok], log.uS_i[ok], log.uB_i[ok])
     else:
         pair = (uB_m[ok], uS_c[ok], log.uB_i[ok], log.uS_i[ok])
     A, collinear = _triad_solve(*pair)
     steps = np.flatnonzero(ok)[~collinear]
-    est = quat_to_mrp(dcm_to_quat(A[~collinear]))
-    att[steps] = rotation_angle_deg(est, truth_mrp[steps])
-    skipped = {"unavailable": int(np.sum(~ok)), "collinear": int(np.sum(collinear))}
-
-    solved = np.isfinite(att)
-    if not np.any(solved):
+    att = np.full(L, np.nan)
+    att[steps] = rotation_angle_deg(quat_to_mrp(dcm_to_quat(A[~collinear])),
+                                    attitude_labels(log)[steps])
+    if not len(steps):
         raise DegenerateGeometryError(
             f"no valid TRIAD steps in pass {log.pass_id}")
-
+    series = {"t": log.t.astype(np.int64), "att_err_deg": att,
+              **sensor_errors_deg(frames, log.q_true, np.arange(L), SENSOR_MODELS[:2])}
     return TriadEvaluation(
         pass_id=log.pass_id,
         priority=cfg.priority,
-        t=np.asarray(log.t, float),
-        att_err_deg=att,
-        sun_err_deg=sun,
-        mag_err_deg=mag,
-        solved_steps=int(np.sum(solved)),
-        skipped_steps=int(L - np.sum(solved)),
-        skip_reasons=skipped,
+        series=series,
+        skip_reasons={"unavailable": int(np.sum(~ok)),
+                      "collinear": int(np.sum(collinear))},
     )
-
-
-def write_triad_series_csv(ev, path):
-    """Per-step error series; skipped steps are empty cells, never NaN."""
-    return write_csv(path, "t,att_err_deg,sun_err_deg,mag_err_deg",
-                     [ev.t.astype(np.int64), ev.att_err_deg, ev.sun_err_deg,
-                      ev.mag_err_deg])

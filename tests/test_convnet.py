@@ -14,7 +14,6 @@ from attlab.convnet import (
     load_model,
     loss,
     loss_and_gradient,
-    predict_pass,
     save_model,
     train,
 )
@@ -537,23 +536,3 @@ def test_load_rejects_tampered_header(tmp_path):
         notmodel = tmp_path / "x.bin"
         notmodel.write_bytes(b"garbagegarbage")
         load_model(notmodel)
-
-
-def test_predict_pass_alignment():
-    from attlab.cases import case_spec
-    from attlab.features import attitude_labels, build_frames
-    from attlab.synth import default_catalog, synth_pass
-
-    log = synth_pass(default_catalog()[0])
-    frames = build_frames(log)
-    labels = attitude_labels(log)
-    nc = NetConfig(n=5, channels=6, seed=1)
-    params = init_params(nc)
-    steps, pred = predict_pass(params, frames, labels, 5, case_spec("C1a"), nc)
-    assert len(pred) == 358
-    assert steps[0] == 4 and steps[-1] == 361
-    # constant-output net: predictions equal the output bias everywhere
-    zp = zero_params(nc)
-    zp.biases[3][:] = [0.1, 0.0, 0.0]
-    _, pred0 = predict_pass(zp, frames, labels, 5, case_spec("C1a"), nc)
-    assert np.all(pred0 == np.array([0.1, 0.0, 0.0]))

@@ -18,8 +18,8 @@ from attlab.harness import (
     triad_baseline_report,
     write_matrix_reports,
     write_raw_profile_csv,
-    write_timeseries_csv,
 )
+from attlab.passlog import write_series_csv
 from attlab.synth import SensorErrors, default_catalog, synth_pass
 
 FAST_TC = TrainConfig(max_epochs=25)
@@ -201,13 +201,36 @@ def test_timeseries_export(tmp_path, catalog_logs):
     assert not np.isnan(att[4:]).any()
     assert (att[4:] >= 0.0).all()
     p = tmp_path / "series.csv"
-    write_timeseries_csv(series, p)
+    write_series_csv(p, series)
     text = p.read_text()
     lines = text.splitlines()
     assert lines[0] == "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
     assert len(lines) == 363
     assert "nan" not in text.lower()
     assert lines[1].startswith("0,,")  # gap cells are empty, not NaN
+
+
+def test_timeseries_alignment():
+    # no prediction exists before step n-1: 358 of 362 steps are filled, and
+    # a constant-output net gives one attitude error per label
+    from attlab.convnet import NetParams
+    from attlab.features import attitude_labels
+    from attlab.rotations import rotation_angle_deg
+
+    log = synth_pass(default_catalog()[0])
+    case = case_spec("C1a")
+    nc = NetConfig(n=5, channels=case.channel_count, seed=1)
+    att = timeseries_rows(init_params(nc), nc, case, log, gyro_scale=None)["att_err_deg"]
+    assert np.isnan(att[:4]).all()
+    assert np.isfinite(att[4:]).all() and len(att[4:]) == 358
+    p0 = init_params(nc)
+    params = NetParams([np.zeros_like(w) for w in p0.weights],
+                       [np.zeros_like(b) for b in p0.biases])
+    params.biases[3][:] = [0.1, 0.0, 0.0]
+    att0 = timeseries_rows(params, nc, case, log, gyro_scale=None)["att_err_deg"]
+    labels = attitude_labels(log)[4:]
+    expected = rotation_angle_deg(np.tile([0.1, 0.0, 0.0], (358, 1)), labels)
+    assert np.array_equal(att0[4:], expected)
 
 
 def test_timeseries_perfect_model_zero_error():

@@ -13,7 +13,7 @@ from attlab.cases import case_spec
 from attlab.convnet import NetConfig, NetParams, TrainConfig, init_params
 from attlab.errors import DataIntegrityError
 from attlab.features import attitude_labels, build_frames
-from attlab.harness import TIMESERIES_HEADER, timeseries_rows, write_timeseries_csv
+from attlab.harness import timeseries_rows
 from attlab.passlog import (
     CSV_COLUMNS,
     from_dict,
@@ -22,9 +22,10 @@ from attlab.passlog import (
     write_csv,
     write_json,
     write_passlog,
+    write_series_csv,
 )
 from attlab.synth import Maneuver, Scenario, SensorErrors, default_catalog, synth_pass
-from attlab.triad import TriadConfig, triad_pass_eval, write_triad_series_csv
+from attlab.triad import TriadConfig, triad_pass_eval
 
 
 def reference_csv(header, columns):
@@ -79,12 +80,14 @@ def test_write_triad_series_matches_reference_with_collinear_gaps(tmp_path):
     frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
     ev = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
     assert ev.skip_reasons["collinear"] == len(rows)
-    assert np.isnan(ev.att_err_deg[rows]).all()
+    series = ev.series
+    assert list(series) == ["t", "att_err_deg", "sun_err_deg", "mag_err_deg"]
+    assert np.isnan(series["att_err_deg"][rows]).all()
     p = tmp_path / "triad.csv"
-    write_triad_series_csv(ev, p)
+    write_series_csv(p, series)
     expected = reference_csv("t,att_err_deg,sun_err_deg,mag_err_deg",
-                             [(ev.t, "int"), (ev.att_err_deg, "float"),
-                              (ev.sun_err_deg, "float"), (ev.mag_err_deg, "float")])
+                             [(series["t"], "int")]
+                             + [(series[key], "float") for key in list(series)[1:]])
     assert p.read_bytes() == expected
 
 
@@ -98,16 +101,15 @@ def test_write_timeseries_matches_reference_with_leading_gap(tmp_path):
                        [np.zeros_like(b) for b in p0.biases])
     params.biases[3][:] = attitude_labels(log)[0]
     series = timeseries_rows(params, nc, case, log, gyro_scale=None)
-    assert list(series) == TIMESERIES_HEADER.split(",")
+    header = "t,att_err_deg,sun_err_deg,mag_err_deg,earth_err_deg"
+    assert list(series) == header.split(",")
     assert series["t"].dtype == np.int64
-    for key in TIMESERIES_HEADER.split(",")[1:]:
+    for key in list(series)[1:]:
         assert np.isnan(series[key][:nc.n - 1]).all()
     p = tmp_path / "errors.csv"
-    write_timeseries_csv(series, p)
-    expected = reference_csv(TIMESERIES_HEADER,
-                             [(series["t"], "int")]
-                             + [(series[key], "float")
-                                for key in TIMESERIES_HEADER.split(",")[1:]])
+    write_series_csv(p, series)
+    expected = reference_csv(header, [(series["t"], "int")]
+                             + [(series[key], "float") for key in list(series)[1:]])
     assert p.read_bytes() == expected
 
 

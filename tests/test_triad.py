@@ -5,6 +5,7 @@ import pytest
 
 from attlab.errors import DegenerateGeometryError
 from attlab.features import build_frames
+from attlab.passlog import write_series_csv
 from attlab.rotations import (
     angle_between_deg,
     dcm_to_quat,
@@ -14,7 +15,7 @@ from attlab.rotations import (
     rotation_angle_deg,
 )
 from attlab.synth import CATALOG_ERRORS, default_catalog, synth_pass
-from attlab.triad import TriadConfig, triad, triad_pass_eval, write_triad_series_csv
+from attlab.triad import TriadConfig, triad, triad_pass_eval
 
 
 def unit(v):
@@ -107,7 +108,7 @@ def rms(series):
 def test_pass_eval_zero_error(clean_pass):
     log, frames = clean_pass
     ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    assert rms(ev.att_err_deg) < 0.5
+    assert rms(ev.series["att_err_deg"]) < 0.5
     assert ev.solved_steps == 362
 
 
@@ -115,18 +116,18 @@ def test_pass_eval_biased_catalog(biased_pass):
     log, frames = biased_pass
     ev_sun = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
     ev_mag = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    assert np.isfinite(rms(ev_sun.att_err_deg)) and np.isfinite(rms(ev_mag.att_err_deg))
-    assert rms(ev_sun.att_err_deg) != rms(ev_mag.att_err_deg)
+    assert np.isfinite(rms(ev_sun.series["att_err_deg"])) and np.isfinite(rms(ev_mag.series["att_err_deg"]))
+    assert rms(ev_sun.series["att_err_deg"]) != rms(ev_mag.series["att_err_deg"])
     # sensor-direction errors do not depend on the solution priority
-    assert np.array_equal(ev_sun.sun_err_deg, ev_mag.sun_err_deg, equal_nan=True)
-    assert np.array_equal(ev_sun.mag_err_deg, ev_mag.mag_err_deg, equal_nan=True)
+    assert np.array_equal(ev_sun.series["sun_err_deg"], ev_mag.series["sun_err_deg"], equal_nan=True)
+    assert np.array_equal(ev_sun.series["mag_err_deg"], ev_mag.series["mag_err_deg"], equal_nan=True)
 
 
 def test_pass_eval_series_csv(tmp_path, biased_pass):
     log, frames = biased_pass
     ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
     p = tmp_path / "triad.csv"
-    write_triad_series_csv(ev, p)
+    write_series_csv(p, ev.series)
     lines = p.read_text().splitlines()
     assert lines[0] == "t,att_err_deg,sun_err_deg,mag_err_deg"
     assert len(lines) == 363
@@ -144,10 +145,10 @@ def test_pass_eval_skips_collinear_steps(tmp_path):
     assert ev.skip_reasons["collinear"] == k
     unsolved = ~ok
     unsolved[rows] = True
-    assert np.array_equal(np.isnan(ev.att_err_deg), unsolved)
+    assert np.array_equal(np.isnan(ev.series["att_err_deg"]), unsolved)
     assert ev.solved_steps == 362 - ev.skip_reasons["unavailable"] - k
     p = tmp_path / "triad.csv"
-    write_triad_series_csv(ev, p)
+    write_series_csv(p, ev.series)
     lines = p.read_text().splitlines()[1:]
     for step in range(362):
         att_cell = lines[step].split(",")[1]
@@ -171,5 +172,21 @@ def test_bias_knob_monotonic_triad_rms():
             errors = dataclasses.replace(CATALOG_ERRORS, **overrides)
             log = synth_pass(default_catalog(errors=errors)[0])
             ev = triad_pass_eval(log, build_frames(log), TriadConfig(priority="mag"))
-            levels_rms.append(rms(ev.att_err_deg))
+            levels_rms.append(rms(ev.series["att_err_deg"]))
         assert levels_rms[0] < levels_rms[1] < levels_rms[2], f"{knob}: {levels_rms}"
+
+
+def test_pass_eval_sensor_columns_follow_own_availability():
+    # a step without a Sun vector has no TRIAD solution and no Sun error,
+    # but its field error is still measured
+    log = synth_pass(default_catalog()[0])
+    frames = build_frames(log)
+    rows = [10, 11, 200]
+    frames.avail["uS_c"][rows] = False
+    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
+    series = ev.series
+    assert np.isnan(series["att_err_deg"][rows]).all()
+    assert np.isnan(series["sun_err_deg"][rows]).all()
+    assert np.isfinite(series["mag_err_deg"]).all()
+    assert ev.skip_reasons["unavailable"] == len(rows)
+    assert ev.solved_steps == 362 - len(rows)
