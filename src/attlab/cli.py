@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input/config error, 3 infeasible case,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -147,9 +148,9 @@ def cmd_synth(args):
 
 def cmd_triad(args):
     started = _now()
+    css_bias = _css_bias(args.css_bias)
     outdir = _out_dir(args)
     logs = [read_passlog(p) for p in args.passes]
-    css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
     priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
     rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
     outputs = []
@@ -186,7 +187,7 @@ def _train_inputs(args):
         window, source = args.window, "--window"
     if not 1 <= window <= WINDOW_MAX:
         raise ValueError(f"{source} must be in 1..{WINDOW_MAX}, got {window}")
-    css_bias = _parse_floats(args.css_bias, 6) if args.css_bias else None
+    css_bias = _css_bias(args.css_bias)
     return tc, window, css_bias
 
 
@@ -198,7 +199,8 @@ def _reject_repeats(labels, option):
 
 def cmd_train(args):
     """One cell of the ablation matrix: ``ablate --resume`` into the same
-    directory reuses it."""
+    directory reuses it. The run manifest goes in the cell directory,
+    where ablate's own manifest does not overwrite it."""
     started = _now()
     tc, n, css_bias = _train_inputs(args)
     outdir = _out_dir(args)
@@ -208,7 +210,8 @@ def cmd_train(args):
           f"train_rms_deg={result.train_rms_deg:.3f} "
           f"test_rms_deg={result.test_rms_deg:.3f} "
           f"stop={result.stop_reason} best_epoch={result.best_epoch}")
-    _write_manifest(outdir, "train",
+    cell = os.path.join(outdir, f"{result.case_id}_{result.seed_name}")
+    _write_manifest(cell, "train",
                     {"case": args.case, "window": n, "config_file": args.config,
                      "train_config": dataclasses.asdict(tc)},
                     args.passes, {"seed": args.seed},
@@ -279,10 +282,18 @@ def cmd_export(args):
     return 0
 
 
-def _parse_floats(text, count):
-    vals = [float(x) for x in text.split(",")]
-    if len(vals) != count:
-        raise ValueError(f"expected {count} comma-separated values")
+def _css_bias(text):
+    """The six ``--css-bias`` counts, or None when the option is absent;
+    each must be a finite number."""
+    if text is None:
+        return None
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != 6 or not all(map(math.isfinite, vals)):
+        raise ValueError(f"--css-bias must be six comma-separated finite counts, "
+                         f"got {text!r}")
     return vals
 
 

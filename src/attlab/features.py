@@ -89,19 +89,24 @@ def build_frames(log, css_bias=None, gyro_scale=None):
     """FeatureFrames from a pass log.
 
     MAG reference/scale are the preflight values recorded in the pass
-    manifest. ``gyro_scale`` must come from the training passes; if
-    omitted, the raw rates are stored and W_g is marked unavailable so a
-    gyro-using case cannot silently train on unscaled data.
+    manifest. Where the manifest has per-step flags, the CSS vectors are
+    unavailable at steps that are not ``sunlit`` and the field vector at
+    steps that are ``mag_saturated``. ``gyro_scale`` must come from the
+    training passes; if omitted, the raw rates are stored and W_g is
+    marked unavailable so a gyro-using case cannot silently train on
+    unscaled data.
     """
     err = log.manifest.get("scenario", {}).get("errors")
     if not err:
         raise ValueError("pass manifest carries no sensor config (mag_ref, mag_scale)")
 
+    L = len(log.t)
+    ones = np.ones(L, dtype=bool)
+    sunlit = np.asarray(log.manifest.get("sunlit", ones), dtype=bool)
+    saturated = np.asarray(log.manifest.get("mag_saturated", ~ones), dtype=bool)
     uS_c, uE_c, sun_avail, earth_avail = css_to_sun_earth(log.css, css_bias)
     uB_m, mag_avail = mag_to_unit(log.mag, err["mag_ref"], err["mag_scale"])
     uE_i = -log.r_km / np.linalg.norm(log.r_km, axis=1, keepdims=True)
-    L = len(log.t)
-    ones = np.ones(L, dtype=bool)
 
     w_g = log.w / gyro_scale if gyro_scale else log.w.copy()
     groups = {
@@ -114,9 +119,9 @@ def build_frames(log, css_bias=None, gyro_scale=None):
         "W_g": w_g,
     }
     avail = {
-        "uS_c": sun_avail,
-        "uB_m": mag_avail,
-        "uE_c": earth_avail,
+        "uS_c": sun_avail & sunlit,
+        "uB_m": mag_avail & ~saturated,
+        "uE_c": earth_avail & sunlit,
         "uS_i": ones.copy(),
         "uB_i": ones.copy(),
         "uE_i": ones.copy(),

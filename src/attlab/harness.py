@@ -76,8 +76,9 @@ def _score(params, nc, windows):
 
 
 def _pooled_rms(chunks):
+    """RMS over all values of ``chunks``; NaN when there are none."""
     sq = np.concatenate([np.square(c) for c in chunks])
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.mean(sq))) if len(sq) else float("nan")
 
 
 def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
@@ -389,10 +390,15 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
 
 
 def render_baseline_csv(rows):
-    lines = ["priority,rms_att_deg,rms_sun_deg,rms_mag_deg,solved_steps,skipped_steps"]
-    lines += [f"{r['priority']},{r['rms_att_deg']:.3f},{r['rms_sun_deg']:.3f},"
-              f"{r['rms_mag_deg']:.3f},{r['solved_steps']},{r['skipped_steps']}"
-              for r in rows]
+    """One line per priority; an RMS over no steps is an empty cell."""
+    reasons = list(rows[0]["skip_reasons"])
+    lines = [",".join(["priority", "rms_att_deg", "rms_sun_deg", "rms_mag_deg",
+                       "solved_steps", "skipped_steps", *reasons])]
+    for r in rows:
+        rms = ("" if r[key] != r[key] else f"{r[key]:.3f}"
+               for key in ("rms_att_deg", "rms_sun_deg", "rms_mag_deg"))
+        counts = (r["solved_steps"], r["skipped_steps"], *r["skip_reasons"].values())
+        lines.append(",".join([r["priority"], *rms, *map(str, counts)]))
     return "\n".join(lines) + "\n"
 
 

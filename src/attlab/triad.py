@@ -4,7 +4,7 @@ The classical construction: build an orthonormal triad from the primary
 and secondary observation vectors in each frame and compose the frame
 map. The primary vector is reproduced exactly; all measurement
 inconsistency lands on the secondary. Steps with near-collinear geometry
-are skipped and counted, not solved.
+or a missing measurement are skipped and counted, not solved.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +74,11 @@ class TriadEvaluation:
 def triad_pass_eval(log, frames, cfg):
     """Evaluate TRIAD over a pass against the truth attitude.
 
-    Sensor-direction errors compare each measured body vector with the
-    truth-rotated model vector, so they do not depend on the priority
-    choice or on the TRIAD solution itself.
+    A step is solved where both sensors measured and their vectors are
+    not collinear; a pass may have none. Sensor-direction errors compare
+    each measured body vector with the truth-rotated model vector, so
+    they do not depend on the priority choice or on the TRIAD solution
+    itself.
     """
     uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
@@ -90,9 +92,6 @@ def triad_pass_eval(log, frames, cfg):
     att = np.full(L, np.nan)
     att[steps] = rotation_angle_deg(quat_to_mrp(dcm_to_quat(A[~collinear])),
                                     attitude_labels(log)[steps])
-    if not len(steps):
-        raise DegenerateGeometryError(
-            f"no valid TRIAD steps in pass {log.pass_id}")
     series = {"t": log.t.astype(np.int64), "att_err_deg": att,
               **sensor_errors_deg(frames, log.q_true, np.arange(L), SENSOR_MODELS[:2])}
     return TriadEvaluation(

@@ -125,11 +125,16 @@ def test_triad_both_priorities(tmp_path, pass_args, capsys):
     assert main(["triad", *pass_args, "--out", str(d)]) == 0
     lines = (d / "triad_baseline.csv").read_text().splitlines()
     assert len(lines) == 3  # header + sun + mag
+    header = lines[0].split(",")
+    assert header[-3:] == ["skipped_steps", "unavailable", "collinear"]
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["priority=sun", "priority=mag"]
-    for line in out:
+    for line, row in zip(out, lines[1:]):
         fields = dict(f.split("=") for f in line.split())
         assert int(fields["skipped"]) == int(fields["unavailable"]) + int(fields["collinear"])
+        cells = dict(zip(header, row.split(",")))
+        for key in ("unavailable", "collinear"):
+            assert cells[key] == fields[key]
     assert (d / "triad_P1_sun.csv").exists()
     assert (d / "triad_P5_mag.csv").exists()
 
@@ -155,7 +160,10 @@ def test_train_single_case(tmp_path, pass_args, fast_cfg_path, capsys):
     assert line.startswith("cell case=C1a seed=R1 stop=max-epoch epochs=25 ")
     assert (d / "C1a_R1" / "model.bin").exists()
     assert (d / "C1a_R1" / "history.csv").exists()
-    manifest = json.loads((d / "run_manifest.json").read_text())
+    # the manifest sits beside the cell's outputs, not at the output root
+    assert not (d / "run_manifest.json").exists()
+    manifest = json.loads((d / "C1a_R1" / "run_manifest.json").read_text())
+    assert manifest["subcommand"] == "train"
     assert len(manifest["input_hashes"]) == 5
     assert manifest["seeds"] == {"seed": "R1"}
 
@@ -183,6 +191,11 @@ def test_train_cell_reused_by_ablate_resume(tmp_path, pass_args, fast_cfg_path,
     assert line.startswith("cell case=C4f seed=R2 stop=max-epoch epochs=25 ")
     report = json.loads((d / "ablation_report.json").read_text())
     assert report["runs"] == [json.loads((cell / "result.json").read_text())]
+    # both runs keep their records: train's in the cell, ablate's at the root
+    train_manifest = json.loads((cell / "run_manifest.json").read_text())
+    assert train_manifest["subcommand"] == "train"
+    assert train_manifest["resolved_config"]["train_config"]["max_epochs"] == 25
+    assert json.loads((d / "run_manifest.json").read_text())["subcommand"] == "ablate"
 
 
 def test_export_series_pools_to_test_rms(tmp_path, pass_args):
@@ -220,21 +233,62 @@ def test_train_wrong_pass_count_exit_2(tmp_path, pass_args):
     assert rc == 2
 
 
-def test_train_infeasible_case_exit_3(tmp_path, fast_cfg_path):
-    d = tmp_path / "ecl"
+@pytest.fixture(scope="module")
+def eclipse_args(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli_eclipse")
     assert main(["synth", "--out", str(d), "--eclipse"]) == 0
-    passes = [str(d / f"P{k}e.csv") for k in range(1, 6)]
-    cfgfile = d / "biased.json"
-    cfgfile.write_text(json.dumps(FAST_CFG))
-    rc = main(["train", *passes, "--case", "C3c", "--out", str(d / "m"),
-               "--config", str(cfgfile)])
+    return [str(d / f"P{k}e.csv") for k in range(1, 6)]
+
+
+def test_train_infeasible_case_exit_3(tmp_path, eclipse_args, fast_cfg_path, capsys):
+    rc = main(["train", *eclipse_args, "--case", "C3c", "--out", str(tmp_path / "m"),
+               "--config", fast_cfg_path])
     assert rc == 0  # magnetometer-only case trains fine in eclipse
-    # with the preflight bias estimate subtracted, the Sun vector is gone
-    bias = ",".join(str(v) for v in json.loads((d / "P1e.manifest.json").read_text())
-                    ["scenario"]["errors"]["css_bias"])
-    rc = main(["train", *passes, "--case", "C1a", "--out", str(d / "m2"),
-               "--config", str(cfgfile), "--css-bias", bias])
+    # the manifests' sunlit flags mark the Sun vector unavailable, whether
+    # or not the preflight bias estimate is subtracted
+    rc = main(["train", *eclipse_args, "--case", "C1a", "--out", str(tmp_path / "m1"),
+               "--config", fast_cfg_path])
     assert rc == 3
+    assert "group uS_c unavailable" in capsys.readouterr().err
+    manifest = Path(eclipse_args[0]).with_suffix(".manifest.json")
+    bias = ",".join(str(v) for v in json.loads(manifest.read_text())
+                    ["scenario"]["errors"]["css_bias"])
+    rc = main(["train", *eclipse_args, "--case", "C1a", "--out", str(tmp_path / "m2"),
+               "--config", fast_cfg_path, "--css-bias", bias])
+    assert rc == 3
+
+
+def test_triad_eclipse_solves_no_step(tmp_path, eclipse_args, capsys):
+    d = tmp_path / "triad"
+    assert main(["triad", *eclipse_args, "--out", str(d)]) == 0
+    lines = (d / "triad_baseline.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row in lines[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert cells["solved_steps"] == "0"
+        assert cells["skipped_steps"] == cells["unavailable"] == str(5 * 362)
+        # no step to pool: an empty cell, not "nan"
+        assert cells["rms_att_deg"] == cells["rms_sun_deg"] == ""
+        assert float(cells["rms_mag_deg"]) > 0.0
+    for line in capsys.readouterr().out.splitlines():
+        assert "rms_att_deg=nan rms_sun_deg=nan" in line
+    rows = (d / "triad_P3e_mag.csv").read_text().splitlines()[1:]
+    assert len(rows) == 362
+    for k, row in enumerate(rows):
+        t, att, sun, mag = row.split(",")
+        assert (t, att, sun) == (str(k), "", "") and float(mag) >= 0.0
+
+
+@pytest.mark.parametrize("bias", ["nan,0,0,0,0,0", "0,0,inf,0,0,0", "0,0,0,0,0,-inf",
+                                  "0,0,0,0,0", "0,0,0,0,0,x"])
+@pytest.mark.parametrize("command", ["triad", "train", "ablate"])
+def test_css_bias_must_be_six_finite_counts(tmp_path, pass_args, capsys, command, bias):
+    argv = [command, *pass_args, "--css-bias", bias, "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--case", "C1a"]
+    assert main(argv) == 2
+    assert "--css-bias" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _copy_catalog(tmp_path, pass_args):

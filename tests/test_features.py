@@ -250,3 +250,41 @@ def test_gyro_scale_not_refit_on_test(catalog_logs):
     scaled = hot / train_scale
     assert np.max(np.abs(scaled)) > 1.0
 
+
+
+def test_frames_follow_manifest_flags(catalog_logs):
+    import dataclasses
+
+    log = catalog_logs[0]
+    plain = build_frames(log)
+    assert all(plain.avail[g].all() for g in ("uS_c", "uE_c", "uB_m"))
+    sunlit = [1] * 362
+    saturated = [0] * 362
+    sunlit[7] = sunlit[8] = 0
+    saturated[100] = 1
+    flagged = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit,
+                                                 "mag_saturated": saturated})
+    frames = build_frames(flagged)
+    for g in ("uS_c", "uE_c"):
+        assert np.flatnonzero(~frames.avail[g]).tolist() == [7, 8]
+    assert np.flatnonzero(~frames.avail["uB_m"]).tolist() == [100]
+    # the vectors themselves are untouched; only their availability moves
+    for g in plain.groups:
+        assert np.array_equal(frames.groups[g], plain.groups[g])
+    # a manifest without the flags keeps every measured step
+    bare = {k: v for k, v in log.manifest.items() if k not in ("sunlit", "mag_saturated")}
+    frames = build_frames(dataclasses.replace(log, manifest=bare))
+    assert all(frames.avail[g].all() for g in ("uS_c", "uE_c", "uB_m"))
+
+
+def test_eclipse_flags_without_bias_estimate():
+    # without the bias subtracted the constant CSS counts read as a Sun
+    # vector; the sunlit flags still mark it unavailable
+    log = synth_pass(eclipse_variant(default_catalog()[0]))
+    uS, _, s_ok, _ = css_to_sun_earth(log.css)
+    assert s_ok.all()
+    frames = build_frames(log)
+    assert not frames.avail["uS_c"].any() and not frames.avail["uE_c"].any()
+    assert frames.avail["uB_m"].all()
+    with pytest.raises(CaseInfeasibleError):
+        select_channels(frames, case_spec("C1a"))

@@ -178,8 +178,33 @@ def test_triad_baseline_report_biased(catalog_logs):
     # sensor-direction errors identical across priorities
     assert rows[0]["rms_sun_deg"] == rows[1]["rms_sun_deg"]
     csv = render_baseline_csv(rows)
-    assert csv.splitlines()[0].startswith("priority,rms_att_deg")
+    assert csv.splitlines()[0] == ("priority,rms_att_deg,rms_sun_deg,rms_mag_deg,"
+                                   "solved_steps,skipped_steps,unavailable,collinear")
+    for r, line in zip(rows, csv.splitlines()[1:]):
+        assert line.split(",")[-2:] == [str(r["skip_reasons"]["unavailable"]),
+                                        str(r["skip_reasons"]["collinear"])]
     assert rows[0]["solved_steps"] + rows[0]["skipped_steps"] == 5 * 362
+
+
+def test_triad_baseline_report_no_solved_step():
+    # an eclipse catalog has no Sun vector: the attitude and Sun RMS pool
+    # no step, read NaN without a warning and print as empty cells
+    import warnings
+
+    from attlab.synth import eclipse_variant
+
+    logs = [synth_pass(eclipse_variant(sc)) for sc in default_catalog()[:2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = triad_baseline_report(logs)
+    for r in rows:
+        assert np.isnan(r["rms_att_deg"]) and np.isnan(r["rms_sun_deg"])
+        assert np.isfinite(r["rms_mag_deg"])
+        assert r["solved_steps"] == 0 and r["skipped_steps"] == 2 * 362
+    lines = render_baseline_csv(rows).splitlines()
+    assert lines[0] == ("priority,rms_att_deg,rms_sun_deg,rms_mag_deg,solved_steps,"
+                        "skipped_steps,unavailable,collinear")
+    assert lines[1] == f"sun,,,{rows[0]['rms_mag_deg']:.3f},0,724,724,0"
 
 
 def test_triad_baseline_zero_error_catalog():

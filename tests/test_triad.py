@@ -114,13 +114,13 @@ def test_pass_eval_zero_error(clean_pass):
 
 def test_pass_eval_biased_catalog(biased_pass):
     log, frames = biased_pass
-    ev_sun = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
-    ev_mag = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    assert np.isfinite(rms(ev_sun.series["att_err_deg"])) and np.isfinite(rms(ev_mag.series["att_err_deg"]))
-    assert rms(ev_sun.series["att_err_deg"]) != rms(ev_mag.series["att_err_deg"])
+    sun = triad_pass_eval(log, frames, TriadConfig(priority="sun")).series
+    mag = triad_pass_eval(log, frames, TriadConfig(priority="mag")).series
+    assert np.isfinite(rms(sun["att_err_deg"])) and np.isfinite(rms(mag["att_err_deg"]))
+    assert rms(sun["att_err_deg"]) != rms(mag["att_err_deg"])
     # sensor-direction errors do not depend on the solution priority
-    assert np.array_equal(ev_sun.series["sun_err_deg"], ev_mag.series["sun_err_deg"], equal_nan=True)
-    assert np.array_equal(ev_sun.series["mag_err_deg"], ev_mag.series["mag_err_deg"], equal_nan=True)
+    assert np.array_equal(sun["sun_err_deg"], mag["sun_err_deg"], equal_nan=True)
+    assert np.array_equal(sun["mag_err_deg"], mag["mag_err_deg"], equal_nan=True)
 
 
 def test_pass_eval_series_csv(tmp_path, biased_pass):
@@ -190,3 +190,16 @@ def test_pass_eval_sensor_columns_follow_own_availability():
     assert np.isfinite(series["mag_err_deg"]).all()
     assert ev.skip_reasons["unavailable"] == len(rows)
     assert ev.solved_steps == 362 - len(rows)
+
+
+def test_pass_eval_eclipse_solves_no_step():
+    # no Sun vector anywhere: nothing is solved, and the field errors remain
+    from attlab.synth import eclipse_variant
+
+    log = synth_pass(eclipse_variant(default_catalog()[0]))
+    ev = triad_pass_eval(log, build_frames(log), TriadConfig(priority="sun"))
+    assert ev.solved_steps == 0 and ev.skipped_steps == 362
+    assert ev.skip_reasons == {"unavailable": 362, "collinear": 0}
+    assert np.isnan(ev.series["att_err_deg"]).all()
+    assert np.isnan(ev.series["sun_err_deg"]).all()
+    assert np.isfinite(ev.series["mag_err_deg"]).all()
