@@ -119,8 +119,11 @@ def cmd_synth(args):
                      for k, d in enumerate(cfg["scenarios"])]
     else:
         base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
+        source = f"{where}: key 'base_seed'"
         if args.seed is not None:
-            base_seed = args.seed
+            base_seed, source = args.seed, "--seed"
+        if base_seed < 0:
+            raise ValueError(f"{source} must be >= 0, got {base_seed}")
         errors = CATALOG_ERRORS
         if "errors" in cfg:
             if not isinstance(cfg["errors"], dict):
@@ -159,7 +162,7 @@ def cmd_triad(args):
     for k, log in enumerate(logs):
         for row in rows:
             p = os.path.join(outdir, f"triad_{log.pass_id}_{row['priority']}.csv")
-            outputs.append(write_series_csv(p, row["evaluations"][k].series))
+            outputs.append(write_series_csv(p, row["series"][k]))
     for r in rows:
         print(f"priority={r['priority']} rms_att_deg={r['rms_att_deg']:.3f} "
               f"rms_sun_deg={r['rms_sun_deg']:.3f} rms_mag_deg={r['rms_mag_deg']:.3f} "
@@ -244,10 +247,11 @@ def cmd_ablate(args):
         if s not in SEED_NAMES:
             raise ValueError(f"unknown seed label {s!r}; choose from {SEED_NAMES}")
     _reject_repeats(seeds, "--seeds")
-    jobs = args.jobs or 1
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     outdir = _out_dir(args)
     tables, results = run_matrix(args.passes, case_ids, outdir, seeds=seeds, n=n,
-                                 jobs=jobs, resume=args.resume, tc=tc,
+                                 jobs=args.jobs, resume=args.resume, tc=tc,
                                  css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),

@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import __version__
 from .cases import case_spec
 from .convnet import NetConfig, TrainConfig, forward, save_model, train
 from .features import (
+    FeatureFrames,
     attitude_labels,
     build_frames,
     build_windows,
@@ -363,30 +365,48 @@ def write_matrix_reports(tables, results, outdir, meta):
 def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
     """Pooled attitude/sensor RMS per priority choice over the passes.
 
-    Each row also keeps the per-pass ``evaluations`` it pooled, in pass
-    order, so their series can be written without solving again, and
-    their ``skip_reasons`` summed over the passes.
+    The passes are stacked into one catalog of frames, inertial vectors,
+    times and truth attitudes, and TRIAD is solved once per priority over
+    all of its steps. Every operation is row-wise, so each step gets the
+    bits a pass-by-pass evaluation gives it. Each row keeps the catalog's
+    solved and skipped counts, its ``skip_reasons`` and, in pass order,
+    each pass's ``series`` cut out of the catalog series, so they can be
+    written without solving again.
     """
-    frames = [build_frames(log, css_bias=css_bias) for log in logs]
+    frames = _stack_frames([build_frames(log, css_bias=css_bias) for log in logs])
+    # the fields of a pass log that triad_pass_eval reads, over the catalog;
+    # not a PassLog, which holds one pass
+    catalog = SimpleNamespace(
+        pass_id="+".join(log.pass_id for log in logs),
+        **{name: np.concatenate([getattr(log, name) for log in logs])
+           for name in ("t", "uS_i", "uB_i", "q_true")})
+    bounds = np.cumsum([0] + [len(log.t) for log in logs])
     rows = []
     for priority in priorities:
-        evs = [triad_pass_eval(log, f, TriadConfig(priority=priority))
-               for log, f in zip(logs, frames)]
+        ev = triad_pass_eval(catalog, frames, TriadConfig(priority=priority))
         rms = {}
         for key in ("att", "sun", "mag"):
-            # a skipped or unmeasured step is NaN in the per-pass series
-            series = (ev.series[f"{key}_err_deg"] for ev in evs)
-            rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)] for x in series])
+            # a skipped or unmeasured step is NaN in the series
+            x = ev.series[f"{key}_err_deg"]
+            rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)]])
         rows.append({
             "priority": priority,
             **rms,
-            "solved_steps": sum(ev.solved_steps for ev in evs),
-            "skipped_steps": sum(ev.skipped_steps for ev in evs),
-            "skip_reasons": {reason: sum(ev.skip_reasons[reason] for ev in evs)
-                             for reason in evs[0].skip_reasons},
-            "evaluations": evs,
+            "solved_steps": ev.solved_steps,
+            "skipped_steps": ev.skipped_steps,
+            "skip_reasons": ev.skip_reasons,
+            "series": [{col: x[lo:hi] for col, x in ev.series.items()}
+                       for lo, hi in zip(bounds, bounds[1:])],
         })
     return rows
+
+
+def _stack_frames(frames):
+    """One FeatureFrames over the steps of ``frames``, in order."""
+    return FeatureFrames(
+        pass_id="+".join(f.pass_id for f in frames),
+        groups={g: np.concatenate([f.groups[g] for f in frames]) for g in frames[0].groups},
+        avail={g: np.concatenate([f.avail[g] for f in frames]) for g in frames[0].avail})
 
 
 def render_baseline_csv(rows):

@@ -88,19 +88,36 @@ class PassLog:
     manifest: dict = field(default_factory=dict)
 
     def validate(self):
+        """The log itself; a violated invariant raises DataIntegrityError
+        naming the column and the step (record index) of the first
+        offending record."""
+        gaps = np.diff(self.t) != PASS_DT_S
+        if gaps.any():
+            k = gaps.argmax() + 1
+            raise DataIntegrityError(
+                f"column t is not on a strict 1 s cadence at step {k} "
+                f"({self.t[k - 1]:g} s, then {self.t[k]:g} s)")
         n = len(self.t)
         if n != PASS_SAMPLES:
             raise DataIntegrityError(f"pass has {n} records, expected {PASS_SAMPLES}")
-        if not np.array_equal(np.diff(self.t), np.full(n - 1, PASS_DT_S)):
-            raise DataIntegrityError("samples are not on a strict 1 s cadence")
-        if np.any(self.css < 0):
-            raise DataIntegrityError("negative CSS counts")
-        if np.any(self.css != np.round(self.css)) or np.any(self.mag != np.round(self.mag)):
-            raise DataIntegrityError("ADC counts must be integer-valued")
+        _reject_first(self.css < 0, "css", "negative ADC count")
+        _reject_first(self.css != np.round(self.css), "css", "ADC count is not an integer")
+        _reject_first(self.mag != np.round(self.mag), "mag", "ADC count is not an integer")
         qn = np.linalg.norm(self.q_true, axis=1)
-        if np.any(np.abs(qn - 1.0) > UNIT_NORM_TOL):
-            raise DataIntegrityError("truth quaternion is not unit norm")
+        off = np.abs(qn - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            k = off.argmax()
+            raise DataIntegrityError(f"columns qx,qy,qz,qw are not a unit quaternion "
+                                     f"at step {k} (norm {qn[k]:.9g})")
         return self
+
+
+def _reject_first(bad, prefix, problem):
+    """Raise naming column ``<prefix><j>`` and step ``k`` of the first True
+    entry ``[k, j]`` of the ``(L, m)`` mask ``bad``."""
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise DataIntegrityError(f"{problem} in column {prefix}{j} at step {k}")
 
 
 def write_text(path, text):
@@ -207,15 +224,52 @@ def _check_cells(data, csv_path):
                 f"a unit vector at step {k} (norm {norm[k]:.9g})")
 
 
+def _malformed_row(lines, csv_path):
+    """The DataIntegrityError for pass records that do not read as one
+    number per column, naming the file and the column and step of the
+    first record that is not."""
+    columns = CSV_COLUMNS.split(",")
+    for k, line in enumerate(line for line in lines if line.strip()):
+        cells = line.split(",")
+        if len(cells) < len(columns):
+            return DataIntegrityError(
+                f"{csv_path}: no value in column {columns[len(cells)]} at step {k} "
+                f"(the record has {len(cells)} of {len(columns)} cells)")
+        if len(cells) > len(columns):
+            return DataIntegrityError(
+                f"{csv_path}: a cell after column {columns[-1]} at step {k} "
+                f"(the record has {len(cells)} of {len(columns)} cells)")
+        for name, cell in zip(columns, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return DataIntegrityError(
+                    f"{csv_path}: {cell!r} in column {name} at step {k} is not a number")
+    return DataIntegrityError(f"{csv_path}: records are not {len(columns)} numbers each")
+
+
 def read_passlog(csv_path):
-    """Load and validate a pass CSV; the manifest sidecar is loaded if present."""
+    """Load and validate a pass CSV; the manifest sidecar is loaded if present.
+
+    Every DataIntegrityError names the file, and the column and step of
+    the first offending record where there is one.
+    """
     with open(csv_path) as f:
         header = f.readline().strip()
         if header != CSV_COLUMNS:
             raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.shape[1] != 26:
-        raise DataIntegrityError(f"expected 26 columns, found {data.shape[1]}")
+        start = f.tell()
+        if not f.readline():  # numpy would warn and read one empty column
+            raise DataIntegrityError(
+                f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
+        f.seek(start)
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(CSV_COLUMNS.split(",")):
+            f.seek(start)
+            raise _malformed_row(f.read().splitlines(), csv_path)
     _check_cells(data, csv_path)
     manifest, pass_id = read_manifest(csv_path)
     _check_flags(manifest, csv_path)
@@ -231,4 +285,7 @@ def read_passlog(csv_path):
         q_true=data[:, 22:26],
         manifest=manifest,
     )
-    return log.validate()
+    try:
+        return log.validate()
+    except DataIntegrityError as e:
+        raise DataIntegrityError(f"{csv_path}: {e}") from None

@@ -24,6 +24,7 @@ from .errors import ScenarioInfeasibleError
 from .passlog import PASS_SAMPLES, PassLog, from_dict
 from .refmodels import OrbitElements
 from .rotations import (
+    _cross,
     quat_canonical,
     quat_conjugate,
     quat_from_axis_angle,
@@ -111,6 +112,10 @@ class Scenario:
     errors: SensorErrors = field(default_factory=SensorErrors)
     seed: int = 0
     force_eclipse: bool = False
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -318,7 +323,7 @@ def _attitude_pointing_sun_at(u_sun, body_target):
     """Frame quaternion whose DCM maps u_sun onto the given body direction."""
     u = u_sun / np.linalg.norm(u_sun)
     d = body_target / np.linalg.norm(body_target)
-    axis = np.cross(u, d)
+    axis = _cross(u, d)
     an = np.linalg.norm(axis)
     if an < 1e-12:
         return np.array([0.0, 0.0, 0.0, 1.0])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .features import SENSOR_MODELS, attitude_labels, sensor_errors_deg
-from .rotations import _dot, dcm_to_quat, quat_to_mrp, rotation_angle_deg
+from .rotations import _cross, _dot, dcm_to_quat, quat_to_mrp, rotation_angle_deg
 
 COLLINEAR_EPS = 1e-6
 
@@ -30,11 +30,11 @@ class TriadConfig:
 def _triad_basis(v1, v2):
     """Orthonormal triads (columns t1, t2, t3) and the collinear mask."""
     t1 = v1 / np.sqrt(_dot(v1, v1))[..., None]
-    c = np.cross(v1, v2)
+    c = _cross(v1, v2)
     cn = np.sqrt(_dot(c, c))
     collinear = cn <= COLLINEAR_EPS
     t2 = c / np.where(collinear, 1.0, cn)[..., None]
-    return np.stack([t1, t2, np.cross(t1, t2)], axis=-1), collinear
+    return np.stack([t1, t2, _cross(t1, t2)], axis=-1), collinear
 
 
 def _triad_solve(v1_b, v2_b, v1_i, v2_i):
@@ -79,6 +79,11 @@ def triad_pass_eval(log, frames, cfg):
     each measured body vector with the truth-rotated model vector, so
     they do not depend on the priority choice or on the TRIAD solution
     itself.
+
+    Every step is evaluated on its own rows, so steps stacked from several
+    passes (``log`` with the ``pass_id``, ``t``, ``uS_i``, ``uB_i`` and
+    ``q_true`` of a whole catalog, ``frames`` with its groups and masks)
+    get the bits each pass alone gives them.
     """
     uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]

@@ -93,6 +93,9 @@ def _scenario_with_errors(**errors):
     ('{"errors": {"mag_hard_iron": [0, Infinity, 0]}}', "'mag_hard_iron'"),
     pytest.param(json.dumps({"scenarios": [_scenario_with_errors(mag_scale=float("nan"))]}),
                  "'mag_scale'", id="scenario-mag_scale-NaN"),
+    ('{"base_seed": -1}', "'base_seed'"),
+    pytest.param(json.dumps({"scenarios": [{**default_catalog()[0].to_dict(), "seed": -4}]}),
+                 "'seed'", id="scenario-seed-negative"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
@@ -101,6 +104,13 @@ def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert named in err and str(cfg) in err
     assert not (tmp_path / "x").exists()
+
+
+def test_synth_negative_seed_option_exit_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, argv, named", [
@@ -465,6 +475,16 @@ def test_ablate_jobs_default_usable_cpus(monkeypatch):
     assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 8
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_ablate_jobs_below_one_exit_2(tmp_path, pass_args, capsys, jobs):
+    out = tmp_path / "o"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1", "--jobs", jobs,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_unknown_case_exit_2(tmp_path, pass_args):

@@ -207,6 +207,32 @@ def test_triad_baseline_report_no_solved_step():
     assert lines[1] == f"sun,,,{rows[0]['rms_mag_deg']:.3f},0,724,724,0"
 
 
+@pytest.mark.parametrize("eclipse", [False, True], ids=["default", "eclipse"])
+def test_triad_baseline_report_matches_pass_by_pass(catalog_logs, eclipse):
+    # the report solves the stacked catalog once per priority; each pass's
+    # series is cut out of it and must carry the bits of that pass solved
+    # alone
+    from attlab.features import build_frames
+    from attlab.synth import eclipse_variant
+    from attlab.triad import TriadConfig, triad_pass_eval
+
+    logs = ([synth_pass(eclipse_variant(sc)) for sc in default_catalog()] if eclipse
+            else catalog_logs)
+    rows = triad_baseline_report(logs)
+    for r in rows:
+        assert r["solved_steps"] + r["skipped_steps"] == 5 * 362
+        assert sum(r["skip_reasons"].values()) == r["skipped_steps"]
+        assert len(r["series"]) == len(logs)
+        for log, series in zip(logs, r["series"]):
+            alone = triad_pass_eval(log, build_frames(log),
+                                    TriadConfig(priority=r["priority"])).series
+            assert list(series) == list(alone)
+            for col, x in alone.items():
+                assert series[col].dtype == x.dtype
+                assert series[col].tobytes() == x.tobytes(), (log.pass_id, col)
+    assert rows[0]["solved_steps"] == (0 if eclipse else 5 * 362)
+
+
 def test_triad_baseline_zero_error_catalog():
     logs = [synth_pass(sc) for sc in
             default_catalog(errors=SensorErrors(css_gain=(1000.0,) * 6))]

@@ -4,6 +4,7 @@ the JSON dict reader."""
 import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,3 +188,40 @@ def test_read_passlog_flags_optional_and_kept(tmp_path):
     del manifest["sunlit"], manifest["mag_saturated"]
     write_json(manifest_path, manifest)
     assert "sunlit" not in read_passlog(csv).manifest
+
+
+def _set_cell(lines, step, column, value):
+    """``lines`` with the cell of ``column`` at ``step`` replaced."""
+    cells = lines[step + 1].split(",")
+    cells[CSV_COLUMNS.split(",").index(column)] = value
+    return lines[:step + 1] + [",".join(cells)] + lines[step + 2:]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda lines: lines[:100], ["pass has 99 records, expected 362"]),
+    (lambda lines: lines[:1], ["pass has 0 records, expected 362"]),
+    (lambda lines: lines[:21] + lines[22:], ["column t", "step 20"]),
+    (lambda lines: _set_cell(lines, 30, "t", "31"), ["column t", "step 30"]),
+    (lambda lines: _set_cell(lines, 5, "css4", "-3"), ["column css4", "step 5"]),
+    (lambda lines: _set_cell(lines, 6, "css2", "12.5"), ["column css2", "step 6"]),
+    (lambda lines: _set_cell(lines, 7, "mag1", "0.5"), ["column mag1", "step 7"]),
+    (lambda lines: _set_cell(lines, 8, "qw", "3.0"), ["qx,qy,qz,qw", "step 8"]),
+    (lambda lines: _set_cell(lines, 9, "w1", "abc"), ["column w1", "step 9"]),
+    (lambda lines: lines[:21] + [lines[21].rsplit(",", 1)[0]] + lines[22:],
+     ["column qw", "step 20"]),
+    (lambda lines: lines[:21] + [lines[21] + ",1"] + lines[22:], ["column qw", "step 20"]),
+], ids=["99-records", "header-only", "missing-step", "repeated-time", "negative-css",
+        "fractional-css", "fractional-mag", "off-unit-quaternion", "text-cell",
+        "short-row", "long-row"])
+def test_read_passlog_errors_name_file_column_and_step(tmp_path, corrupt, named):
+    csv, _ = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
+    lines = Path(csv).read_text().splitlines()
+    Path(csv).write_text("\n".join(corrupt(lines)) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(DataIntegrityError) as ei:
+            read_passlog(csv)
+    msg = str(ei.value)
+    assert msg.startswith(f"{csv}: ")
+    for part in named:
+        assert part in msg

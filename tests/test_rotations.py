@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attlab.rotations import (
+    _cross,
     angle_between_deg,
     dcm_to_quat,
     mrp_to_quat,
@@ -217,3 +218,30 @@ def test_mrp_roundtrip_property(sigma):
     q = mrp_to_quat(m)
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
     assert np.allclose(quat_to_mrp(q), m, atol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_cross_matches_numpy_bitwise():
+    rng = RNG(11)
+    # wide exponents: products that round, overflow and underflow
+    scale = 10.0 ** rng.integers(-300, 300, size=(500, 3))
+    a = rng.standard_normal((500, 3)) * scale
+    b = rng.standard_normal((500, 3)) * scale[::-1]
+    # signed zeros and exact cancellations
+    a[:40] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(40, 3))
+    b[:40] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(40, 3))
+    b[40:60] = a[40:60]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(_cross(a, b), np.cross(a, b))
+        for k in range(len(a)):  # 1-D inputs
+            assert _same_bits(_cross(a[k], b[k]), np.cross(a[k], b[k]))
+    # a stack against one vector, either way round
+    v = np.array([0.3, -0.0, 2.5e-8])
+    assert _same_bits(_cross(a[60:], v), np.cross(a[60:], v))
+    assert _same_bits(_cross(v, a[60:]), np.cross(v, a[60:]))
+    # leading axes
+    c = a[100:160].reshape(3, 20, 3)
+    assert _same_bits(_cross(c, b[:20]), np.cross(c, b[:20]))
