@@ -152,10 +152,10 @@ def cmd_synth(args):
 def cmd_triad(args):
     started = _now()
     css_bias = _css_bias(args.css_bias)
-    outdir = _out_dir(args)
     logs = [read_passlog(p) for p in args.passes]
     priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
     rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
+    outdir = _out_dir(args)
     outputs = []
     outputs.append(write_text(os.path.join(outdir, "triad_baseline.csv"),
                               render_baseline_csv(rows)))
@@ -247,11 +247,12 @@ def cmd_ablate(args):
         if s not in SEED_NAMES:
             raise ValueError(f"unknown seed label {s!r}; choose from {SEED_NAMES}")
     _reject_repeats(seeds, "--seeds")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    jobs = _usable_cpus() if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     outdir = _out_dir(args)
     tables, results = run_matrix(args.passes, case_ids, outdir, seeds=seeds, n=n,
-                                 jobs=args.jobs, resume=args.resume, tc=tc,
+                                 jobs=jobs, resume=args.resume, tc=tc,
                                  css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
@@ -265,13 +266,13 @@ def cmd_ablate(args):
 
 def cmd_export(args):
     started = _now()
-    outdir = _out_dir(args)
     log = read_passlog(args.passfile)
+    if args.model:
+        params, nc, case, gyro_scale = _export_model(args.model)
+        series = timeseries_rows(params, nc, case, log, gyro_scale)
+    outdir = _out_dir(args)
     outputs = []
     if args.model:
-        params, nc, prov = load_model(args.model)
-        case = case_spec(prov["case_id"])
-        series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"))
         p = os.path.join(outdir, f"errors_{log.pass_id}.csv")
         outputs.append(write_series_csv(p, series))
         print(f"wrote {p}")
@@ -284,6 +285,23 @@ def cmd_export(args):
     _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw},
                     inputs, {}, outputs, started)
     return 0
+
+
+def _export_model(path):
+    """``(params, nc, case, gyro_scale)`` of a trained model file; the case
+    comes from its provenance ``case_id`` and must match its channels."""
+    params, nc, prov = load_model(path)
+    if "case_id" not in prov:
+        raise IncompatibleModelError(f"{path}: provenance has no key 'case_id'")
+    try:
+        case = case_spec(prov["case_id"])
+    except ValueError as e:
+        raise IncompatibleModelError(f"{path}: provenance 'case_id': {e}") from None
+    if nc.channels != case.channel_count:
+        raise IncompatibleModelError(
+            f"{path}: header 'channels' is {nc.channels}, but case "
+            f"{case.case_id} has {case.channel_count} channels")
+    return params, nc, case, prov.get("gyro_scale")
 
 
 def _css_bias(text):
@@ -324,14 +342,12 @@ def build_parser():
     p.add_argument("--seed", type=int, help="catalog base seed override")
     p.add_argument("--eclipse", action="store_true",
                    help="generate the eclipse variant of each pass")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("triad", help="TRIAD baseline over one or more passes")
     p.add_argument("passes", nargs="+")
     p.add_argument("--priority", choices=("sun", "mag", "both"), default="both")
     p.add_argument("--css-bias", help="six comma-separated bias counts")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_triad)
 
     p = sub.add_parser("train", help="train one case: first four passes train, last tests")
     p.add_argument("passes", nargs="+")
@@ -341,36 +357,42 @@ def build_parser():
     p.add_argument("--css-bias", help="six comma-separated bias counts")
     p.add_argument("--config", help="JSON config (training overrides)")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="run the case x seed matrix and write reports")
     p.add_argument("passes", nargs="+")
     p.add_argument("--cases", default="all", help="'all' or comma-separated case ids")
     p.add_argument("--seeds", default="R1,R2,R3")
     p.add_argument("--window", type=int)
-    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+    # resolved when ablate runs, so a reused parser keeps no CPU count
+    p.add_argument("--jobs", type=int,
                    help="parallel worker processes (default: usable CPUs)")
     p.add_argument("--resume", action="store_true",
                    help="reuse (case, seed) cells trained from the same inputs")
     p.add_argument("--css-bias", help="six comma-separated bias counts")
     p.add_argument("--config", help="JSON config (training overrides)")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export", help="per-step error series / raw profiles")
     p.add_argument("passfile")
     p.add_argument("--model", help="trained model file")
     p.add_argument("--raw", action="store_true", help="also dump raw CSS/MAG counts")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_export)
     return parser
 
 
+# Built by the first ``main`` call and reused by later ones in the process;
+# it holds no data, and no command function: ``main`` looks that up by name.
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (CaseInfeasibleError, ScenarioInfeasibleError) as e:
         print(f"error: infeasible: {e}", file=sys.stderr)
         return 3

@@ -143,16 +143,21 @@ def sensor_errors_deg(frames, q, steps, models=SENSOR_MODELS):
     the measured ``group`` vector and the ``model`` vector rotated by
     ``q``, one attitude quaternion per entry of ``steps``. A step outside
     ``steps`` or where the group did not measure is NaN.
+
+    All groups are rotated and measured in one call each, over a
+    ``(groups, steps, 3)`` stack. Where a group did not measure, the
+    rotated model vector stands in for the measurement, so no zero vector
+    reaches the angle, and the row is masked afterwards. Every operation
+    is row-wise, so each row gets the bits a call on it alone gives.
     """
-    out = {}
-    for group, model, column in models:
-        err = np.full(frames.length, np.nan)
-        seen = frames.avail[group][steps]
-        k = steps[seen]
-        err[k] = angle_between_deg(frames.groups[group][k],
-                                   quat_rotate(q[seen], frames.groups[model][k]))
-        out[column] = err
-    return out
+    seen = np.stack([frames.avail[group][steps] for group, _, _ in models])
+    rotated = quat_rotate(q, np.stack([frames.groups[model][steps]
+                                       for _, model, _ in models]))
+    measured = np.stack([frames.groups[group][steps] for group, _, _ in models])
+    angle = angle_between_deg(np.where(seen[..., None], measured, rotated), rotated)
+    err = np.full((len(models), frames.length), np.nan)
+    err[:, steps] = np.where(seen, angle, np.nan)
+    return {column: e for (_, _, column), e in zip(models, err)}
 
 
 def select_channels(frames, case):

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attlab.cli import build_parser, main
-from attlab.convnet import load_model
+from attlab import cli
+from attlab.cli import main
+from attlab.convnet import NetConfig, init_params, load_model, save_model
 from attlab.passlog import read_passlog
 from attlab.synth import default_catalog
 
@@ -156,8 +157,11 @@ def test_triad_single_pass_ok(tmp_path, pass_args):
     assert len(lines) == 2
 
 
-def test_triad_missing_file_exit_2(tmp_path):
-    assert main(["triad", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+def test_triad_missing_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["triad", str(tmp_path / "nope.csv"), "--out", str(out)]) == 2
+    assert "nope.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_single_case(tmp_path, pass_args, fast_cfg_path, capsys):
@@ -467,14 +471,46 @@ def test_ablate_repeated_label_exit_2(tmp_path, capsys, labels, named):
     assert named in err and "repeated" in err
 
 
-def test_ablate_jobs_default_usable_cpus(monkeypatch):
+class _MatrixReached(Exception):
+    """Raised by a stand-in ``run_matrix`` once it has seen its arguments."""
+
+
+@pytest.fixture
+def ablate_jobs(tmp_path, monkeypatch):
+    """Runs ``attlab ablate`` up to its ``run_matrix`` call; returns the
+    ``jobs`` that call was given."""
+    def record(*args, jobs, **kwargs):
+        raise _MatrixReached(jobs)
+
+    monkeypatch.setattr(cli, "run_matrix", record)
+    passes = [str(tmp_path / f"missing{k}.csv") for k in range(5)]
+
+    def run():
+        with pytest.raises(_MatrixReached) as ei:
+            main(["ablate", *passes, "--cases", "C1a", "--out", str(tmp_path / "o")])
+        return ei.value.args[0]
+
+    return run
+
+
+def test_ablate_jobs_default_usable_cpus(monkeypatch, ablate_jobs):
     # under a CPU-affinity limit, os.cpu_count() would start more workers
     # than the process may use
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
-    assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 2
+    assert ablate_jobs() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert build_parser().parse_args(["ablate", "p.csv"]).jobs == 8
+    assert ablate_jobs() == 8
+
+
+def test_ablate_jobs_follow_affinity_between_calls(monkeypatch, fresh_parser,
+                                                   ablate_jobs):
+    # the parser is built once, but each call reads the affinity it runs under
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert ablate_jobs() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 4, 5})
+    assert ablate_jobs() == 5
+    assert len(fresh_parser) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -512,6 +548,132 @@ def test_export_raw_only(tmp_path, pass_args):
     e = tmp_path / "raw"
     assert main(["export", pass_args[0], "--out", str(e)]) == 0
     assert (e / "profile_P1.csv").exists()
+
+
+@pytest.fixture
+def untrained_model(tmp_path):
+    """Writes an untrained model file with the given header and provenance;
+    returns its path."""
+    def write(channels=6, provenance=None, name="model.bin"):
+        nc = NetConfig(n=5, channels=channels)
+        path = tmp_path / name
+        save_model(init_params(nc), nc, path, provenance=provenance)
+        return str(path)
+
+    return write
+
+
+def test_export_model_without_case_id_exit_2(tmp_path, pass_args, untrained_model,
+                                             capsys):
+    model = untrained_model(provenance=None)
+    out = tmp_path / "o"
+    assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert model in err and "'case_id'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channels, case_id", [(21, "C4f"), (6, "C1f"), (9, "C1a")])
+def test_export_model_channels_disagree_with_case_exit_2(
+        tmp_path, pass_args, untrained_model, capsys, channels, case_id):
+    model = untrained_model(channels=channels,
+                            provenance={"case_id": case_id, "gyro_scale": 1.0})
+    out = tmp_path / "o"
+    assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert model in err and "'channels'" in err and case_id in err
+    assert not out.exists()
+
+
+def test_export_model_unknown_case_id_exit_2(tmp_path, pass_args, untrained_model,
+                                             capsys):
+    model = untrained_model(provenance={"case_id": "C9z"})
+    out = tmp_path / "o"
+    assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert model in err and "'case_id'" in err and "'C9z'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, code, named", [
+    ("missing", 2, "missing.bin"),
+    ("pass", 2, "is not a model file"),
+    ("sun-case", 3, "group uS_c unavailable"),
+])
+def test_export_bad_input_creates_no_out_dir(tmp_path, eclipse_args, untrained_model,
+                                             capsys, model, code, named):
+    path = {"missing": str(tmp_path / "missing.bin"),
+            "pass": eclipse_args[0],
+            "sun-case": untrained_model(provenance={"case_id": "C1a"})}[model]
+    out = tmp_path / "o"
+    assert main(["export", eclipse_args[0], "--model", path, "--raw",
+                 "--out", str(out)]) == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """``main`` with its parser not yet built; returns the list that grows
+    by one on each ``build_parser`` call."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return calls
+
+
+def test_main_builds_parser_once(tmp_path, pass_args, fresh_parser):
+    assert main(["export", pass_args[0], "--out", str(tmp_path / "a")]) == 0
+    assert main(["export", pass_args[1], "--raw", "--out", str(tmp_path / "b")]) == 0
+    assert main(["triad", pass_args[2], "--priority", "mag",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert len(fresh_parser) == 1
+
+
+def test_main_after_rejected_call(tmp_path, pass_args, fresh_parser, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["triad", "--priority", "east", pass_args[0]])
+    assert ei.value.code == 2
+    assert "--priority" in capsys.readouterr().err
+    d = tmp_path / "t"
+    assert main(["triad", pass_args[0], "--out", str(d)]) == 0
+    assert len((d / "triad_baseline.csv").read_text().splitlines()) == 3
+    assert len(fresh_parser) == 1
+
+
+def test_main_options_do_not_carry_over(tmp_path, pass_args, synth_out, fresh_parser):
+    sun, both = tmp_path / "sun", tmp_path / "both"
+    assert main(["triad", pass_args[0], "--priority", "sun", "--out", str(sun)]) == 0
+    assert main(["triad", pass_args[0], "--out", str(both)]) == 0
+    assert [line.split(",")[0] for line in
+            (both / "triad_baseline.csv").read_text().splitlines()[1:]] == ["sun", "mag"]
+    seeded, default = tmp_path / "seeded", tmp_path / "default"
+    assert main(["synth", "--seed", "7", "--out", str(seeded)]) == 0
+    assert main(["synth", "--out", str(default)]) == 0
+    assert (default / "P1.csv").read_bytes() == (synth_out / "P1.csv").read_bytes()
+    assert (seeded / "P1.csv").read_bytes() != (synth_out / "P1.csv").read_bytes()
+    manifest = json.loads((default / "run_manifest.json").read_text())
+    assert manifest["resolved_config"]["base_seed"] == 20211218
+    assert len(fresh_parser) == 1
+
+
+def test_main_dispatches_by_name_at_call_time(tmp_path, pass_args, monkeypatch,
+                                              fresh_parser):
+    # a command function replaced after the parser was built (as a tracer
+    # does) is the one that runs
+    assert main(["export", pass_args[0], "--out", str(tmp_path / "a")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_export", lambda args: seen.append(args.passfile) or 0)
+    assert main(["export", pass_args[1], "--out", str(tmp_path / "b")]) == 0
+    assert seen == [pass_args[1]]
+    assert not (tmp_path / "b").exists()
+    assert len(fresh_parser) == 1
 
 
 def test_version():

@@ -9,12 +9,20 @@ from attlab.features import (
     build_windows,
     concat_windows,
     css_to_sun_earth,
+    SENSOR_MODELS,
     gyro_scale_from_passes,
     mag_to_unit,
     select_channels,
+    sensor_errors_deg,
     shuffle_windows,
 )
-from attlab.rotations import rotation_angle_deg, quat_rotate, angle_between_deg
+from attlab.rotations import (
+    angle_between_deg,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_rotate,
+    rotation_angle_deg,
+)
 from attlab.synth import default_catalog, eclipse_variant, synth_pass
 
 
@@ -288,3 +296,65 @@ def test_eclipse_flags_without_bias_estimate():
     assert frames.avail["uB_m"].all()
     with pytest.raises(CaseInfeasibleError):
         select_channels(frames, case_spec("C1a"))
+
+
+def _sensor_errors_per_group(frames, q, steps, models):
+    """``sensor_errors_deg`` one group at a time: the rotation and the angle
+    over only the steps where the group measured."""
+    out = {}
+    for group, model, column in models:
+        err = np.full(frames.length, np.nan)
+        seen = frames.avail[group][steps]
+        k = steps[seen]
+        err[k] = angle_between_deg(frames.groups[group][k],
+                                   quat_rotate(q[seen], frames.groups[model][k]))
+        out[column] = err
+    return out
+
+
+def _sensor_error_frames(catalog_logs):
+    """(label, frames, log): default passes, an eclipse pass with the bias
+    subtracted (its Sun and Earth vectors are zero) and a pass with some
+    ``mag_saturated`` and ``sunlit`` flags set."""
+    import dataclasses
+
+    out = [(log.pass_id, build_frames(log), log) for log in catalog_logs[:3]]
+    ecl = synth_pass(eclipse_variant(default_catalog()[1]))
+    bias = ecl.manifest["scenario"]["errors"]["css_bias"]
+    out.append(("eclipse", build_frames(ecl, css_bias=bias), ecl))
+    log = catalog_logs[3]
+    saturated = [0] * 362
+    for k in (0, 5, 6, 7, 200, 361):
+        saturated[k] = 1
+    sunlit = [1] * 362
+    sunlit[40] = sunlit[41] = 0
+    flagged = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit,
+                                                 "mag_saturated": saturated})
+    out.append(("saturated", build_frames(flagged), flagged))
+    return out
+
+
+@pytest.mark.parametrize("models", [SENSOR_MODELS[:2], SENSOR_MODELS],
+                         ids=["2-groups", "3-groups"])
+def test_sensor_errors_stacked_match_per_group_bitwise(catalog_logs, models):
+    tilt = quat_from_axis_angle([0.3, -1.0, 0.5], 2.7)
+    for label, frames, log in _sensor_error_frames(catalog_logs):
+        L = frames.length
+        # truth attitudes over every step (TRIAD), and perturbed attitudes
+        # after the first window (an export's predictions)
+        for q, steps in ((log.q_true, np.arange(L)),
+                         (quat_multiply(log.q_true[4:], tilt), np.arange(4, L))):
+            got = sensor_errors_deg(frames, q, steps, models)
+            want = _sensor_errors_per_group(frames, q, steps, models)
+            assert list(got) == [column for _, _, column in models]
+            for column in want:
+                assert got[column].tobytes() == want[column].tobytes(), (label, column)
+                assert np.array_equal(np.isnan(got[column]), np.isnan(want[column]))
+        if label == "eclipse":
+            assert np.isnan(got["sun_err_deg"]).all()
+            assert np.isfinite(got["mag_err_deg"][4:]).all()
+        if label == "saturated":
+            assert np.flatnonzero(np.isnan(got["mag_err_deg"])).tolist() == [
+                0, 1, 2, 3, 5, 6, 7, 200, 361]
+            assert np.flatnonzero(np.isnan(got["sun_err_deg"])).tolist() == [
+                0, 1, 2, 3, 40, 41]
