@@ -63,9 +63,15 @@ OUT_ROOT_ENV = "ATTLAB_OUT"
 FORMAT_VERSION = 1
 
 
-def _out_dir(args):
+def _out_dir(args, create=True):
+    """The output root: ``--out``, else ``$ATTLAB_OUT``, else the working
+    directory. It must not be a file; ``create`` makes it now, else the
+    first write makes it."""
     root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
-    os.makedirs(root, exist_ok=True)
+    if os.path.exists(root) and not os.path.isdir(root):
+        raise NotADirectoryError(f"output directory {root!r} is a file")
+    if create:
+        os.makedirs(root, exist_ok=True)
     return root
 
 
@@ -206,7 +212,7 @@ def cmd_train(args):
     where ablate's own manifest does not overwrite it."""
     started = _now()
     tc, n, css_bias = _train_inputs(args)
-    outdir = _out_dir(args)
+    outdir = _out_dir(args, create=False)
     _, (result,) = run_matrix(args.passes, [args.case], outdir, seeds=(args.seed,),
                               n=n, tc=tc, css_bias=css_bias, on_cell=_report_cell)
     print(f"case={result.case_id} seed={result.seed_name} "
@@ -250,7 +256,7 @@ def cmd_ablate(args):
     jobs = _usable_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    outdir = _out_dir(args)
+    outdir = _out_dir(args, create=False)
     tables, results = run_matrix(args.passes, case_ids, outdir, seeds=seeds, n=n,
                                  jobs=jobs, resume=args.resume, tc=tc,
                                  css_bias=css_bias, on_cell=_report_cell)
@@ -268,8 +274,9 @@ def cmd_export(args):
     started = _now()
     log = read_passlog(args.passfile)
     if args.model:
-        params, nc, case, gyro_scale = _export_model(args.model)
-        series = timeseries_rows(params, nc, case, log, gyro_scale)
+        params, nc, case, prov = _export_model(args.model)
+        series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"),
+                                 css_bias=prov.get("css_bias"))
     outdir = _out_dir(args)
     outputs = []
     if args.model:
@@ -288,7 +295,7 @@ def cmd_export(args):
 
 
 def _export_model(path):
-    """``(params, nc, case, gyro_scale)`` of a trained model file; the case
+    """``(params, nc, case, provenance)`` of a trained model file; the case
     comes from its provenance ``case_id`` and must match its channels."""
     params, nc, prov = load_model(path)
     if "case_id" not in prov:
@@ -301,7 +308,7 @@ def _export_model(path):
         raise IncompatibleModelError(
             f"{path}: header 'channels' is {nc.channels}, but case "
             f"{case.case_id} has {case.channel_count} channels")
-    return params, nc, case, prov.get("gyro_scale")
+    return params, nc, case, prov
 
 
 def _css_bias(text):

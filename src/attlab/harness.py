@@ -21,6 +21,7 @@ from . import __version__
 from .cases import case_spec
 from .convnet import NetConfig, TrainConfig, forward, save_model, train
 from .features import (
+    SENSOR_MODELS,
     FeatureFrames,
     attitude_labels,
     build_frames,
@@ -40,7 +41,7 @@ from .passlog import (
     write_text,
 )
 from .rotations import mrp_to_quat, rotation_angle_deg
-from .triad import TriadConfig, triad_pass_eval
+from .triad import triad_pass_eval
 
 SEED_NAMES = ("R1", "R2", "R3")
 _SEED_VALUES = {"R1": 1, "R2": 2, "R3": 3}
@@ -118,6 +119,8 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
         "test_pass_id": logs[4].pass_id,
         "window": n,
     }
+    if css_bias is not None:  # absent otherwise, so unbiased models keep their bytes
+        provenance["css_bias"] = [float(b) for b in css_bias]
     save_model(params, nc, os.path.join(cell, "model.bin"), provenance=provenance)
     history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
@@ -367,27 +370,31 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
 
     The passes are stacked into one catalog of frames, inertial vectors,
     times and truth attitudes, and TRIAD is solved once per priority over
-    all of its steps. Every operation is row-wise, so each step gets the
-    bits a pass-by-pass evaluation gives it. Each row keeps the catalog's
-    solved and skipped counts, its ``skip_reasons`` and, in pass order,
-    each pass's ``series`` cut out of the catalog series, so they can be
-    written without solving again.
+    all of its steps; the Sun and field sensor errors, which compare each
+    measurement with the truth-rotated model vector, are measured once.
+    Every operation is row-wise, so each step gets the bits a pass-by-pass
+    evaluation gives it. Each row keeps the catalog's solved and skipped
+    counts, its ``skip_reasons`` and, in pass order, each pass's
+    ``series`` cut out of the catalog series, so they can be written
+    without solving again.
     """
     frames = _stack_frames([build_frames(log, css_bias=css_bias) for log in logs])
     # the fields of a pass log that triad_pass_eval reads, over the catalog;
     # not a PassLog, which holds one pass
-    catalog = SimpleNamespace(
-        pass_id="+".join(log.pass_id for log in logs),
-        **{name: np.concatenate([getattr(log, name) for log in logs])
-           for name in ("t", "uS_i", "uB_i", "q_true")})
+    catalog = SimpleNamespace(**{
+        name: np.concatenate([getattr(log, name) for log in logs])
+        for name in ("t", "uS_i", "uB_i", "q_true")})
+    sensors = sensor_errors_deg(frames, catalog.q_true, np.arange(frames.length),
+                                SENSOR_MODELS[:2])
     bounds = np.cumsum([0] + [len(log.t) for log in logs])
     rows = []
     for priority in priorities:
-        ev = triad_pass_eval(catalog, frames, TriadConfig(priority=priority))
+        ev = triad_pass_eval(catalog, frames, priority)
+        series = {**ev.series, **sensors}
         rms = {}
         for key in ("att", "sun", "mag"):
             # a skipped or unmeasured step is NaN in the series
-            x = ev.series[f"{key}_err_deg"]
+            x = series[f"{key}_err_deg"]
             rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)]])
         rows.append({
             "priority": priority,
@@ -395,7 +402,7 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
             "solved_steps": ev.solved_steps,
             "skipped_steps": ev.skipped_steps,
             "skip_reasons": ev.skip_reasons,
-            "series": [{col: x[lo:hi] for col, x in ev.series.items()}
+            "series": [{col: x[lo:hi] for col, x in series.items()}
                        for lo, hi in zip(bounds, bounds[1:])],
         })
     return rows

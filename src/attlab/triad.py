@@ -12,19 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .features import SENSOR_MODELS, attitude_labels, sensor_errors_deg
+from .features import attitude_labels
 from .rotations import _cross, _dot, dcm_to_quat, quat_to_mrp, rotation_angle_deg
 
 COLLINEAR_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class TriadConfig:
-    priority: str = "mag"  # which measurement the solution preserves exactly
-
-    def __post_init__(self):
-        if self.priority not in ("sun", "mag"):
-            raise ValueError("priority must be 'sun' or 'mag'")
 
 
 def _triad_basis(v1, v2):
@@ -57,9 +48,7 @@ def triad(v1_b, v2_b, v1_i, v2_i):
 
 @dataclass
 class TriadEvaluation:
-    pass_id: str
-    priority: str
-    series: dict  # t, att_err_deg (NaN where unsolved), sun_err_deg, mag_err_deg
+    series: dict  # t, att_err_deg (NaN where unsolved)
     skip_reasons: dict = field(default_factory=dict)
 
     @property
@@ -71,38 +60,33 @@ class TriadEvaluation:
         return len(self.series["t"]) - self.solved_steps
 
 
-def triad_pass_eval(log, frames, cfg):
+def triad_pass_eval(log, frames, priority="mag"):
     """Evaluate TRIAD over a pass against the truth attitude.
 
-    A step is solved where both sensors measured and their vectors are
-    not collinear; a pass may have none. Sensor-direction errors compare
-    each measured body vector with the truth-rotated model vector, so
-    they do not depend on the priority choice or on the TRIAD solution
-    itself.
+    ``priority`` (``"sun"`` or ``"mag"``) names the measurement the
+    solution reproduces exactly. A step is solved where both sensors
+    measured and their vectors are not collinear; a pass may have none.
 
     Every step is evaluated on its own rows, so steps stacked from several
-    passes (``log`` with the ``pass_id``, ``t``, ``uS_i``, ``uB_i`` and
-    ``q_true`` of a whole catalog, ``frames`` with its groups and masks)
-    get the bits each pass alone gives them.
+    passes (``log`` with the ``t``, ``uS_i``, ``uB_i`` and ``q_true`` of a
+    whole catalog, ``frames`` with its groups and masks) get the bits each
+    pass alone gives them.
     """
+    if priority not in ("sun", "mag"):
+        raise ValueError(f"priority must be 'sun' or 'mag', got {priority!r}")
     uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
-    L = frames.length
-    if cfg.priority == "sun":
+    if priority == "sun":
         pair = (uS_c[ok], uB_m[ok], log.uS_i[ok], log.uB_i[ok])
     else:
         pair = (uB_m[ok], uS_c[ok], log.uB_i[ok], log.uS_i[ok])
     A, collinear = _triad_solve(*pair)
     steps = np.flatnonzero(ok)[~collinear]
-    att = np.full(L, np.nan)
+    att = np.full(frames.length, np.nan)
     att[steps] = rotation_angle_deg(quat_to_mrp(dcm_to_quat(A[~collinear])),
                                     attitude_labels(log)[steps])
-    series = {"t": log.t.astype(np.int64), "att_err_deg": att,
-              **sensor_errors_deg(frames, log.q_true, np.arange(L), SENSOR_MODELS[:2])}
     return TriadEvaluation(
-        pass_id=log.pass_id,
-        priority=cfg.priority,
-        series=series,
+        series={"t": log.t.astype(np.int64), "att_err_deg": att},
         skip_reasons={"unavailable": int(np.sum(~ok)),
                       "collinear": int(np.sum(collinear))},
     )

@@ -212,20 +212,41 @@ def test_train_cell_reused_by_ablate_resume(tmp_path, pass_args, fast_cfg_path,
     assert json.loads((d / "run_manifest.json").read_text())["subcommand"] == "ablate"
 
 
-def test_export_series_pools_to_test_rms(tmp_path, pass_args):
-    # one truth attitude per pass: the held-out pass's exported attitude
-    # errors pool to the cell's test RMS, bit for bit
+def _export_and_test_rms(tmp_path, pass_args, case, *train_options):
+    """Trains ``case`` for 5 epochs and exports the held-out pass; returns the
+    RMS of the exported attitude errors, the cell's ``test_rms_deg`` and the
+    model's provenance."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_epochs": 5}))
     d = tmp_path / "model"
-    assert main(["train", *pass_args, "--case", "C1f", "--out", str(d),
-                 "--config", str(cfg)]) == 0
-    assert main(["export", pass_args[4], "--model", str(d / "C1f_R1" / "model.bin"),
+    assert main(["train", *pass_args, "--case", case, "--out", str(d),
+                 "--config", str(cfg), *train_options]) == 0
+    model = d / f"{case}_R1" / "model.bin"
+    assert main(["export", pass_args[4], "--model", str(model),
                  "--out", str(tmp_path / "e")]) == 0
     rows = (tmp_path / "e" / "errors_P5.csv").read_text().splitlines()[1:]
     att = np.array([float(c) for c in (r.split(",")[1] for r in rows) if c])
-    result = json.loads((d / "C1f_R1" / "result.json").read_text())
-    assert float(np.sqrt(np.mean(np.square(att)))) == result["test_rms_deg"]
+    test_rms = json.loads((d / f"{case}_R1" / "result.json").read_text())["test_rms_deg"]
+    return float(np.sqrt(np.mean(np.square(att)))), test_rms, load_model(model)[2]
+
+
+def test_export_series_pools_to_test_rms(tmp_path, pass_args):
+    # one truth attitude per pass: the held-out pass's exported attitude
+    # errors pool to the cell's test RMS, bit for bit
+    exported, test_rms, provenance = _export_and_test_rms(tmp_path, pass_args, "C1f")
+    assert exported == test_rms
+    # trained without a CSS bias, the model records none
+    assert "css_bias" not in provenance
+
+
+def test_export_applies_trained_css_bias(tmp_path, pass_args):
+    # the model records the CSS bias it was trained with, and export
+    # subtracts it again
+    bias = "165,118,88,135,210,102"
+    exported, test_rms, provenance = _export_and_test_rms(
+        tmp_path, pass_args, "C1a", "--css-bias", bias)
+    assert exported == test_rms
+    assert provenance["css_bias"] == [float(b) for b in bias.split(",")]
 
 
 def test_train_window_11_gives_352_windows(tmp_path, pass_args, fast_cfg_path):
@@ -521,6 +542,42 @@ def test_ablate_jobs_below_one_exit_2(tmp_path, pass_args, capsys, jobs):
     assert main(argv) == 2
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--case", "C1a"],
+    ["ablate", "--cases", "C1a"],
+], ids=["train", "ablate"])
+def test_missing_pass_leaves_no_out_dir(tmp_path, pass_args, capsys, argv):
+    out = tmp_path / "o"
+    passes = [*pass_args[:4], str(tmp_path / "missing.csv")]
+    assert main([argv[0], *passes, *argv[1:], "--out", str(out)]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_no_case_leaves_no_out_dir(tmp_path, pass_args, capsys):
+    out = tmp_path / "o"
+    assert main(["ablate", *pass_args, "--cases", ",", "--out", str(out)]) == 2
+    assert "no cases selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--case", "C1a"],
+    ["ablate", "--cases", "C1a", "--seeds", "R1", "--jobs", "1"],
+], ids=["train", "ablate"])
+def test_out_is_a_file_exit_2_before_training(tmp_path, pass_args, monkeypatch, capsys,
+                                              argv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although --out is a file")
+
+    monkeypatch.setattr("attlab.harness.run_case", no_training)
+    out = tmp_path / "o"
+    out.write_text("not a directory\n")
+    assert main([argv[0], *pass_args, *argv[1:], "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_ablate_unknown_case_exit_2(tmp_path, pass_args):

@@ -209,12 +209,12 @@ def test_triad_baseline_report_no_solved_step():
 
 @pytest.mark.parametrize("eclipse", [False, True], ids=["default", "eclipse"])
 def test_triad_baseline_report_matches_pass_by_pass(catalog_logs, eclipse):
-    # the report solves the stacked catalog once per priority; each pass's
-    # series is cut out of it and must carry the bits of that pass solved
-    # alone
-    from attlab.features import build_frames
+    # the report solves the stacked catalog once per priority and measures
+    # its sensor errors once; each pass's series is cut out of it and must
+    # carry the bits of that pass evaluated alone
+    from attlab.features import SENSOR_MODELS, build_frames, sensor_errors_deg
     from attlab.synth import eclipse_variant
-    from attlab.triad import TriadConfig, triad_pass_eval
+    from attlab.triad import triad_pass_eval
 
     logs = ([synth_pass(eclipse_variant(sc)) for sc in default_catalog()] if eclipse
             else catalog_logs)
@@ -224,13 +224,34 @@ def test_triad_baseline_report_matches_pass_by_pass(catalog_logs, eclipse):
         assert sum(r["skip_reasons"].values()) == r["skipped_steps"]
         assert len(r["series"]) == len(logs)
         for log, series in zip(logs, r["series"]):
-            alone = triad_pass_eval(log, build_frames(log),
-                                    TriadConfig(priority=r["priority"])).series
+            frames = build_frames(log)
+            alone = {**triad_pass_eval(log, frames, r["priority"]).series,
+                     **sensor_errors_deg(frames, log.q_true, np.arange(362),
+                                         SENSOR_MODELS[:2])}
+            assert list(series) == ["t", "att_err_deg", "sun_err_deg", "mag_err_deg"]
             assert list(series) == list(alone)
             for col, x in alone.items():
                 assert series[col].dtype == x.dtype
                 assert series[col].tobytes() == x.tobytes(), (log.pass_id, col)
     assert rows[0]["solved_steps"] == (0 if eclipse else 5 * 362)
+
+
+def test_triad_baseline_report_measures_sensor_errors_once(catalog_logs, monkeypatch):
+    # the sensor errors do not depend on the priority: one call per catalog
+    from attlab import harness
+
+    calls = []
+    measure = harness.sensor_errors_deg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sensor_errors_deg", counted)
+    rows = triad_baseline_report(catalog_logs)
+    assert len(calls) == 1
+    assert rows[0]["rms_sun_deg"] == rows[1]["rms_sun_deg"]
+    assert rows[0]["rms_mag_deg"] == rows[1]["rms_mag_deg"]
 
 
 def test_triad_baseline_zero_error_catalog():

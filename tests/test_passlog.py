@@ -13,7 +13,12 @@ import pytest
 from attlab.cases import case_spec
 from attlab.convnet import NetConfig, NetParams, TrainConfig, init_params
 from attlab.errors import DataIntegrityError
-from attlab.features import attitude_labels, build_frames
+from attlab.features import (
+    SENSOR_MODELS,
+    attitude_labels,
+    build_frames,
+    sensor_errors_deg,
+)
 from attlab.harness import timeseries_rows
 from attlab.passlog import (
     CSV_COLUMNS,
@@ -26,7 +31,7 @@ from attlab.passlog import (
     write_series_csv,
 )
 from attlab.synth import Maneuver, Scenario, SensorErrors, default_catalog, synth_pass
-from attlab.triad import TriadConfig, triad_pass_eval
+from attlab.triad import triad_pass_eval
 
 
 def reference_csv(header, columns):
@@ -79,9 +84,11 @@ def test_write_triad_series_matches_reference_with_collinear_gaps(tmp_path):
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     rows = np.flatnonzero(ok)[[0, 1, 100, 200]]
     frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
-    ev = triad_pass_eval(log, frames, TriadConfig(priority="sun"))
+    ev = triad_pass_eval(log, frames, "sun")
     assert ev.skip_reasons["collinear"] == len(rows)
-    series = ev.series
+    # the series the baseline report writes: TRIAD's, then the sensor errors
+    series = {**ev.series,
+              **sensor_errors_deg(frames, log.q_true, np.arange(362), SENSOR_MODELS[:2])}
     assert list(series) == ["t", "att_err_deg", "sun_err_deg", "mag_err_deg"]
     assert np.isnan(series["att_err_deg"][rows]).all()
     p = tmp_path / "triad.csv"

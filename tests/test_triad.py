@@ -5,6 +5,7 @@ import pytest
 
 from attlab.errors import DegenerateGeometryError
 from attlab.features import build_frames
+from attlab.harness import triad_baseline_report
 from attlab.passlog import write_series_csv
 from attlab.rotations import (
     angle_between_deg,
@@ -15,7 +16,7 @@ from attlab.rotations import (
     rotation_angle_deg,
 )
 from attlab.synth import CATALOG_ERRORS, default_catalog, synth_pass
-from attlab.triad import TriadConfig, triad, triad_pass_eval
+from attlab.triad import triad, triad_pass_eval
 
 
 def unit(v):
@@ -82,9 +83,11 @@ def test_triad_rejects_collinear():
         triad(v, 1.0000001 * v, v, -v)
 
 
-def test_triad_config_validation():
-    with pytest.raises(ValueError):
-        TriadConfig(priority="both")
+def test_pass_eval_rejects_unknown_priority(biased_pass):
+    log, frames = biased_pass
+    for priority in ("both", "Sun", "", None):
+        with pytest.raises(ValueError, match=repr(priority)):
+            triad_pass_eval(log, frames, priority)
 
 
 @pytest.fixture(scope="module")
@@ -107,27 +110,26 @@ def rms(series):
 
 def test_pass_eval_zero_error(clean_pass):
     log, frames = clean_pass
-    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
+    ev = triad_pass_eval(log, frames, "mag")
     assert rms(ev.series["att_err_deg"]) < 0.5
     assert ev.solved_steps == 362
 
 
 def test_pass_eval_biased_catalog(biased_pass):
     log, frames = biased_pass
-    sun = triad_pass_eval(log, frames, TriadConfig(priority="sun")).series
-    mag = triad_pass_eval(log, frames, TriadConfig(priority="mag")).series
+    sun = triad_pass_eval(log, frames, "sun").series
+    mag = triad_pass_eval(log, frames, "mag").series
     assert np.isfinite(rms(sun["att_err_deg"])) and np.isfinite(rms(mag["att_err_deg"]))
     assert rms(sun["att_err_deg"]) != rms(mag["att_err_deg"])
-    # sensor-direction errors do not depend on the solution priority
-    assert np.array_equal(sun["sun_err_deg"], mag["sun_err_deg"], equal_nan=True)
-    assert np.array_equal(sun["mag_err_deg"], mag["mag_err_deg"], equal_nan=True)
+    # the sensor errors do not depend on the priority: the report adds them
+    assert list(sun) == list(mag) == ["t", "att_err_deg"]
 
 
 def test_pass_eval_series_csv(tmp_path, biased_pass):
-    log, frames = biased_pass
-    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
+    log, _ = biased_pass
+    (row,) = triad_baseline_report([log], priorities=("mag",))
     p = tmp_path / "triad.csv"
-    write_series_csv(p, ev.series)
+    write_series_csv(p, row["series"][0])
     lines = p.read_text().splitlines()
     assert lines[0] == "t,att_err_deg,sun_err_deg,mag_err_deg"
     assert len(lines) == 363
@@ -140,7 +142,7 @@ def test_pass_eval_skips_collinear_steps(tmp_path):
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     rows = np.flatnonzero(ok)[[3, 50, 51, 200, 300]]
     frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
-    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
+    ev = triad_pass_eval(log, frames, "mag")
     k = len(rows)
     assert ev.skip_reasons["collinear"] == k
     unsolved = ~ok
@@ -171,7 +173,7 @@ def test_bias_knob_monotonic_triad_rms():
             overrides[knob] = level
             errors = dataclasses.replace(CATALOG_ERRORS, **overrides)
             log = synth_pass(default_catalog(errors=errors)[0])
-            ev = triad_pass_eval(log, build_frames(log), TriadConfig(priority="mag"))
+            ev = triad_pass_eval(log, build_frames(log), "mag")
             levels_rms.append(rms(ev.series["att_err_deg"]))
         assert levels_rms[0] < levels_rms[1] < levels_rms[2], f"{knob}: {levels_rms}"
 
@@ -180,16 +182,19 @@ def test_pass_eval_sensor_columns_follow_own_availability():
     # a step without a Sun vector has no TRIAD solution and no Sun error,
     # but its field error is still measured
     log = synth_pass(default_catalog()[0])
-    frames = build_frames(log)
     rows = [10, 11, 200]
-    frames.avail["uS_c"][rows] = False
-    ev = triad_pass_eval(log, frames, TriadConfig(priority="mag"))
-    series = ev.series
-    assert np.isnan(series["att_err_deg"][rows]).all()
-    assert np.isnan(series["sun_err_deg"][rows]).all()
-    assert np.isfinite(series["mag_err_deg"]).all()
+    sunlit = np.ones(362, dtype=int)
+    sunlit[rows] = 0
+    log = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit.tolist()})
+    ev = triad_pass_eval(log, build_frames(log), "mag")
+    assert np.isnan(ev.series["att_err_deg"][rows]).all()
     assert ev.skip_reasons["unavailable"] == len(rows)
     assert ev.solved_steps == 362 - len(rows)
+    (row,) = triad_baseline_report([log], priorities=("mag",))
+    series = row["series"][0]
+    assert np.array_equal(series["att_err_deg"], ev.series["att_err_deg"], equal_nan=True)
+    assert np.flatnonzero(np.isnan(series["sun_err_deg"])).tolist() == rows
+    assert np.isfinite(series["mag_err_deg"]).all()
 
 
 def test_pass_eval_eclipse_solves_no_step():
@@ -197,9 +202,12 @@ def test_pass_eval_eclipse_solves_no_step():
     from attlab.synth import eclipse_variant
 
     log = synth_pass(eclipse_variant(default_catalog()[0]))
-    ev = triad_pass_eval(log, build_frames(log), TriadConfig(priority="sun"))
+    ev = triad_pass_eval(log, build_frames(log), "sun")
     assert ev.solved_steps == 0 and ev.skipped_steps == 362
     assert ev.skip_reasons == {"unavailable": 362, "collinear": 0}
     assert np.isnan(ev.series["att_err_deg"]).all()
-    assert np.isnan(ev.series["sun_err_deg"]).all()
-    assert np.isfinite(ev.series["mag_err_deg"]).all()
+    (row,) = triad_baseline_report([log], priorities=("sun",))
+    series = row["series"][0]
+    assert np.isnan(series["att_err_deg"]).all()
+    assert np.isnan(series["sun_err_deg"]).all()
+    assert np.isfinite(series["mag_err_deg"]).all()
