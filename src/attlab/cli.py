@@ -123,6 +123,7 @@ def cmd_synth(args):
         base_seed = None
         scenarios = [from_dict(Scenario, d, f"{where}: scenarios[{k}]")
                      for k, d in enumerate(cfg["scenarios"])]
+        _reject_repeats([sc.pass_id for sc in scenarios], f"{where}: key 'scenarios': pass_id")
     else:
         base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
         source = f"{where}: key 'base_seed'"
@@ -159,6 +160,7 @@ def cmd_triad(args):
     started = _now()
     css_bias = _css_bias(args.css_bias)
     logs = [read_passlog(p) for p in args.passes]
+    _reject_repeats([log.pass_id for log in logs], "pass id")
     priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
     rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
     outdir = _out_dir(args)
@@ -200,10 +202,10 @@ def _train_inputs(args):
     return tc, window, css_bias
 
 
-def _reject_repeats(labels, option):
+def _reject_repeats(labels, what):
     for label in labels:
         if labels.count(label) > 1:
-            raise ValueError(f"{option}: label {label!r} is repeated")
+            raise ValueError(f"{what} {label!r} is repeated")
 
 
 def cmd_train(args):
@@ -247,12 +249,12 @@ def cmd_ablate(args):
         case_ids = [c.strip() for c in args.cases.split(",") if c.strip()]
         for cid in case_ids:
             case_spec(cid)  # validate early
-        _reject_repeats(case_ids, "--cases")
+        _reject_repeats(case_ids, "--cases: label")
     seeds = tuple(s.strip() for s in args.seeds.split(","))
     for s in seeds:
         if s not in SEED_NAMES:
             raise ValueError(f"unknown seed label {s!r}; choose from {SEED_NAMES}")
-    _reject_repeats(seeds, "--seeds")
+    _reject_repeats(seeds, "--seeds: label")
     jobs = _usable_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")

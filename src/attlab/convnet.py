@@ -388,10 +388,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     if N < tc.batch_size:
         raise ValueError(
             f"dataset of {N} windows is smaller than one batch ({tc.batch_size})")
-    if ds.X.shape[1:] != (nc.n, nc.channels):
-        raise ValueError("dataset window shape does not match the net config")
-
-    Xf_all = np.asarray(ds.X, dtype=float).reshape(N, -1)
+    Xf_all = _flatten_windows(ds.X, nc)
     ql_all = mrp_to_quat(np.asarray(ds.Y, dtype=float))
     keep = 1.0 - nc.dropout
     rng = np.random.default_rng(tc.seed)

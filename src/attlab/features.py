@@ -98,7 +98,8 @@ def build_frames(log, css_bias=None, gyro_scale=None):
     """
     err = log.manifest.get("scenario", {}).get("errors")
     if not err:
-        raise ValueError("pass manifest carries no sensor config (mag_ref, mag_scale)")
+        raise ValueError(f"pass {log.pass_id}: manifest carries no sensor config "
+                         "(scenario.errors with mag_ref, mag_scale)")
 
     L = len(log.t)
     ones = np.ones(L, dtype=bool)
@@ -176,8 +177,6 @@ class WindowDataset:
 
     X: np.ndarray  # (N, n, C)
     Y: np.ndarray  # (N, 3)
-    n: int
-    case_id: str
 
     def __len__(self):
         return len(self.X)
@@ -199,25 +198,18 @@ def build_windows(frames, labels, n, case):
     idx = np.arange(count)[:, None] + np.arange(n)[None, :]
     X = mat[idx]  # (count, n, C)
     Y = labels[n - 1:]
-    return WindowDataset(X=X, Y=Y.copy(), n=n, case_id=case.case_id)
+    return WindowDataset(X=X, Y=Y.copy())
 
 
 def concat_windows(datasets):
     if not datasets:
         raise ValueError("no datasets to concatenate")
-    first = datasets[0]
-    for ds in datasets[1:]:
-        if ds.n != first.n or ds.case_id != first.case_id:
-            raise ValueError("datasets disagree on window length or case")
-    return WindowDataset(
-        X=np.concatenate([ds.X for ds in datasets]),
-        Y=np.concatenate([ds.Y for ds in datasets]),
-        n=first.n, case_id=first.case_id,
-    )
+    return WindowDataset(X=np.concatenate([ds.X for ds in datasets]),
+                         Y=np.concatenate([ds.Y for ds in datasets]))
 
 
 def shuffle_windows(ds, seed):
     """Deterministic permutation of the window set; X-Y pairing preserved."""
     perm = np.random.default_rng(seed).permutation(len(ds))
-    return WindowDataset(X=ds.X[perm], Y=ds.Y[perm], n=ds.n, case_id=ds.case_id)
+    return WindowDataset(X=ds.X[perm], Y=ds.Y[perm])
 

@@ -13,7 +13,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,9 +65,6 @@ class RunResult:
     gyro_scale: float
     model_path: str = ""
     history_path: str = ""
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _score(params, nc, windows):
@@ -137,7 +133,7 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
         model_path=os.path.join(cell_name, "model.bin"),
         history_path=os.path.join(cell_name, "history.csv"),
     )
-    write_json(os.path.join(cell, "result.json"), result.to_dict())
+    write_json(os.path.join(cell, "result.json"), asdict(result))
     return result
 
 
@@ -189,14 +185,17 @@ def _cell_worker(args):
 
 @dataclass
 class CaseRow:
+    """One case's row of a report table; its fields are the row's keys in
+    ``ablation_report.json``."""
+
     case_id: str
     seeds: tuple  # seed labels, presentation order
-    train: list  # per seed
-    test: list
-    flags: list  # max-epoch markers
-    min_train: float | None
-    min_test: float | None
-    combined: float | None
+    train_rms_deg: list  # per seed
+    test_rms_deg: list
+    max_epoch_flags: list
+    min_train_deg: float | None
+    min_test_deg: float | None
+    combined_deg: float | None
 
 
 def aggregate_case(case_id, results, seeds=SEED_NAMES):
@@ -216,9 +215,9 @@ def aggregate_case(case_id, results, seeds=SEED_NAMES):
     min_train = min((train[i] for i in ok), default=None)
     min_test = min((test[i] for i in ok), default=None)
     combined = None if min_train is None else min_train + min_test
-    return CaseRow(case_id=case_id, seeds=tuple(seeds), train=train, test=test,
-                   flags=flags, min_train=min_train, min_test=min_test,
-                   combined=combined)
+    return CaseRow(case_id=case_id, seeds=tuple(seeds), train_rms_deg=train,
+                   test_rms_deg=test, max_epoch_flags=flags, min_train_deg=min_train,
+                   min_test_deg=min_test, combined_deg=combined)
 
 
 @dataclass
@@ -248,8 +247,9 @@ def _row_cells(r, blank):
     def cell(value, flag=False):
         return blank if value is None else f"{value:.1f}{'*' if flag else ''}"
 
-    return [r.case_id, *map(cell, r.train, r.flags), cell(r.min_train),
-            *map(cell, r.test, r.flags), cell(r.min_test), cell(r.combined)]
+    return [r.case_id, *map(cell, r.train_rms_deg, r.max_epoch_flags),
+            cell(r.min_train_deg), *map(cell, r.test_rms_deg, r.max_epoch_flags),
+            cell(r.min_test_deg), cell(r.combined_deg)]
 
 
 def _header_for(table):
@@ -278,29 +278,8 @@ def render_tables_markdown(tables):
 
 
 def report_json(tables, results, meta):
-    return {
-        "meta": meta,
-        "tables": [
-            {
-                "title": t.title,
-                "rows": [
-                    {
-                        "case_id": r.case_id,
-                        "seeds": list(r.seeds),
-                        "train_rms_deg": r.train,
-                        "test_rms_deg": r.test,
-                        "max_epoch_flags": r.flags,
-                        "min_train_deg": r.min_train,
-                        "min_test_deg": r.min_test,
-                        "combined_deg": r.combined,
-                    }
-                    for r in t.rows
-                ],
-            }
-            for t in tables
-        ],
-        "runs": [r.to_dict() for r in results],
-    }
+    return {"meta": meta, "tables": [asdict(t) for t in tables],
+            "runs": [asdict(r) for r in results]}
 
 
 def run_matrix(pass_paths, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
@@ -368,33 +347,30 @@ def write_matrix_reports(tables, results, outdir, meta):
 def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
     """Pooled attitude/sensor RMS per priority choice over the passes.
 
-    The passes are stacked into one catalog of frames, inertial vectors,
-    times and truth attitudes, and TRIAD is solved once per priority over
-    all of its steps; the Sun and field sensor errors, which compare each
-    measurement with the truth-rotated model vector, are measured once.
-    Every operation is row-wise, so each step gets the bits a pass-by-pass
-    evaluation gives it. Each row keeps the catalog's solved and skipped
-    counts, its ``skip_reasons`` and, in pass order, each pass's
-    ``series`` cut out of the catalog series, so they can be written
-    without solving again.
+    The passes' frames and truth labels are stacked into one catalog, and
+    TRIAD is solved once per priority over all of its steps; the Sun and
+    field sensor errors, which compare each measurement with the
+    truth-rotated model vector, are measured once. Every operation is
+    row-wise, so each step gets the bits a pass-by-pass evaluation gives
+    it. Each row keeps the catalog's solved and skipped counts, its
+    ``skip_reasons`` and, in pass order, each pass's ``series``: its own
+    ``t`` and its cut of the catalog's error columns, so they can be
+    written without solving again.
     """
     frames = _stack_frames([build_frames(log, css_bias=css_bias) for log in logs])
-    # the fields of a pass log that triad_pass_eval reads, over the catalog;
-    # not a PassLog, which holds one pass
-    catalog = SimpleNamespace(**{
-        name: np.concatenate([getattr(log, name) for log in logs])
-        for name in ("t", "uS_i", "uB_i", "q_true")})
-    sensors = sensor_errors_deg(frames, catalog.q_true, np.arange(frames.length),
+    labels = np.concatenate([attitude_labels(log) for log in logs])
+    q_true = np.concatenate([log.q_true for log in logs])
+    sensors = sensor_errors_deg(frames, q_true, np.arange(frames.length),
                                 SENSOR_MODELS[:2])
     bounds = np.cumsum([0] + [len(log.t) for log in logs])
     rows = []
     for priority in priorities:
-        ev = triad_pass_eval(catalog, frames, priority)
-        series = {**ev.series, **sensors}
+        ev = triad_pass_eval(frames, labels, priority)
+        errors = {"att_err_deg": ev.att_err_deg, **sensors}
         rms = {}
         for key in ("att", "sun", "mag"):
             # a skipped or unmeasured step is NaN in the series
-            x = series[f"{key}_err_deg"]
+            x = errors[f"{key}_err_deg"]
             rms[f"rms_{key}_deg"] = _pooled_rms([x[np.isfinite(x)]])
         rows.append({
             "priority": priority,
@@ -402,8 +378,9 @@ def triad_baseline_report(logs, css_bias=None, priorities=("sun", "mag")):
             "solved_steps": ev.solved_steps,
             "skipped_steps": ev.skipped_steps,
             "skip_reasons": ev.skip_reasons,
-            "series": [{col: x[lo:hi] for col, x in series.items()}
-                       for lo, hi in zip(bounds, bounds[1:])],
+            "series": [{"t": log.t.astype(np.int64),
+                        **{col: x[lo:hi] for col, x in errors.items()}}
+                       for log, lo, hi in zip(logs, bounds, bounds[1:])],
         })
     return rows
 

@@ -11,6 +11,7 @@ dict to a dataclass.
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -182,27 +183,64 @@ def manifest_path_for(csv_path):
 
 def read_manifest(csv_path):
     """The pass's sidecar manifest (``{}`` when it has none) and its pass
-    id: the manifest's ``pass_id``, else the CSV path."""
+    id: the manifest's ``pass_id``, else the CSV path. A manifest that is
+    not a JSON object, or whose keys the readers rely on are malformed,
+    raises DataIntegrityError naming the manifest and the key."""
+    path = manifest_path_for(csv_path)
     try:
-        with open(manifest_path_for(csv_path)) as f:
+        with open(path) as f:
             manifest = json.load(f)
     except FileNotFoundError:
-        manifest = {}
+        return {}, str(csv_path)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise DataIntegrityError(f"{path}: not valid JSON: {e}") from None
+    _check_manifest(manifest, path)
     return manifest, manifest.get("pass_id", str(csv_path))
 
 
-def _check_flags(manifest, csv_path):
-    """Reject per-step ``sunlit`` / ``mag_saturated`` flags that are not a
-    list of one 0 or 1 per record, naming the manifest and the key."""
+def _finite_number(x):
+    """True for a finite int or float; a bool is not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_manifest(manifest, path):
+    """Reject a manifest that is not an object, a ``pass_id`` that is not a
+    string, per-step ``sunlit`` / ``mag_saturated`` flags that are not one
+    0 or 1 per record and, where ``scenario.errors`` is present, MAG
+    reference values that ``SensorErrors`` would not accept: ``mag_ref``
+    3 finite numbers, ``mag_scale`` a finite number above 0."""
+    if not isinstance(manifest, dict):
+        raise DataIntegrityError(
+            f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
+    if not isinstance(manifest.get("pass_id", ""), str):
+        raise DataIntegrityError(
+            f"{path}: key 'pass_id' must be a string, got {manifest['pass_id']!r}")
     for key in ("sunlit", "mag_saturated"):
         if key not in manifest:
             continue
         flags = manifest[key]
         if not (isinstance(flags, list) and len(flags) == PASS_SAMPLES
                 and all(type(v) is int and v in (0, 1) for v in flags)):
-            raise DataIntegrityError(
-                f"{manifest_path_for(csv_path)}: key {key!r} must be a list of "
-                f"{PASS_SAMPLES} entries, each 0 or 1")
+            raise DataIntegrityError(f"{path}: key {key!r} must be a list of "
+                                     f"{PASS_SAMPLES} entries, each 0 or 1")
+    scenario = manifest.get("scenario", {})
+    if not isinstance(scenario, dict):
+        raise DataIntegrityError(f"{path}: key 'scenario' must be an object")
+    if "errors" not in scenario:
+        return
+    errors = scenario["errors"]
+    if not isinstance(errors, dict):
+        raise DataIntegrityError(f"{path}: key 'scenario.errors' must be an object")
+    for key in ("mag_ref", "mag_scale"):
+        if key not in errors:
+            raise DataIntegrityError(f"{path}: missing key 'scenario.errors.{key}'")
+    ref, scale = errors["mag_ref"], errors["mag_scale"]
+    if not (isinstance(ref, list) and len(ref) == 3 and all(map(_finite_number, ref))):
+        raise DataIntegrityError(f"{path}: key 'scenario.errors.mag_ref' must be a list "
+                                 f"of 3 finite numbers, got {ref!r}")
+    if not (_finite_number(scale) and scale > 0):
+        raise DataIntegrityError(f"{path}: key 'scenario.errors.mag_scale' must be a "
+                                 f"finite number above 0, got {scale!r}")
 
 
 def _check_cells(data, csv_path):
@@ -272,7 +310,6 @@ def read_passlog(csv_path):
             raise _malformed_row(f.read().splitlines(), csv_path)
     _check_cells(data, csv_path)
     manifest, pass_id = read_manifest(csv_path)
-    _check_flags(manifest, csv_path)
     log = PassLog(
         pass_id=pass_id,
         t=data[:, 0],

@@ -117,11 +117,8 @@ class Scenario:
         if self.seed < 0:
             raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
 
-    def to_dict(self):
-        return asdict(self)
-
     def hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -224,7 +221,7 @@ def synth_pass(sc):
     manifest = {
         "pass_id": sc.pass_id,
         "seed": sc.seed,
-        "scenario": sc.to_dict(),
+        "scenario": asdict(sc),
         "scenario_hash": sc.hash(),
         "sunlit": sunlit.astype(int).tolist(),
         "mag_saturated": np.asarray(saturated).astype(int).tolist(),

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .features import attitude_labels
 from .rotations import _cross, _dot, dcm_to_quat, quat_to_mrp, rotation_angle_deg
 
 COLLINEAR_EPS = 1e-6
@@ -48,45 +47,44 @@ def triad(v1_b, v2_b, v1_i, v2_i):
 
 @dataclass
 class TriadEvaluation:
-    series: dict  # t, att_err_deg (NaN where unsolved)
+    att_err_deg: np.ndarray  # (L,), NaN where unsolved
     skip_reasons: dict = field(default_factory=dict)
 
     @property
     def solved_steps(self):
-        return int(np.sum(np.isfinite(self.series["att_err_deg"])))
+        return int(np.sum(np.isfinite(self.att_err_deg)))
 
     @property
     def skipped_steps(self):
-        return len(self.series["t"]) - self.solved_steps
+        return len(self.att_err_deg) - self.solved_steps
 
 
-def triad_pass_eval(log, frames, priority="mag"):
-    """Evaluate TRIAD over a pass against the truth attitude.
+def triad_pass_eval(frames, labels, priority="mag"):
+    """Evaluate TRIAD over a pass's frames against its truth MRP ``labels``.
 
     ``priority`` (``"sun"`` or ``"mag"``) names the measurement the
     solution reproduces exactly. A step is solved where both sensors
     measured and their vectors are not collinear; a pass may have none.
 
     Every step is evaluated on its own rows, so steps stacked from several
-    passes (``log`` with the ``t``, ``uS_i``, ``uB_i`` and ``q_true`` of a
-    whole catalog, ``frames`` with its groups and masks) get the bits each
-    pass alone gives them.
+    passes (their frames and labels concatenated) get the bits each pass
+    alone gives them.
     """
     if priority not in ("sun", "mag"):
         raise ValueError(f"priority must be 'sun' or 'mag', got {priority!r}")
-    uS_c, uB_m = frames.groups["uS_c"], frames.groups["uB_m"]
+    g = frames.groups
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     if priority == "sun":
-        pair = (uS_c[ok], uB_m[ok], log.uS_i[ok], log.uB_i[ok])
+        pair = (g["uS_c"][ok], g["uB_m"][ok], g["uS_i"][ok], g["uB_i"][ok])
     else:
-        pair = (uB_m[ok], uS_c[ok], log.uB_i[ok], log.uS_i[ok])
+        pair = (g["uB_m"][ok], g["uS_c"][ok], g["uB_i"][ok], g["uS_i"][ok])
     A, collinear = _triad_solve(*pair)
     steps = np.flatnonzero(ok)[~collinear]
     att = np.full(frames.length, np.nan)
     att[steps] = rotation_angle_deg(quat_to_mrp(dcm_to_quat(A[~collinear])),
-                                    attitude_labels(log)[steps])
+                                    labels[steps])
     return TriadEvaluation(
-        series={"t": log.t.astype(np.int64), "att_err_deg": att},
+        att_err_deg=att,
         skip_reasons={"unavailable": int(np.sum(~ok)),
                       "collinear": int(np.sum(collinear))},
     )

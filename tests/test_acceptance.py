@@ -169,8 +169,7 @@ def test_criterion_5_gradient_correctness():
 def _toy_ds():
     rng = np.random.default_rng(5)
     return WindowDataset(X=rng.normal(scale=0.05, size=(10, 3, 6)),
-                         Y=rng.normal(scale=0.01, size=(10, 3)),
-                         n=3, case_id="toy")
+                         Y=rng.normal(scale=0.01, size=(10, 3)))
 
 
 def test_criterion_6_schedule_mechanics():
@@ -209,7 +208,7 @@ def test_criterion_6_schedule_mechanics():
     row = aggregate_case("C1a", [rr("R1", 5.0, 9.0, False),
                                  rr("R2", 1.0, 2.0, True),
                                  rr("R3", 6.0, 8.0, False)])
-    excl_ok = row.min_train == 5.0 and row.min_test == 8.0
+    excl_ok = row.min_train_deg == 5.0 and row.min_test_deg == 8.0
 
     ok = stop_at_80 and div_ok and best_ok and excl_ok
     _verdict(6, ok, f"early-stop@80={stop_at_80}, divergence mechanics={div_ok}, "
@@ -220,8 +219,8 @@ def test_criterion_7_central_claim(matrix_env):
     triad_rms = min(r["rms_att_deg"] for r in matrix_env["triad"])
     c1 = [r for t in matrix_env["first"]["tables"] for r in t.rows
           if r.case_id.startswith("C1")]
-    best_train = min(r.min_train for r in c1 if r.min_train is not None)
-    best_test = min(r.min_test for r in c1 if r.min_test is not None)
+    best_train = min(r.min_train_deg for r in c1 if r.min_train_deg is not None)
+    best_test = min(r.min_test_deg for r in c1 if r.min_test_deg is not None)
     ok = triad_rms >= 4.0 and best_train <= 1.5 and best_test <= 0.5 * triad_rms
     _verdict(7, ok,
              f"TRIAD pooled {triad_rms:.2f} deg (>=4); best C1 train "
@@ -235,9 +234,9 @@ def test_criterion_8_single_sensor_ordering(matrix_env):
     ok = True
     for single, counterparts in (("C2a", ("C2c", "C2d", "C2e", "C2f")),
                                  ("C3a", ("C3c", "C3d", "C3f"))):
-        s = rows[single].combined
+        s = rows[single].combined_deg
         for cid in counterparts:
-            v = rows[cid].combined
+            v = rows[cid].combined_deg
             good = s is not None and v is not None and s > v
             ok &= good
             details.append(f"{single}({s and round(s, 2)}) > {cid}({v and round(v, 2)}): {good}")
@@ -277,8 +276,8 @@ def test_criterion_10_toy_overfit():
 def test_gyro_only_worse_than_best_sun_mag_case(matrix_env):
     # gyro-only attitude regression ranks far behind the full sensor suite
     rows = {r.case_id: r for t in matrix_env["first"]["tables"] for r in t.rows}
-    best_c1_test = min(r.min_test for cid, r in rows.items()
-                       if cid.startswith("C1") and r.min_test is not None)
+    best_c1_test = min(r.min_test_deg for cid, r in rows.items()
+                       if cid.startswith("C1") and r.min_test_deg is not None)
     c4f_tests = [r.test_rms_deg for r in matrix_env["first"]["results"]
                  if r.case_id == "C4f"]
     assert min(c4f_tests) > best_c1_test
@@ -322,8 +321,8 @@ def test_criterion_11_report_shape(matrix_env):
 
     row = aggregate_case("C1e", [rr("R1", 0.7, 3.0), rr("R2", 2.8, 3.9),
                                  rr("R3", 6.5, 7.3)])
-    combined_ok = (row.min_train == 0.7 and row.min_test == 3.0
-                   and row.combined == pytest.approx(3.7))
+    combined_ok = (row.min_train_deg == 0.7 and row.min_test_deg == 3.0
+                   and row.combined_deg == pytest.approx(3.7))
     rendered = render_table_csv(group_tables([row])[0])
     rendered_ok = rendered.splitlines()[1] == "C1e,0.7,2.8,6.5,0.7,3.0,3.9,7.3,3.0,3.7"
 

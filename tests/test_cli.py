@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -68,7 +69,7 @@ def test_synth_rejects_bad_config(tmp_path):
 
 def _scenario_with_errors(**errors):
     """The first catalog scenario, as a config dict, with ``errors`` changed."""
-    sc = default_catalog()[0].to_dict()
+    sc = dataclasses.asdict(default_catalog()[0])
     sc["errors"].update(errors)
     return sc
 
@@ -95,7 +96,8 @@ def _scenario_with_errors(**errors):
     pytest.param(json.dumps({"scenarios": [_scenario_with_errors(mag_scale=float("nan"))]}),
                  "'mag_scale'", id="scenario-mag_scale-NaN"),
     ('{"base_seed": -1}', "'base_seed'"),
-    pytest.param(json.dumps({"scenarios": [{**default_catalog()[0].to_dict(), "seed": -4}]}),
+    pytest.param(json.dumps({"scenarios": [{**dataclasses.asdict(default_catalog()[0]),
+                                            "seed": -4}]}),
                  "'seed'", id="scenario-seed-negative"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
@@ -123,7 +125,8 @@ def test_synth_scenarios_reject_catalog_options(tmp_path, capsys, extra, argv, n
     # a scenarios config replaces the catalog, so its seed and errors
     # options would be ignored
     cfg = tmp_path / "scenarios.json"
-    cfg.write_text(json.dumps({"scenarios": [default_catalog()[0].to_dict()], **extra}))
+    cfg.write_text(json.dumps({"scenarios": [dataclasses.asdict(default_catalog()[0])],
+                               **extra}))
     out = tmp_path / "x"
     assert main(["synth", "--out", str(out), "--config", str(cfg), *argv]) == 2
     err = capsys.readouterr().err
@@ -377,6 +380,60 @@ def test_triad_rejects_off_unit_model_vector_exit_2(tmp_path, pass_args, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert "P3.csv" in err and "uSx,uSy,uSz" in err and "step 7" in err
+
+
+def _malformed(manifest, case):
+    """The text of a pass manifest made malformed as ``case`` names."""
+    errors = manifest["scenario"]["errors"]
+    if case == "list":
+        return json.dumps([manifest])
+    if case == "invalid-json":
+        return json.dumps(manifest)[:-1]
+    if case == "no-mag_scale":
+        del errors["mag_scale"]
+    elif case == "text-mag_scale":
+        errors["mag_scale"] = "abc"
+    elif case == "int-pass_id":
+        manifest["pass_id"] = 7
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("command", ["triad", "export", "ablate"])
+@pytest.mark.parametrize("case, named", [
+    ("list", "must be a JSON object"),
+    ("invalid-json", "not valid JSON"),
+    ("no-mag_scale", "missing key 'scenario.errors.mag_scale'"),
+    ("text-mag_scale", "key 'scenario.errors.mag_scale' must be a finite number"),
+    ("int-pass_id", "key 'pass_id' must be a string"),
+], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id"])
+def test_malformed_manifest_exit_2(tmp_path, pass_args, capsys, command, case, named):
+    passes = _copy_catalog(tmp_path, pass_args)
+    manifest = Path(passes[0]).with_suffix(".manifest.json")
+    manifest.write_text(_malformed(json.loads(manifest.read_text()), case))
+    argv = {"triad": ["triad", *passes],
+            "export": ["export", passes[0], "--raw"],
+            "ablate": ["ablate", *passes, "--cases", "C1a", "--seeds", "R1", "--jobs", "1"]}
+    out = tmp_path / "o"
+    assert main([*argv[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "triad"])
+def test_repeated_pass_id_exit_2(tmp_path, pass_args, capsys, command):
+    if command == "synth":
+        cfg = tmp_path / "twice.json"
+        sc = dataclasses.asdict(default_catalog()[0])
+        cfg.write_text(json.dumps({"scenarios": [sc, {**sc, "seed": 9}]}))
+        argv = ["synth", "--config", str(cfg)]
+    else:  # a copy of P1 in another directory keeps its pass id
+        argv = ["triad", *pass_args, *_copy_catalog(tmp_path, pass_args[:1])]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'P1' is repeated" in err
+    assert not out.exists()
 
 
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):

@@ -34,7 +34,7 @@ def toy_dataset(x_scale=0.05, y_scale=0.01, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=x_scale, size=(10, 3, 6))
     Y = rng.normal(scale=y_scale, size=(10, 3))
-    return WindowDataset(X=X, Y=Y, n=3, case_id="toy")
+    return WindowDataset(X=X, Y=Y)
 
 
 def test_forward_zero_params_returns_output_bias():
@@ -354,8 +354,7 @@ def test_train_matches_per_array_reference_bitwise():
     # full-set GEMMs are large enough for BLAS to split them over threads
     rng = np.random.default_rng(12)
     ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
-                       Y=rng.normal(scale=0.2, size=(100, 3)),
-                       n=3, case_id="toy")
+                       Y=rng.normal(scale=0.2, size=(100, 3)))
     nc = NetConfig(n=3, channels=6, seed=4, dropout=0.01)
     tc = TrainConfig(max_epochs=5, seed=6)
     ref_params, ref_rows = reference_train(ds, nc, tc)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ def test_aggregate_sanity_row_from_known_values():
           fake_result("C1e", "R2", 2.8, 3.9, False),
           fake_result("C1e", "R3", 6.5, 7.3, False)]
     row = aggregate_case("C1e", rs)
-    assert row.min_train == 0.7
-    assert row.min_test == 3.0
-    assert row.combined == pytest.approx(3.7)
+    assert row.min_train_deg == 0.7
+    assert row.min_test_deg == 3.0
+    assert row.combined_deg == pytest.approx(3.7)
 
 
 def test_aggregate_excludes_flagged_runs_from_min():
@@ -49,16 +50,16 @@ def test_aggregate_excludes_flagged_runs_from_min():
           fake_result("C2a", "R2", 7.0, 7.6, False),
           fake_result("C2a", "R3", 3.8, 10.0, True)]
     row = aggregate_case("C2a", rs)
-    assert row.min_train == 6.4
-    assert row.min_test == 7.6
-    assert row.combined == pytest.approx(14.0)
+    assert row.min_train_deg == 6.4
+    assert row.min_test_deg == 7.6
+    assert row.combined_deg == pytest.approx(14.0)
 
 
 def test_aggregate_all_flagged_reports_unavailable():
     rs = [fake_result("C4f", s, 3.0 + i, 7.0 + i, True)
           for i, s in enumerate(("R1", "R2", "R3"))]
     row = aggregate_case("C4f", rs)
-    assert row.min_train is None and row.min_test is None and row.combined is None
+    assert row.min_train_deg is None and row.min_test_deg is None and row.combined_deg is None
     csv = render_table_csv(group_tables([row])[0])
     line = csv.splitlines()[1]
     assert line == "C4f,3.0*,4.0*,5.0*,,7.0*,8.0*,9.0*,,"
@@ -71,8 +72,8 @@ def test_aggregate_min_order_invariant():
           fake_result("C1a", "R3", 1.0, 6.0, False),
           fake_result("C1a", "R1", 3.0, 4.0, False)]
     row = aggregate_case("C1a", rs)
-    assert row.min_train == 1.0 and row.min_test == 4.0
-    assert row.train == [3.0, 2.0, 1.0]  # presented in R1, R2, R3 order
+    assert row.min_train_deg == 1.0 and row.min_test_deg == 4.0
+    assert row.train_rms_deg == [3.0, 2.0, 1.0]  # presented in R1, R2, R3 order
 
 
 def test_table_header_structure():
@@ -82,6 +83,37 @@ def test_table_header_structure():
     assert tuple(header.split(",")) == ("case", "train_R1", "train_R2", "train_R3",
                                         "min_train(I)", "test_R1", "test_R2", "test_R3",
                                         "min_test(II)", "(I)+(II)")
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "ablation_golden"
+
+
+def test_write_matrix_reports_golden(tmp_path):
+    # fixed results pin every byte of the reports, among them the key names
+    # of ablation_report.json, the rounding of the tables and the max-epoch
+    # markers; C2a has every seed flagged, so its minima are missing
+    def rr(case_id, seed, train, test, flag, best, div):
+        return RunResult(case_id=case_id, seed_name=seed, train_rms_deg=train,
+                         test_rms_deg=test, max_epoch_flag=flag, best_epoch=best,
+                         stop_reason="max-epoch" if flag else "early-stop",
+                         divergence_count=div, gyro_scale=0.5625,
+                         model_path=f"{case_id}_{seed}/model.bin",
+                         history_path=f"{case_id}_{seed}/history.csv")
+
+    results = [rr("C1a", "R1", 1.25, 2.5, False, 108, 0),
+               rr("C1a", "R2", 0.75, 3.125, True, 240, 1),
+               rr("C2a", "R1", 6.375, 8.0625, True, 239, 0),
+               rr("C2a", "R2", 7.5, 9.25, True, 240, 2)]
+    seeds = ("R1", "R2")
+    rows = [aggregate_case(cid, [r for r in results if r.case_id == cid], seeds=seeds)
+            for cid in ("C1a", "C2a")]
+    meta = {"cases": ["C1a", "C2a"], "seeds": list(seeds), "window": 5,
+            "pass_ids": ["P1", "P2", "P3", "P4", "P5"]}
+    paths = write_matrix_reports(group_tables(rows), results, tmp_path, meta)
+    assert sorted(Path(p).name for p in paths.values()) == sorted(
+        p.name for p in GOLDEN_REPORTS.iterdir())
+    for p in map(Path, paths.values()):
+        assert p.read_bytes() == (GOLDEN_REPORTS / p.name).read_bytes(), p.name
 
 
 def test_run_case_deterministic(tmp_path, catalog_logs):
@@ -212,7 +244,12 @@ def test_triad_baseline_report_matches_pass_by_pass(catalog_logs, eclipse):
     # the report solves the stacked catalog once per priority and measures
     # its sensor errors once; each pass's series is cut out of it and must
     # carry the bits of that pass evaluated alone
-    from attlab.features import SENSOR_MODELS, build_frames, sensor_errors_deg
+    from attlab.features import (
+        SENSOR_MODELS,
+        attitude_labels,
+        build_frames,
+        sensor_errors_deg,
+    )
     from attlab.synth import eclipse_variant
     from attlab.triad import triad_pass_eval
 
@@ -225,7 +262,8 @@ def test_triad_baseline_report_matches_pass_by_pass(catalog_logs, eclipse):
         assert len(r["series"]) == len(logs)
         for log, series in zip(logs, r["series"]):
             frames = build_frames(log)
-            alone = {**triad_pass_eval(log, frames, r["priority"]).series,
+            ev = triad_pass_eval(frames, attitude_labels(log), r["priority"])
+            alone = {"t": log.t.astype(np.int64), "att_err_deg": ev.att_err_deg,
                      **sensor_errors_deg(frames, log.q_true, np.arange(362),
                                          SENSOR_MODELS[:2])}
             assert list(series) == ["t", "att_err_deg", "sun_err_deg", "mag_err_deg"]

@@ -84,10 +84,11 @@ def test_write_triad_series_matches_reference_with_collinear_gaps(tmp_path):
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     rows = np.flatnonzero(ok)[[0, 1, 100, 200]]
     frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
-    ev = triad_pass_eval(log, frames, "sun")
+    ev = triad_pass_eval(frames, attitude_labels(log), "sun")
     assert ev.skip_reasons["collinear"] == len(rows)
-    # the series the baseline report writes: TRIAD's, then the sensor errors
-    series = {**ev.series,
+    # the series the baseline report writes: t, TRIAD's error, then the
+    # sensor errors
+    series = {"t": log.t.astype(np.int64), "att_err_deg": ev.att_err_deg,
               **sensor_errors_deg(frames, log.q_true, np.arange(362), SENSOR_MODELS[:2])}
     assert list(series) == ["t", "att_err_deg", "sun_err_deg", "mag_err_deg"]
     assert np.isnan(series["att_err_deg"][rows]).all()
@@ -135,7 +136,7 @@ def test_from_dict_passes_scalars_through_unconverted():
     assert tc == TrainConfig(lr=1, max_epochs=3)
     assert type(tc.lr) is int  # an int is a float, but is not converted
     sc = default_catalog()[0]
-    assert from_dict(Scenario, sc.to_dict(), "scenario") == sc
+    assert from_dict(Scenario, dataclasses.asdict(sc), "scenario") == sc
 
 
 @pytest.mark.parametrize("cls, d, named", [
@@ -146,10 +147,11 @@ def test_from_dict_passes_scalars_through_unconverted():
     (TrainConfig, {"max_epochs": None}, "'max_epochs' must be int"),
     (TrainConfig, {"max_epoch": 3}, "unknown key 'max_epoch'"),
     (SensorErrors, {"css_gain": 1.0}, "'css_gain' must be a list"),
-    (Scenario, {**default_catalog()[0].to_dict(), "force_eclipse": 1},
+    (Scenario, {**dataclasses.asdict(default_catalog()[0]), "force_eclipse": 1},
      "'force_eclipse' must be bool"),
-    (Scenario, {**default_catalog()[0].to_dict(), "pass_id": 7}, "'pass_id' must be str"),
-    (Scenario, {**default_catalog()[0].to_dict(), "maneuver": {"start_s": "60"}},
+    (Scenario, {**dataclasses.asdict(default_catalog()[0]), "pass_id": 7},
+     "'pass_id' must be str"),
+    (Scenario, {**dataclasses.asdict(default_catalog()[0]), "maneuver": {"start_s": "60"}},
      "cfg.json maneuver: key 'start_s' must be float"),
 ])
 def test_from_dict_rejects_wrong_types_naming_the_key(cls, d, named):
@@ -185,6 +187,62 @@ def test_read_passlog_rejects_bad_flags(tmp_path, key, flags):
     with pytest.raises(DataIntegrityError) as ei:
         read_passlog(csv)
     assert str(ei.value).startswith(f"{manifest_path}: key {key!r}")
+
+
+def _set_errors(**errors):
+    """An edit of a pass manifest that updates its ``scenario.errors``."""
+    return lambda m: m["scenario"]["errors"].update(errors)
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda m: m["scenario"]["errors"].pop("mag_ref"),
+                 "missing key 'scenario.errors.mag_ref'", id="no-mag_ref"),
+    pytest.param(_set_errors(mag_ref=[32768.0, 32768.0]), "'scenario.errors.mag_ref'",
+                 id="mag_ref-two"),
+    pytest.param(_set_errors(mag_ref=[1.0, 2.0, "3"]), "'scenario.errors.mag_ref'",
+                 id="mag_ref-text"),
+    pytest.param(_set_errors(mag_ref=[1.0, 2.0, float("nan")]), "'scenario.errors.mag_ref'",
+                 id="mag_ref-nan"),
+    pytest.param(_set_errors(mag_ref=32768.0), "'scenario.errors.mag_ref'",
+                 id="mag_ref-scalar"),
+    pytest.param(_set_errors(mag_scale=0), "'scenario.errors.mag_scale'", id="mag_scale-0"),
+    pytest.param(_set_errors(mag_scale=-8000.0), "'scenario.errors.mag_scale'",
+                 id="mag_scale-negative"),
+    pytest.param(_set_errors(mag_scale=float("inf")), "'scenario.errors.mag_scale'",
+                 id="mag_scale-inf"),
+    pytest.param(_set_errors(mag_scale=True), "'scenario.errors.mag_scale'",
+                 id="mag_scale-bool"),
+    pytest.param(lambda m: m["scenario"].update(errors=None), "'scenario.errors'",
+                 id="errors-null"),
+    pytest.param(lambda m: m.update(scenario=[]), "'scenario'", id="scenario-list"),
+    pytest.param(lambda m: m.update(pass_id=None), "'pass_id'", id="pass_id-null"),
+])
+def test_read_passlog_rejects_bad_manifest_keys(tmp_path, edit, named):
+    csv, manifest_path = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
+    manifest = json.loads(Path(manifest_path).read_text())
+    edit(manifest)
+    Path(manifest_path).write_text(json.dumps(manifest))
+    with pytest.raises(DataIntegrityError) as ei:
+        read_passlog(csv)
+    assert str(ei.value).startswith(f"{manifest_path}: ") and named in str(ei.value)
+
+
+def test_read_passlog_manifest_without_sensor_config(tmp_path):
+    # an int mag_scale is a number; a manifest without scenario errors, or
+    # none at all, reads, and build_frames then names the pass
+    log = synth_pass(default_catalog()[0])
+    csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
+    manifest = json.loads(Path(manifest_path).read_text())
+    manifest["scenario"]["errors"]["mag_scale"] = 8000
+    write_json(manifest_path, manifest)
+    assert read_passlog(csv).manifest["scenario"]["errors"]["mag_scale"] == 8000
+    write_json(manifest_path, {"pass_id": "P9"})
+    with pytest.raises(ValueError, match="pass P9: manifest carries no sensor config"):
+        build_frames(read_passlog(csv))
+    Path(manifest_path).unlink()
+    with pytest.raises(ValueError) as ei:
+        build_frames(read_passlog(csv))
+    assert str(ei.value).startswith(f"pass {csv}: manifest carries no sensor config")
 
 
 def test_read_passlog_flags_optional_and_kept(tmp_path):

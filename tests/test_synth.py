@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,7 @@ def test_synth_pass_deterministic(tmp_path):
 
 def test_synth_pass_seed_changes_output(tmp_path):
     sc = default_catalog()[0]
-    sc2 = from_dict(Scenario, {**sc.to_dict(), "seed": sc.seed + 100}, "scenario")
+    sc2 = from_dict(Scenario, {**dataclasses.asdict(sc), "seed": sc.seed + 100}, "scenario")
     log1 = synth_pass(sc)
     log2 = synth_pass(sc2)
     assert not np.array_equal(log1.css, log2.css)
@@ -267,7 +269,7 @@ def test_passlog_rejects_bad_data(tmp_path):
 
 def test_scenario_roundtrip_through_dict():
     sc = default_catalog()[2]
-    back = from_dict(Scenario, sc.to_dict(), "scenario")
+    back = from_dict(Scenario, dataclasses.asdict(sc), "scenario")
     assert back == sc
     assert back.hash() == sc.hash()
 

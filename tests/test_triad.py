@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attlab.errors import DegenerateGeometryError
-from attlab.features import build_frames
+from attlab.features import attitude_labels, build_frames
 from attlab.harness import triad_baseline_report
 from attlab.passlog import write_series_csv
 from attlab.rotations import (
@@ -87,7 +87,7 @@ def test_pass_eval_rejects_unknown_priority(biased_pass):
     log, frames = biased_pass
     for priority in ("both", "Sun", "", None):
         with pytest.raises(ValueError, match=repr(priority)):
-            triad_pass_eval(log, frames, priority)
+            triad_pass_eval(frames, attitude_labels(log), priority)
 
 
 @pytest.fixture(scope="module")
@@ -110,19 +110,18 @@ def rms(series):
 
 def test_pass_eval_zero_error(clean_pass):
     log, frames = clean_pass
-    ev = triad_pass_eval(log, frames, "mag")
-    assert rms(ev.series["att_err_deg"]) < 0.5
+    ev = triad_pass_eval(frames, attitude_labels(log), "mag")
+    assert rms(ev.att_err_deg) < 0.5
     assert ev.solved_steps == 362
 
 
 def test_pass_eval_biased_catalog(biased_pass):
     log, frames = biased_pass
-    sun = triad_pass_eval(log, frames, "sun").series
-    mag = triad_pass_eval(log, frames, "mag").series
-    assert np.isfinite(rms(sun["att_err_deg"])) and np.isfinite(rms(mag["att_err_deg"]))
-    assert rms(sun["att_err_deg"]) != rms(mag["att_err_deg"])
-    # the sensor errors do not depend on the priority: the report adds them
-    assert list(sun) == list(mag) == ["t", "att_err_deg"]
+    sun = triad_pass_eval(frames, attitude_labels(log), "sun").att_err_deg
+    mag = triad_pass_eval(frames, attitude_labels(log), "mag").att_err_deg
+    assert sun.shape == mag.shape == (362,)
+    assert np.isfinite(rms(sun)) and np.isfinite(rms(mag))
+    assert rms(sun) != rms(mag)
 
 
 def test_pass_eval_series_csv(tmp_path, biased_pass):
@@ -142,15 +141,15 @@ def test_pass_eval_skips_collinear_steps(tmp_path):
     ok = frames.avail["uS_c"] & frames.avail["uB_m"]
     rows = np.flatnonzero(ok)[[3, 50, 51, 200, 300]]
     frames.groups["uB_m"][rows] = frames.groups["uS_c"][rows]
-    ev = triad_pass_eval(log, frames, "mag")
+    ev = triad_pass_eval(frames, attitude_labels(log), "mag")
     k = len(rows)
     assert ev.skip_reasons["collinear"] == k
     unsolved = ~ok
     unsolved[rows] = True
-    assert np.array_equal(np.isnan(ev.series["att_err_deg"]), unsolved)
+    assert np.array_equal(np.isnan(ev.att_err_deg), unsolved)
     assert ev.solved_steps == 362 - ev.skip_reasons["unavailable"] - k
     p = tmp_path / "triad.csv"
-    write_series_csv(p, ev.series)
+    write_series_csv(p, {"t": log.t.astype(np.int64), "att_err_deg": ev.att_err_deg})
     lines = p.read_text().splitlines()[1:]
     for step in range(362):
         att_cell = lines[step].split(",")[1]
@@ -173,8 +172,8 @@ def test_bias_knob_monotonic_triad_rms():
             overrides[knob] = level
             errors = dataclasses.replace(CATALOG_ERRORS, **overrides)
             log = synth_pass(default_catalog(errors=errors)[0])
-            ev = triad_pass_eval(log, build_frames(log), "mag")
-            levels_rms.append(rms(ev.series["att_err_deg"]))
+            ev = triad_pass_eval(build_frames(log), attitude_labels(log), "mag")
+            levels_rms.append(rms(ev.att_err_deg))
         assert levels_rms[0] < levels_rms[1] < levels_rms[2], f"{knob}: {levels_rms}"
 
 
@@ -186,13 +185,13 @@ def test_pass_eval_sensor_columns_follow_own_availability():
     sunlit = np.ones(362, dtype=int)
     sunlit[rows] = 0
     log = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit.tolist()})
-    ev = triad_pass_eval(log, build_frames(log), "mag")
-    assert np.isnan(ev.series["att_err_deg"][rows]).all()
+    ev = triad_pass_eval(build_frames(log), attitude_labels(log), "mag")
+    assert np.isnan(ev.att_err_deg[rows]).all()
     assert ev.skip_reasons["unavailable"] == len(rows)
     assert ev.solved_steps == 362 - len(rows)
     (row,) = triad_baseline_report([log], priorities=("mag",))
     series = row["series"][0]
-    assert np.array_equal(series["att_err_deg"], ev.series["att_err_deg"], equal_nan=True)
+    assert np.array_equal(series["att_err_deg"], ev.att_err_deg, equal_nan=True)
     assert np.flatnonzero(np.isnan(series["sun_err_deg"])).tolist() == rows
     assert np.isfinite(series["mag_err_deg"]).all()
 
@@ -202,10 +201,10 @@ def test_pass_eval_eclipse_solves_no_step():
     from attlab.synth import eclipse_variant
 
     log = synth_pass(eclipse_variant(default_catalog()[0]))
-    ev = triad_pass_eval(log, build_frames(log), "sun")
+    ev = triad_pass_eval(build_frames(log), attitude_labels(log), "sun")
     assert ev.solved_steps == 0 and ev.skipped_steps == 362
     assert ev.skip_reasons == {"unavailable": 362, "collinear": 0}
-    assert np.isnan(ev.series["att_err_deg"]).all()
+    assert np.isnan(ev.att_err_deg).all()
     (row,) = triad_baseline_report([log], priorities=("sun",))
     series = row["series"][0]
     assert np.isnan(series["att_err_deg"]).all()
