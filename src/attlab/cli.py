@@ -40,6 +40,7 @@ from .harness import (
 )
 from .features import WINDOW_MAX
 from .passlog import (
+    SensorErrors,
     check_type,
     from_dict,
     read_manifest,
@@ -53,7 +54,6 @@ from .passlog import (
 from .synth import (
     CATALOG_ERRORS,
     Scenario,
-    SensorErrors,
     default_catalog,
     eclipse_variant,
     synth_pass,

@@ -49,9 +49,7 @@ def css_to_sun_earth(css, bias=None):
 
 
 def mag_to_unit(mag, ref, scale):
-    """Field unit vector from magnetometer counts; (uB_m, avail)."""
-    if scale <= 0:
-        raise ValueError("mag scale must be positive")
+    """Field unit vector from counts and a scale above 0; (uB_m, avail)."""
     v = (np.asarray(mag, dtype=float) - np.asarray(ref, dtype=float)) / scale
     return _normalize_rows(v)
 

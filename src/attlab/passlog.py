@@ -5,13 +5,14 @@ cadence. Each record carries the raw coarse-sensor counts, the gyro
 rates, the inertial model vectors, the orbit position, and the truth
 attitude. On disk a pass is a CSV plus a JSON sidecar manifest
 (``<name>.manifest.json``) holding the scenario, seed, and per-step
-sunlit/saturation flags. ``from_dict`` is the one path from a JSON-style
-dict to a dataclass.
+sunlit/saturation flags; its ``scenario.errors`` is a ``SensorErrors``.
+``from_dict`` is the one path from a JSON-style dict to a dataclass.
 """
 
 import hashlib
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -73,6 +74,57 @@ def from_dict(cls, d, where):
         return cls(**values)
     except ValueError as e:  # the dataclass's own range checks
         raise ValueError(f"{where}: {e}") from None
+
+
+def _finite_number(x):
+    """True for a finite int or float; a bool is not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+@dataclass
+class SensorErrors:
+    """Error knobs for the coarse-sensor suite; all counts are ADC counts. A
+    tuple field holds as many finite numbers as its default, one per panel
+    or axis, and a float field is a finite number."""
+
+    css_gain: tuple = (1000.0,) * 6
+    css_bias: tuple = (0.0,) * 6
+    css_noise: float = 0.0
+    albedo_coeff: float = 0.0  # per-panel albedo gain = albedo_coeff * css_gain
+    mag_ref: tuple = (32768.0,) * 3
+    mag_scale: float = 8000.0  # counts per gauss
+    mag_noise: float = 0.0  # counts
+    mag_hard_iron: tuple = (0.0, 0.0, 0.0)  # gauss, body frame
+    mag_misalign_deg: float = 0.0
+    mag_misalign_axis: tuple = (1.0, 1.0, 1.0)
+    gyro_bias_dps: tuple = (0.0, 0.0, 0.0)
+    gyro_noise_dps: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple:
+                if len(value) != len(f.default) or not all(map(_finite_number, value)):
+                    raise ValueError(f"key {f.name!r} must be a list of {len(f.default)} "
+                                     f"finite numbers, got {value!r}")
+            elif not _finite_number(value):
+                raise ValueError(f"key {f.name!r} must be finite, got {value!r}")
+        for key in ("css_noise", "mag_noise", "gyro_noise_dps"):
+            value = getattr(self, key)
+            if value < 0:
+                raise ValueError(f"key {key!r} must be non-negative, got {value!r}")
+        if self.mag_scale <= 0:
+            raise ValueError(f"key 'mag_scale' must be positive, got {self.mag_scale!r}")
+
+
+def check_pass_id(where, value):
+    """Raise a ValueError naming ``where``, the file and key a pass id came
+    from, unless the id ``value`` can name a file: a string that is not
+    empty, ``.`` or ``..`` and holds no path separator or NUL."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(c and c in value for c in ("/", "\0", os.sep, os.altsep))):
+        raise ValueError(f"{where} must be a string that names a file (not empty, "
+                         f"'.' or '..', and without '/' or NUL), got {value!r}")
 
 
 @dataclass
@@ -176,45 +228,34 @@ def write_passlog(log, csv_path):
 
 
 def manifest_path_for(csv_path):
-    csv_path = str(csv_path)
-    stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return stem + ".manifest.json"
+    return str(csv_path).removesuffix(".csv") + ".manifest.json"
 
 
 def read_manifest(csv_path):
     """The pass's sidecar manifest (``{}`` when it has none) and its pass
-    id: the manifest's ``pass_id``, else the CSV path. A manifest that is
-    not a JSON object, or whose keys the readers rely on are malformed,
-    raises DataIntegrityError naming the manifest and the key."""
+    id: the manifest's ``pass_id``, else the stem of the CSV file's name
+    (``P1`` for ``dir/P1.csv``). A malformed manifest or pass id raises
+    DataIntegrityError naming the file and the key."""
     path = manifest_path_for(csv_path)
     try:
         with open(path) as f:
             manifest = json.load(f)
     except FileNotFoundError:
-        return {}, str(csv_path)
+        manifest = {}
     except ValueError as e:  # not JSON, or not UTF-8
         raise DataIntegrityError(f"{path}: not valid JSON: {e}") from None
-    _check_manifest(manifest, path)
-    return manifest, manifest.get("pass_id", str(csv_path))
+    return manifest, _check_manifest(manifest, path, csv_path)
 
 
-def _finite_number(x):
-    """True for a finite int or float; a bool is not a number."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _check_manifest(manifest, path):
-    """Reject a manifest that is not an object, a ``pass_id`` that is not a
-    string, per-step ``sunlit`` / ``mag_saturated`` flags that are not one
-    0 or 1 per record and, where ``scenario.errors`` is present, MAG
-    reference values that ``SensorErrors`` would not accept: ``mag_ref``
-    3 finite numbers, ``mag_scale`` a finite number above 0."""
+def _check_manifest(manifest, path, csv_path):
+    """The pass id ``read_manifest`` returns. Reject a manifest that is not
+    an object, per-step ``sunlit`` / ``mag_saturated`` flags that are not
+    one 0 or 1 per record, a pass id that ``check_pass_id`` rejects and,
+    where ``scenario.errors`` is present, errors that ``SensorErrors``
+    rejects or that lack the MAG reference values."""
     if not isinstance(manifest, dict):
         raise DataIntegrityError(
             f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
-    if not isinstance(manifest.get("pass_id", ""), str):
-        raise DataIntegrityError(
-            f"{path}: key 'pass_id' must be a string, got {manifest['pass_id']!r}")
     for key in ("sunlit", "mag_saturated"):
         if key not in manifest:
             continue
@@ -226,21 +267,21 @@ def _check_manifest(manifest, path):
     scenario = manifest.get("scenario", {})
     if not isinstance(scenario, dict):
         raise DataIntegrityError(f"{path}: key 'scenario' must be an object")
-    if "errors" not in scenario:
-        return
-    errors = scenario["errors"]
-    if not isinstance(errors, dict):
-        raise DataIntegrityError(f"{path}: key 'scenario.errors' must be an object")
-    for key in ("mag_ref", "mag_scale"):
-        if key not in errors:
-            raise DataIntegrityError(f"{path}: missing key 'scenario.errors.{key}'")
-    ref, scale = errors["mag_ref"], errors["mag_scale"]
-    if not (isinstance(ref, list) and len(ref) == 3 and all(map(_finite_number, ref))):
-        raise DataIntegrityError(f"{path}: key 'scenario.errors.mag_ref' must be a list "
-                                 f"of 3 finite numbers, got {ref!r}")
-    if not (_finite_number(scale) and scale > 0):
-        raise DataIntegrityError(f"{path}: key 'scenario.errors.mag_scale' must be a "
-                                 f"finite number above 0, got {scale!r}")
+    if "pass_id" in manifest:
+        where, pass_id = f"{path}: key 'pass_id'", manifest["pass_id"]
+    else:
+        where = f"{csv_path}: pass id (the file name's stem)"
+        pass_id = os.path.basename(str(csv_path)).removesuffix(".csv")
+    try:
+        check_pass_id(where, pass_id)
+        if "errors" in scenario:
+            from_dict(SensorErrors, scenario["errors"], f"{path}: scenario.errors")
+            for key in ("mag_ref", "mag_scale"):  # TRIAD and the features read them
+                if key not in scenario["errors"]:
+                    raise ValueError(f"{path}: scenario.errors: missing key {key!r}")
+    except ValueError as e:
+        raise DataIntegrityError(str(e)) from None
+    return pass_id
 
 
 def _check_cells(data, csv_path):

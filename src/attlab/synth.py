@@ -14,14 +14,13 @@ two indistinguishable.
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import refmodels
 from .errors import ScenarioInfeasibleError
-from .passlog import PASS_SAMPLES, PassLog, from_dict
+from .passlog import PASS_SAMPLES, PassLog, SensorErrors, check_pass_id, from_dict
 from .refmodels import OrbitElements
 from .rotations import (
     _cross,
@@ -46,46 +45,6 @@ PANEL_NORMALS = np.array([
 ])
 
 MAG_RAIL_GAUSS = 2.0  # sensor saturates at +/- 2 gauss
-
-# Entries of each list field of SensorErrors: one per panel or axis.
-_ERROR_LIST_SIZES = {"css_gain": 6, "css_bias": 6, "mag_ref": 3, "mag_hard_iron": 3,
-                     "mag_misalign_axis": 3, "gyro_bias_dps": 3}
-_ERROR_SCALARS = ("css_noise", "albedo_coeff", "mag_scale", "mag_noise",
-                  "mag_misalign_deg", "gyro_noise_dps")
-
-
-@dataclass
-class SensorErrors:
-    """Error knobs for the coarse-sensor suite; all counts are ADC counts."""
-
-    css_gain: tuple = (1000.0,) * 6
-    css_bias: tuple = (0.0,) * 6
-    css_noise: float = 0.0
-    albedo_coeff: float = 0.0  # per-panel albedo gain = albedo_coeff * css_gain
-    mag_ref: tuple = (32768.0,) * 3
-    mag_scale: float = 8000.0  # counts per gauss
-    mag_noise: float = 0.0  # counts
-    mag_hard_iron: tuple = (0.0, 0.0, 0.0)  # gauss, body frame
-    mag_misalign_deg: float = 0.0
-    mag_misalign_axis: tuple = (1.0, 1.0, 1.0)
-    gyro_bias_dps: tuple = (0.0, 0.0, 0.0)
-    gyro_noise_dps: float = 0.0
-
-    def __post_init__(self):
-        for key, size in _ERROR_LIST_SIZES.items():
-            value = getattr(self, key)
-            if len(value) != size or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in value):
-                raise ValueError(
-                    f"key {key!r} must be a list of {size} finite numbers, got {value!r}")
-        for key in _ERROR_SCALARS:
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"key {key!r} must be finite, got {getattr(self, key)!r}")
-        if self.css_noise < 0 or self.mag_noise < 0 or self.gyro_noise_dps < 0:
-            raise ValueError("noise sigmas must be non-negative")
-        if self.mag_scale <= 0:
-            raise ValueError("mag scale must be positive")
 
 
 @dataclass
@@ -114,6 +73,7 @@ class Scenario:
     force_eclipse: bool = False
 
     def __post_init__(self):
+        check_pass_id("key 'pass_id'", self.pass_id)
         if self.seed < 0:
             raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
 

@@ -402,8 +402,8 @@ def _malformed(manifest, case):
 @pytest.mark.parametrize("case, named", [
     ("list", "must be a JSON object"),
     ("invalid-json", "not valid JSON"),
-    ("no-mag_scale", "missing key 'scenario.errors.mag_scale'"),
-    ("text-mag_scale", "key 'scenario.errors.mag_scale' must be a finite number"),
+    ("no-mag_scale", "scenario.errors: missing key 'mag_scale'"),
+    ("text-mag_scale", "scenario.errors: key 'mag_scale' must be float"),
     ("int-pass_id", "key 'pass_id' must be a string"),
 ], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id"])
 def test_malformed_manifest_exit_2(tmp_path, pass_args, capsys, command, case, named):
@@ -434,6 +434,26 @@ def test_repeated_pass_id_exit_2(tmp_path, pass_args, capsys, command):
     err = capsys.readouterr().err
     assert "'P1' is repeated" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, pass_id", [("synth", "../escaped"), ("triad", "a/b")])
+def test_pass_id_not_a_file_name_exit_2(tmp_path, pass_args, capsys, command, pass_id):
+    if command == "synth":
+        source = tmp_path / "escape.json"
+        sc = {**dataclasses.asdict(default_catalog()[0]), "pass_id": pass_id}
+        source.write_text(json.dumps({"scenarios": [sc]}))
+        argv = ["synth", "--config", str(source)]
+    else:
+        passes = _copy_catalog(tmp_path, pass_args)
+        source = Path(passes[0]).with_suffix(".manifest.json")
+        manifest = json.loads(source.read_text())
+        source.write_text(json.dumps({**manifest, "pass_id": pass_id}))
+        argv = ["triad", *passes]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(source) in err and "key 'pass_id'" in err
+    assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
 
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):
@@ -662,6 +682,12 @@ def test_export_raw_only(tmp_path, pass_args):
     e = tmp_path / "raw"
     assert main(["export", pass_args[0], "--out", str(e)]) == 0
     assert (e / "profile_P1.csv").exists()
+    # a pass without a manifest takes its file's stem as its pass id
+    bare = tmp_path / "nomani" / "P1.csv"
+    bare.parent.mkdir()
+    shutil.copy(pass_args[0], bare)
+    assert main(["export", str(bare), "--raw", "--out", str(tmp_path / "exp")]) == 0
+    assert (tmp_path / "exp" / "profile_P1.csv").exists()
 
 
 @pytest.fixture

@@ -166,8 +166,8 @@ def test_pass_id_from_manifest_else_path(tmp_path):
     assert read_manifest(csv)[1] == "P2" == read_passlog(csv).pass_id
     bare = tmp_path / "bare.csv"
     shutil.copy(csv, bare)
-    assert read_manifest(bare) == ({}, str(bare))
-    assert read_passlog(bare).pass_id == str(bare)
+    assert read_manifest(bare) == ({}, "bare")
+    assert read_passlog(bare).pass_id == "bare"
 
 
 @pytest.mark.parametrize("key, flags", [
@@ -196,26 +196,39 @@ def _set_errors(**errors):
 
 @pytest.mark.parametrize("edit, named", [
     pytest.param(lambda m: m["scenario"]["errors"].pop("mag_ref"),
-                 "missing key 'scenario.errors.mag_ref'", id="no-mag_ref"),
-    pytest.param(_set_errors(mag_ref=[32768.0, 32768.0]), "'scenario.errors.mag_ref'",
+                 "scenario.errors: missing key 'mag_ref'", id="no-mag_ref"),
+    pytest.param(_set_errors(mag_ref=[32768.0, 32768.0]), "scenario.errors: key 'mag_ref'",
                  id="mag_ref-two"),
-    pytest.param(_set_errors(mag_ref=[1.0, 2.0, "3"]), "'scenario.errors.mag_ref'",
+    pytest.param(_set_errors(mag_ref=[1.0, 2.0, "3"]), "scenario.errors: key 'mag_ref'",
                  id="mag_ref-text"),
-    pytest.param(_set_errors(mag_ref=[1.0, 2.0, float("nan")]), "'scenario.errors.mag_ref'",
-                 id="mag_ref-nan"),
-    pytest.param(_set_errors(mag_ref=32768.0), "'scenario.errors.mag_ref'",
+    pytest.param(_set_errors(mag_ref=[1.0, 2.0, float("nan")]),
+                 "scenario.errors: key 'mag_ref'", id="mag_ref-nan"),
+    pytest.param(_set_errors(mag_ref=32768.0), "scenario.errors: key 'mag_ref'",
                  id="mag_ref-scalar"),
-    pytest.param(_set_errors(mag_scale=0), "'scenario.errors.mag_scale'", id="mag_scale-0"),
-    pytest.param(_set_errors(mag_scale=-8000.0), "'scenario.errors.mag_scale'",
-                 id="mag_scale-negative"),
-    pytest.param(_set_errors(mag_scale=float("inf")), "'scenario.errors.mag_scale'",
-                 id="mag_scale-inf"),
-    pytest.param(_set_errors(mag_scale=True), "'scenario.errors.mag_scale'",
-                 id="mag_scale-bool"),
-    pytest.param(lambda m: m["scenario"].update(errors=None), "'scenario.errors'",
-                 id="errors-null"),
+    pytest.param(_set_errors(mag_scale=0),
+                 "scenario.errors: key 'mag_scale' must be positive", id="mag_scale-0"),
+    pytest.param(_set_errors(mag_scale=-8000.0),
+                 "scenario.errors: key 'mag_scale' must be positive", id="mag_scale-negative"),
+    pytest.param(_set_errors(mag_scale=float("inf")),
+                 "scenario.errors: key 'mag_scale' must be finite", id="mag_scale-inf"),
+    pytest.param(_set_errors(mag_scale=True),
+                 "scenario.errors: key 'mag_scale' must be float", id="mag_scale-bool"),
+    # the rest of scenario.errors follows the rules of synth --config errors
+    pytest.param(_set_errors(css_gain=[1000.0] * 5),
+                 "scenario.errors: key 'css_gain'", id="css_gain-five"),
+    pytest.param(_set_errors(css_noise=-1),
+                 "scenario.errors: key 'css_noise' must be non-negative",
+                 id="css_noise-negative"),
+    pytest.param(_set_errors(css_gian=[1000.0] * 6),
+                 "scenario.errors: unknown key 'css_gian'", id="errors-unknown-key"),
+    pytest.param(lambda m: m["scenario"].update(errors=None),
+                 "scenario.errors: expected an object", id="errors-null"),
     pytest.param(lambda m: m.update(scenario=[]), "'scenario'", id="scenario-list"),
     pytest.param(lambda m: m.update(pass_id=None), "'pass_id'", id="pass_id-null"),
+    *(pytest.param(lambda m, v=v: m.update(pass_id=v),
+                   "key 'pass_id' must be a string that names a file", id=f"pass_id-{name}")
+      for name, v in (("parent", "../x"), ("slash", "a/b"), ("empty", ""),
+                      ("dotdot", ".."))),
 ])
 def test_read_passlog_rejects_bad_manifest_keys(tmp_path, edit, named):
     csv, manifest_path = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
@@ -242,7 +255,7 @@ def test_read_passlog_manifest_without_sensor_config(tmp_path):
     Path(manifest_path).unlink()
     with pytest.raises(ValueError) as ei:
         build_frames(read_passlog(csv))
-    assert str(ei.value).startswith(f"pass {csv}: manifest carries no sensor config")
+    assert str(ei.value).startswith("pass a: manifest carries no sensor config")
 
 
 def test_read_passlog_flags_optional_and_kept(tmp_path):
