@@ -78,8 +78,11 @@ def _out_dir(args, create=True):
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as f:
-        cfg = json.load(f)
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg
@@ -408,8 +411,7 @@ def main(argv=None):
     except (DegenerateGeometryError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"error: numeric failure: {e}", file=sys.stderr)
         return 4
-    except (DataIntegrityError, IncompatibleModelError, ValueError,
-            json.JSONDecodeError, OSError) as e:
+    except (DataIntegrityError, IncompatibleModelError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,10 +20,11 @@ reinitializes the optimizer.
 
 Cost is kept flat and on the calling thread. Training batches,
 inference (``forward``) and the RMS-angle loss
-(``loss`` and the per-epoch full-set loss) share one forward of GEMMs
-of at most 32 rows, small enough that OpenBLAS never wakes its helper
-threads, with the bits of a whole-set GEMM; backprop reads the input
-of each affine map that this forward keeps. Each epoch draws its
+(``loss`` and the per-epoch full-set loss) share one forward that pads
+the rows to whole 32-row blocks, GEMMs small enough that OpenBLAS never
+wakes its helper threads, so a window's prediction has the same bits in
+any stack; backprop reads the input of each affine map that this
+forward keeps, without the padding. Each epoch draws its
 dropout masks in one call. Adam flushes tiny first moments to zero,
 since the moments of dead-ReLU weights otherwise decay into subnormals
 and slow every later step; the flush does not change the parameters'
@@ -33,13 +34,13 @@ bits.
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import IncompatibleModelError
 from .features import WINDOW_MAX
-from .passlog import write_text
+from .passlog import from_dict, write_text
 from .rotations import _mrp_to_quat, mrp_to_quat
 
 DIVERGENCE_FACTOR = 10.0
@@ -66,8 +67,11 @@ class NetConfig:
     def __post_init__(self):
         if not 1 <= self.n <= WINDOW_MAX:
             raise ValueError(f"window length must be in 1..{WINDOW_MAX}")
-        if len(self.widths) != 4 or self.widths[-1] != 3:
-            raise ValueError("widths must be four layer sizes ending in 3")
+        if self.channels < 1:
+            raise ValueError("channel count must be >= 1")
+        if (len(self.widths) != 4 or self.widths[-1] != 3
+                or not all(type(w) is int and w >= 1 for w in self.widths)):
+            raise ValueError("widths must be four positive int layer sizes ending in 3")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
 
@@ -140,37 +144,29 @@ def _blocked_forward(params, a, dropout_mask=None, acts=None):
 
     ``dropout_mask``, when given, scales the last hidden layer's output
     (training). ``acts``, when given, receives each affine map's input,
-    first to last, for backprop.
+    first to last, for backprop: views of the real rows.
 
-    Up to ``GEMM_ROWS`` rows, each affine map is one plain GEMM. Above
-    that, it is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs plus
-    one GEMM for the tail rows, so every GEMM stays on the calling
-    thread. Every row gets the bits of one whole-set GEMM: the output
-    layer's rows depend on where they fall in OpenBLAS's row tiles, and
-    ``GEMM_ROWS`` is a multiple of the tile height. A lone tail row would
-    go to a matrix-vector product, whose bits differ, so it joins the
-    last full block instead.
+    The rows are zero-padded once to whole ``GEMM_ROWS``-row blocks, and
+    each affine map is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs,
+    each small enough to stay on the calling thread. A row's bits depend
+    on where it falls in OpenBLAS's row tiles, and ``GEMM_ROWS`` is a
+    multiple of the tile height, so every row sits in a full tile and a
+    window gets the same bits in a stack of any length, alone included.
     """
-    full = len(a) - len(a) % GEMM_ROWS if len(a) > GEMM_ROWS else 0
-    if len(a) - full == 1 and full:
-        full -= GEMM_ROWS
+    rows = len(a)
+    if rows % GEMM_ROWS:
+        a = np.concatenate([a, np.zeros((-rows % GEMM_ROWS, a.shape[1]))])
     last = len(params.weights) - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
         if k == last and dropout_mask is not None:
-            a = a * dropout_mask
+            a[:rows] *= dropout_mask
         if acts is not None:
-            acts.append(a)
-        out = np.empty((len(a), W.shape[1]))
-        if full:
-            np.matmul(a[:full].reshape(-1, GEMM_ROWS, a.shape[1]), W,
-                      out=out[:full].reshape(-1, GEMM_ROWS, W.shape[1]))
-        if full < len(a):
-            np.matmul(a[full:], W, out=out[full:])
-        out += b
+            acts.append(a[:rows])
+        a = np.matmul(a.reshape(-1, GEMM_ROWS, a.shape[1]), W).reshape(len(a), -1)
+        a += b
         if k < last:
-            np.maximum(out, 0.0, out=out)
-        a = out
-    return a
+            np.maximum(a, 0.0, out=a)
+    return a[:rows]
 
 
 def forward(params, X, nc):
@@ -485,25 +481,44 @@ def save_model(params, nc, path, provenance=None):
 
 
 def load_model(path):
-    """Returns (params, config, provenance); rejects mismatched headers."""
+    """Returns (params, config, provenance). A file that is not a whole
+    model with a consistent header raises IncompatibleModelError naming
+    ``path`` and, where one is at fault, the header key."""
     with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
-            raise IncompatibleModelError(f"{path} is not a model file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        nc = NetConfig(n=header["n"], channels=header["channels"],
-                       widths=tuple(header["widths"]), dropout=header["dropout"],
-                       seed=header["seed"])
-        dims = nc.layer_dims
-        expect = [[d_in, d_out] for d_in, d_out in zip(dims[:-1], dims[1:])]
-        expect += [[d] for d in dims[1:]]
-        if header["shapes"] != expect:
-            raise IncompatibleModelError(
-                f"shape header {header['shapes']} does not match config {expect}")
-        shapes = [tuple(shape) for shape in header["shapes"]]
-        count = sum(int(np.prod(shape)) for shape in shapes)
-        buf = f.read(count * 8)
-        if len(buf) != count * 8:
-            raise IncompatibleModelError("model file truncated")
-    vec = np.frombuffer(buf, dtype="<f8").astype(float)
+        data = f.read()
+    if not data.startswith(_MAGIC):
+        raise IncompatibleModelError(f"{path} is not a model file")
+    start = len(_MAGIC) + 4
+    if len(data) < start:
+        raise IncompatibleModelError(f"{path}: model file truncated in its header length")
+    (hlen,) = struct.unpack_from("<I", data, len(_MAGIC))
+    try:
+        header = json.loads(data[start:start + hlen])
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise IncompatibleModelError(f"{path}: header is not valid JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise IncompatibleModelError(
+            f"{path}: header must be a JSON object, got {type(header).__name__}")
+    net_keys = [f.name for f in fields(NetConfig)]
+    for key in (*net_keys, "shapes", "provenance"):
+        if key not in header:
+            raise IncompatibleModelError(f"{path}: header has no key {key!r}")
+    try:
+        nc = from_dict(NetConfig, {key: header[key] for key in net_keys}, f"{path}: header")
+    except ValueError as e:
+        raise IncompatibleModelError(str(e)) from None
+    if not isinstance(header["provenance"], dict):
+        raise IncompatibleModelError(f"{path}: header key 'provenance' must be an object")
+    dims = nc.layer_dims
+    shapes = [(d_in, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    shapes += [(d,) for d in dims[1:]]
+    if header["shapes"] != [list(shape) for shape in shapes]:
+        raise IncompatibleModelError(f"{path}: header key 'shapes' is {header['shapes']}, "
+                                     f"but its config needs {shapes}")
+    body = data[start + hlen:]
+    count = sum(int(np.prod(shape)) for shape in shapes)
+    if len(body) != count * 8:
+        raise IncompatibleModelError(f"{path}: model file holds {len(body)} bytes of "
+                                     f"parameters, its header's shapes need {count * 8}")
+    vec = np.frombuffer(body, dtype="<f8").astype(float)
     return NetParams.from_vector(vec, shapes), nc, header["provenance"]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -732,6 +733,66 @@ def test_export_model_unknown_case_id_exit_2(tmp_path, pass_args, untrained_mode
     assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert model in err and "'case_id'" in err and "'C9z'" in err
+    assert not out.exists()
+
+
+def _with_header(raw, edit):
+    """A model file's bytes with its JSON header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+@pytest.mark.parametrize("damage, named", [
+    pytest.param(lambda raw: raw[:10], "truncated", id="cut-after-magic"),
+    pytest.param(lambda raw: raw[:40], "not valid JSON", id="cut-in-header"),
+    pytest.param(lambda raw: raw[:-8], "bytes of parameters", id="cut-in-parameters"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: [h]), "JSON object",
+                 id="header-list"),
+    pytest.param(lambda raw: _with_header(raw, _without("n")), "'n'", id="no-n"),
+    pytest.param(lambda raw: _with_header(raw, _without("provenance")), "'provenance'",
+                 id="no-provenance"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "n": "5"}), "'n'",
+                 id="n-string"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "widths": [64, 128, 64.5, 3]}),
+                 "widths", id="widths-float"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "channels": 9}), "'shapes'",
+                 id="shapes-disagree"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "provenance": "C1a"}),
+                 "'provenance'", id="provenance-string"),
+])
+def test_export_malformed_model_exit_2(tmp_path, pass_args, untrained_model, capsys,
+                                       damage, named):
+    good = untrained_model(provenance={"case_id": "C1a", "gyro_scale": 1.0})
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(damage(Path(good).read_bytes()))
+    out = tmp_path / "o"
+    assert main(["export", pass_args[0], "--model", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+@pytest.mark.parametrize("text", [b'{"max_epochs": 2,', b'{"max_epochs": 2,\n}',
+                                  b'{"lr": "\xe9"}'],
+                         ids=["cut", "trailing-comma", "not-utf8"])
+def test_config_not_json_exit_2(tmp_path, capsys, command, text):
+    # the passes do not exist: the config is rejected before any is read
+    passes = [str(tmp_path / f"missing{k}.csv") for k in range(5)]
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(text)
+    argv = {"synth": ["synth"],
+            "train": ["train", *passes, "--case", "C1a"],
+            "ablate": ["ablate", *passes, "--cases", "C1a"]}[command]
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: not valid JSON" in err and "missing" not in err
     assert not out.exists()
 
 

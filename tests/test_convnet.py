@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from attlab.cases import case_spec
 from attlab.convnet import (
     FLUSH_BELOW,
     FLUSH_EVERY,
+    GEMM_ROWS,
     NetConfig,
     NetParams,
     TrainConfig,
@@ -18,7 +20,13 @@ from attlab.convnet import (
     train,
 )
 from attlab.errors import IncompatibleModelError
-from attlab.features import WindowDataset
+from attlab.features import (
+    WindowDataset,
+    attitude_labels,
+    build_frames,
+    build_windows,
+    gyro_scale_from_passes,
+)
 from attlab.rotations import mrp_to_quat, quat_from_axis_angle, quat_to_mrp
 
 TINY = NetConfig(n=3, channels=6, widths=(4, 8, 4, 3), dropout=0.0, seed=11)
@@ -306,7 +314,10 @@ def test_returned_params_are_best_checkpoint():
 
 
 def whole_set_forward(p, Xf):
-    """The plain inference forward: one ``x @ W + b`` per layer over all rows."""
+    """The plain inference forward: one ``x @ W + b`` per layer over all rows.
+    Its rows have the network forward's bits only when their count is a
+    multiple of OpenBLAS's 4-row tile: the last ``N % 4`` rows of an
+    ``N``-row GEMM fall in a partial tile, whose bits differ."""
     a = Xf
     for k, (W, b) in enumerate(zip(p.weights, p.biases)):
         a = a @ W + b
@@ -318,7 +329,8 @@ def whole_set_forward(p, Xf):
 def reference_train(ds, nc, tc):
     """The per-array training loop: Adam over each weight and bias array
     in turn, a dropout draw per batch, and the epoch loss from one
-    forward over the whole set. No divergence handling or early stop, so
+    forward over the whole set, whose row count must be a multiple of 4
+    (see ``whole_set_forward``). No divergence handling or early stop, so
     keep runs short."""
     rng = np.random.default_rng(tc.seed)
     keep = 1.0 - nc.dropout
@@ -350,8 +362,8 @@ def reference_train(ds, nc, tc):
 
 
 def test_train_matches_per_array_reference_bitwise():
-    # 100 windows in batches of 32 (the last one short); the reference's
-    # full-set GEMMs are large enough for BLAS to split them over threads
+    # 100 windows in batches of 32 (the last one short, padded by the
+    # forward); the reference's epoch loss is one 100-row whole-set GEMM
     rng = np.random.default_rng(12)
     ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
                        Y=rng.normal(scale=0.2, size=(100, 3)))
@@ -405,32 +417,70 @@ def test_adam_flushes_small_moments_without_changing_the_update():
     assert subnormal_seen  # the unflushed moments went subnormal
 
 
-@pytest.mark.parametrize("rows", [1, 31, 32, 33, 353, 358, 1432])
-def test_forward_rows_match_whole_set_forward_bitwise(rows):
-    # stacked 32-row GEMMs and the tail give each row the whole-set bits
-    nc = NetConfig(n=5, channels=21, seed=7)
+@pytest.fixture(scope="module")
+def stacked_predictions():
+    """Per (channels, window): params, 1472 random windows, and each
+    window's prediction from the 400-row stack it falls in."""
+    out = {}
+    for channels in (3, 6, 15, 21):
+        for n in (1, 5, 11):
+            nc = NetConfig(n=n, channels=channels, seed=channels + n)
+            p = init_params(nc)
+            X = np.random.default_rng(n * channels).normal(size=(1472, n, channels))
+            ref = np.concatenate([forward(p, X[s:s + 400], nc) for s in range(0, 1472, 400)])
+            out[channels, n] = nc, p, X, ref
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 24, 31, 32, 33, 353, 358, 1432])
+def test_forward_rows_match_whole_set_forward_bitwise(stacked_predictions, rows):
+    # a window's prediction has the same bits in a stack of any length and
+    # at any offset: rows pad to whole GEMM_ROWS blocks, so none falls in
+    # a partial OpenBLAS row tile or a matrix-vector product
+    for (channels, n), (nc, p, X, ref) in stacked_predictions.items():
+        assert np.array_equal(forward(p, X, nc), ref), (channels, n)
+        for offset in (0, 7, 40):
+            out = forward(p, X[offset:offset + rows], nc)
+            assert np.array_equal(out, ref[offset:offset + rows]), (channels, n, offset)
+
+
+def test_one_window_gets_its_row_of_the_pass_prediction(catalog_logs):
+    log = catalog_logs[4]
+    case = case_spec("C1f")
+    frames = build_frames(log, gyro_scale=gyro_scale_from_passes(catalog_logs[:4]))
+    windows = build_windows(frames, attitude_labels(log), 5, case)
+    nc = NetConfig(n=5, channels=case.channel_count, seed=3)
     p = init_params(nc)
-    X = np.random.default_rng(rows).normal(size=(rows, nc.n, nc.channels))
-    assert np.array_equal(forward(p, X, nc), whole_set_forward(p, X.reshape(rows, -1)))
+    pred = forward(p, windows.X, nc)
+    assert len(pred) == 358
+    for k in range(len(pred)):
+        assert np.array_equal(forward(p, windows.X[k:k + 1], nc), pred[k:k + 1]), k
 
 
 def reference_gradient(p, X, Y, dropout_mask=None):
-    """The plain backprop: one ``x @ W + b`` per layer, keeping the
-    pre-activations ``z`` for the ReLU gates, and the chain back through
-    the four affine maps. The output-side gradient comes from
+    """The plain backprop of at most ``GEMM_ROWS`` rows: one ``x @ W + b``
+    per layer, keeping the pre-activations ``z`` for the ReLU gates, and
+    the chain back through the four affine maps. As in the network's
+    forward, the rows are zero-padded to one ``GEMM_ROWS``-row GEMM, so
+    each real row sits in a full OpenBLAS row tile; dropout and the chain
+    back read only the real rows. The output-side gradient comes from
     ``_loss_grad_y``, which the finite-difference tests pin. Returns the
     loss and the gradient in ``NetParams.vec`` order."""
-    Xf = X.reshape(len(X), -1)
+    rows = len(X)
+    Xf = np.zeros((GEMM_ROWS, X[0].size))
+    Xf[:rows] = X.reshape(rows, -1)
     z0 = Xf @ p.weights[0] + p.biases[0]
     a0 = np.maximum(z0, 0.0)
     z1 = a0 @ p.weights[1] + p.biases[1]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ p.weights[2] + p.biases[2]
     a2 = np.maximum(z2, 0.0)
-    a2d = a2 if dropout_mask is None else a2 * dropout_mask
-    y = a2d @ p.weights[3] + p.biases[3]
+    if dropout_mask is not None:
+        a2[:rows] *= dropout_mask
+    y = (a2 @ p.weights[3] + p.biases[3])[:rows]
     L, g = _loss_grad_y(y, mrp_to_quat(Y))
-    inputs, pre = (Xf, a0, a1, a2d), (z0, z1, z2)
+    inputs = (Xf[:rows], a0[:rows], a1[:rows], a2[:rows])
+    pre = (z0[:rows], z1[:rows], z2[:rows])
     gw, gb = [None] * 4, [None] * 4
     for k in (3, 2, 1, 0):
         gw[k] = inputs[k].T @ g
