@@ -43,8 +43,10 @@ from .passlog import (
     SensorErrors,
     check_type,
     from_dict,
+    manifest_path_for,
     read_manifest,
     read_passlog,
+    records_path_for,
     sha256_file,
     write_json,
     write_passlog,
@@ -108,6 +110,18 @@ def _now():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _pass_inputs(passes):
+    """The input files of a command reading ``passes``: each pass CSV and
+    the manifest beside it, where there is one, since its flags and MAG
+    calibration set results too. A records file is derived from its CSV
+    and checked against it, so it is no input."""
+    inputs = []
+    for p in passes:
+        m = manifest_path_for(p)
+        inputs += [p, m] if os.path.exists(m) else [p]
+    return inputs
+
+
 def cmd_synth(args):
     started = _now()
     cfg = _load_config(args.config)
@@ -150,7 +164,7 @@ def cmd_synth(args):
         log = synth_pass(sc)
         csv_path, manifest_path = write_passlog(
             log, os.path.join(outdir, f"{sc.pass_id}.csv"))
-        outputs += [csv_path, manifest_path]
+        outputs += [csv_path, records_path_for(csv_path), manifest_path]
         print(f"wrote {csv_path}")
     _write_manifest(outdir, "synth", {"base_seed": base_seed,
                                       "eclipse": bool(args.eclipse),
@@ -180,14 +194,16 @@ def cmd_triad(args):
               f"skipped={r['skipped_steps']} "
               + " ".join(f"{k}={v}" for k, v in r["skip_reasons"].items()))
     _write_manifest(outdir, "triad", {"priority": args.priority},
-                    args.passes, {}, outputs, started)
+                    _pass_inputs(args.passes), {}, outputs, started)
     return 0
 
 
 def _train_inputs(args):
-    """``(tc, window, css_bias)`` for ``train`` and ``ablate``, checked
-    before any pass is read. ``--config`` may hold the ``TrainConfig``
-    fields and ``window``, but not ``seed``: the seed label sets it."""
+    """``(tc, window, css_bias, pass_ids)`` for ``train`` and ``ablate``,
+    checked before any pass CSV is read or hashed. ``--config`` may hold
+    the ``TrainConfig`` fields and ``window``, but not ``seed``: the seed
+    label sets it. The pass ids come from the manifests and must differ,
+    so the test pass is not a train pass too."""
     if len(args.passes) != 5:
         raise ValueError(f"{args.command} requires exactly 5 passes: four train, last tests")
     cfg = _load_config(args.config)
@@ -202,7 +218,9 @@ def _train_inputs(args):
     if not 1 <= window <= WINDOW_MAX:
         raise ValueError(f"{source} must be in 1..{WINDOW_MAX}, got {window}")
     css_bias = _css_bias(args.css_bias)
-    return tc, window, css_bias
+    pass_ids = [read_manifest(p)[1] for p in args.passes]
+    _reject_repeats(pass_ids, "pass id")
+    return tc, window, css_bias, pass_ids
 
 
 def _reject_repeats(labels, what):
@@ -216,7 +234,7 @@ def cmd_train(args):
     directory reuses it. The run manifest goes in the cell directory,
     where ablate's own manifest does not overwrite it."""
     started = _now()
-    tc, n, css_bias = _train_inputs(args)
+    tc, n, css_bias, _ = _train_inputs(args)
     outdir = _out_dir(args, create=False)
     _, (result,) = run_matrix(args.passes, [args.case], outdir, seeds=(args.seed,),
                               n=n, tc=tc, css_bias=css_bias, on_cell=_report_cell)
@@ -228,7 +246,7 @@ def cmd_train(args):
     _write_manifest(cell, "train",
                     {"case": args.case, "window": n, "config_file": args.config,
                      "train_config": dataclasses.asdict(tc)},
-                    args.passes, {"seed": args.seed},
+                    _pass_inputs(args.passes), {"seed": args.seed},
                     [os.path.join(outdir, result.model_path),
                      os.path.join(outdir, result.history_path)], started)
     return 0
@@ -245,7 +263,7 @@ def _report_cell(result, epochs, seconds):
 
 def cmd_ablate(args):
     started = _now()
-    tc, n, css_bias = _train_inputs(args)
+    tc, n, css_bias, pass_ids = _train_inputs(args)
     if args.cases == "all":
         case_ids = list(DEFAULT_CASE_IDS)
     else:
@@ -267,10 +285,10 @@ def cmd_ablate(args):
                                  css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
-            "pass_ids": [read_manifest(p)[1] for p in args.passes]}
+            "pass_ids": pass_ids}
     paths = write_matrix_reports(tables, results, outdir, meta)
     print(render_tables_markdown(tables))
-    _write_manifest(outdir, "ablate", meta, args.passes,
+    _write_manifest(outdir, "ablate", meta, _pass_inputs(args.passes),
                     {"seeds": list(seeds)}, list(paths.values()), started)
     return 0
 
@@ -293,7 +311,7 @@ def cmd_export(args):
         write_raw_profile_csv(log, p)
         outputs.append(p)
         print(f"wrote {p}")
-    inputs = [args.passfile] + ([args.model] if args.model else [])
+    inputs = _pass_inputs([args.passfile]) + ([args.model] if args.model else [])
     _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw},
                     inputs, {}, outputs, started)
     return 0

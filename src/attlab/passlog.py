@@ -6,10 +6,14 @@ rates, the inertial model vectors, the orbit position, and the truth
 attitude. On disk a pass is a CSV plus a JSON sidecar manifest
 (``<name>.manifest.json``) holding the scenario, seed, and per-step
 sunlit/saturation flags; its ``scenario.errors`` is a ``SensorErrors``.
+The writer also leaves ``<name>.records``, the CSV's numbers in binary
+under a digest of the CSV's bytes; the reader takes them from there only
+while the digest matches, and otherwise parses the CSV.
 ``from_dict`` is the one path from a JSON-style dict to a dataclass.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -27,6 +31,11 @@ CSV_COLUMNS = (
     "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2,w0,w1,w2,"
     "uSx,uSy,uSz,uBx,uBy,uBz,rx,ry,rz,qx,qy,qz,qw"
 )
+# A records file: this magic, SHA-256 of the CSV's bytes followed by the
+# body, then the body, each record's 26 columns as little-endian float64.
+RECORDS_MAGIC = b"ATTLAB-RECORDS1\n"
+_BODY_START = len(RECORDS_MAGIC) + hashlib.sha256().digest_size
+_RECORD_BYTES = 8 * len(CSV_COLUMNS.split(","))
 
 
 # Types a scalar field accepts; a bool (a Python int) is never a number.
@@ -192,6 +201,11 @@ def write_csv(path, header, blocks):
     shortest text that reads back to the same double) and NaN as an empty
     cell.
     """
+    return write_text(path, _csv_text(header, blocks))
+
+
+def _csv_text(header, blocks):
+    """The text ``write_csv`` writes."""
     columns = []
     for block in map(np.asarray, blocks):
         cols = block.reshape(len(block), -1).T.tolist()
@@ -200,7 +214,7 @@ def write_csv(path, header, blocks):
         else:
             columns += [[repr(v) if v == v else "" for v in col] for col in cols]
     rows = map(",".join, zip(*columns))
-    return write_text(path, "\n".join([header, *rows]) + "\n")
+    return "\n".join([header, *rows]) + "\n"
 
 
 def write_series_csv(path, series):
@@ -219,16 +233,29 @@ def sha256_file(path):
 
 
 def write_passlog(log, csv_path):
-    """Write the pass CSV and its sidecar manifest; returns both paths."""
+    """Write the pass CSV, its records file and its sidecar manifest;
+    returns the paths of the CSV and the manifest."""
     log.validate()
     counts = [np.asarray(x).astype(np.int64) for x in (log.t, log.css, log.mag)]
-    csv_path = write_csv(str(csv_path), CSV_COLUMNS,
-                         [*counts, log.w, log.uS_i, log.uB_i, log.r_km, log.q_true])
+    blocks = [*counts, log.w, log.uS_i, log.uB_i, log.r_km, log.q_true]
+    text = _csv_text(CSV_COLUMNS, blocks)
+    csv_path = write_text(str(csv_path), text)
+    # the blocks as float64 are the numbers the text reads back as: an
+    # integer is exact, and a float's repr reads back to the same double
+    body = np.column_stack(blocks).astype("<f8").tobytes()
+    digest = hashlib.sha256(text.encode("utf-8"))
+    digest.update(body)
+    with open(records_path_for(csv_path), "wb") as f:
+        f.write(RECORDS_MAGIC + digest.digest() + body)
     return csv_path, write_json(manifest_path_for(csv_path), log.manifest)
 
 
 def manifest_path_for(csv_path):
     return str(csv_path).removesuffix(".csv") + ".manifest.json"
+
+
+def records_path_for(csv_path):
+    return str(csv_path).removesuffix(".csv") + ".records"
 
 
 def read_manifest(csv_path):
@@ -327,28 +354,70 @@ def _malformed_row(lines, csv_path):
     return DataIntegrityError(f"{csv_path}: records are not {len(columns)} numbers each")
 
 
+def _stored_records(csv_bytes, records_file):
+    """The ``(L, 26)`` records that ``records_file`` (a records file's bytes
+    as a uint8 array) holds for the pass CSV ``csv_bytes``: a view of its
+    body, or None unless its magic, its whole-record length and its digest
+    all match."""
+    body = records_file[_BODY_START:]
+    if (records_file[:len(RECORDS_MAGIC)].tobytes() != RECORDS_MAGIC
+            or len(body) % _RECORD_BYTES):
+        return None
+    digest = hashlib.sha256(csv_bytes)
+    digest.update(body)
+    if digest.digest() != records_file[len(RECORDS_MAGIC):_BODY_START].tobytes():
+        return None
+    return body.view("<f8").reshape(-1, _RECORD_BYTES // 8)
+
+
+def _read_records(f, csv_path, stored):
+    """The records of the pass CSV open as text in ``f``: ``stored`` when it
+    is not None and the header and the first record are there, else the
+    parsed text."""
+    header = f.readline().strip()
+    if header != CSV_COLUMNS:
+        raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
+    start = f.tell()
+    if not f.readline():  # numpy would warn and read one empty column
+        raise DataIntegrityError(f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
+    if stored is not None:
+        return stored
+    f.seek(start)
+    try:
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(CSV_COLUMNS.split(",")):
+        f.seek(start)
+        raise _malformed_row(f.read().splitlines(), csv_path)
+    return data
+
+
 def read_passlog(csv_path):
     """Load and validate a pass CSV; the manifest sidecar is loaded if present.
 
-    Every DataIntegrityError names the file, and the column and step of
-    the first offending record where there is one.
+    The records come from the pass's records file when its digest matches
+    the CSV's bytes, else from the CSV's text; either way they are checked
+    alike. Every DataIntegrityError names the file, and the column and
+    step of the first offending record where there is one.
     """
-    with open(csv_path) as f:
-        header = f.readline().strip()
-        if header != CSV_COLUMNS:
-            raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
-        start = f.tell()
-        if not f.readline():  # numpy would warn and read one empty column
-            raise DataIntegrityError(
-                f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
-        f.seek(start)
-        try:
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != len(CSV_COLUMNS.split(",")):
-            f.seek(start)
-            raise _malformed_row(f.read().splitlines(), csv_path)
+    try:
+        records_file = np.fromfile(records_path_for(csv_path), dtype=np.uint8)
+    except OSError:
+        records_file = None
+    stored = None
+    if records_file is None:  # parse the text, hashing and copying nothing
+        f = open(csv_path, encoding="utf-8")
+    else:
+        with open(csv_path, "rb") as f:
+            csv_bytes = f.read()
+        stored = _stored_records(csv_bytes, records_file)
+        f = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8")
+    try:
+        with f:
+            data = _read_records(f, csv_path, stored)
+    except UnicodeDecodeError as e:
+        raise DataIntegrityError(f"{csv_path}: not UTF-8 text: {e}") from None
     _check_cells(data, csv_path)
     manifest, pass_id = read_manifest(csv_path)
     log = PassLog(

@@ -44,7 +44,9 @@ def test_synth_default_catalog(synth_out):
     manifest = json.loads((synth_out / "run_manifest.json").read_text())
     assert manifest["subcommand"] == "synth"
     assert manifest["tool_version"]
-    assert len(manifest["outputs"]) == 10
+    # each pass's CSV, records file and manifest
+    assert len(manifest["outputs"]) == 15
+    assert str(synth_out / "P1.records") in manifest["outputs"]
 
 
 def test_synth_seed_override_changes_hashes(tmp_path, synth_out):
@@ -182,7 +184,8 @@ def test_train_single_case(tmp_path, pass_args, fast_cfg_path, capsys):
     assert not (d / "run_manifest.json").exists()
     manifest = json.loads((d / "C1a_R1" / "run_manifest.json").read_text())
     assert manifest["subcommand"] == "train"
-    assert len(manifest["input_hashes"]) == 5
+    # the five pass CSVs and their manifests
+    assert len(manifest["input_hashes"]) == 10
     assert manifest["seeds"] == {"seed": "R1"}
 
 
@@ -421,15 +424,22 @@ def test_malformed_manifest_exit_2(tmp_path, pass_args, capsys, command, case, n
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "triad"])
-def test_repeated_pass_id_exit_2(tmp_path, pass_args, capsys, command):
+@pytest.mark.parametrize("command", ["synth", "triad", "train", "ablate"])
+def test_repeated_pass_id_exit_2(tmp_path, pass_args, monkeypatch, capsys, command):
     if command == "synth":
         cfg = tmp_path / "twice.json"
         sc = dataclasses.asdict(default_catalog()[0])
         cfg.write_text(json.dumps({"scenarios": [sc, {**sc, "seed": 9}]}))
         argv = ["synth", "--config", str(cfg)]
-    else:  # a copy of P1 in another directory keeps its pass id
+    elif command == "triad":  # a copy of P1 in another directory keeps its pass id
         argv = ["triad", *pass_args, *_copy_catalog(tmp_path, pass_args[:1])]
+    else:  # P1 would test a model it also trained
+        def no_hashing(path):
+            raise AssertionError(f"{path} was hashed")
+
+        monkeypatch.setattr("attlab.harness.sha256_file", no_hashing)
+        case = ["--case", "C1a"] if command == "train" else ["--cases", "C1a"]
+        argv = [command, *pass_args[:4], pass_args[0], *case]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -455,6 +465,51 @@ def test_pass_id_not_a_file_name_exit_2(tmp_path, pass_args, capsys, command, pa
     err = capsys.readouterr().err
     assert str(source) in err and "key 'pass_id'" in err
     assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+
+@pytest.mark.parametrize("with_records", [True, False], ids=["records", "no-records"])
+def test_pass_csv_not_utf8_exit_2(tmp_path, pass_args, capsys, with_records):
+    passes = _copy_catalog(tmp_path, pass_args)
+    target = Path(passes[0])
+    if with_records:
+        shutil.copy(Path(pass_args[0]).with_suffix(".records"), target.with_suffix(".records"))
+    raw = bytearray(target.read_bytes())
+    raw[2000] = 0xFF
+    target.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert main(["triad", *passes, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["triad", "train", "ablate", "export"])
+def test_run_manifest_hashes_the_pass_manifests(tmp_path, pass_args, capsys, command):
+    passes = _copy_catalog(tmp_path, pass_args)
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps({"max_epochs": 2}))
+    # C4f reads no Sun vector, so a pass with one more eclipsed step still trains
+    argv = {"triad": ["triad", *passes],
+            "train": ["train", *passes, "--case", "C4f", "--config", str(cfg)],
+            "ablate": ["ablate", *passes, "--cases", "C4f", "--seeds", "R1", "--jobs", "1",
+                       "--config", str(cfg)],
+            "export": ["export", passes[0], "--raw"]}[command]
+    cell = "C4f_R1" if command == "train" else ""
+
+    def input_hashes(out):
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads((out / cell / "run_manifest.json").read_text())["input_hashes"]
+
+    before = input_hashes(tmp_path / "before")
+    manifest = Path(passes[0]).with_suffix(".manifest.json")
+    data = json.loads(manifest.read_text())
+    data["sunlit"][100] = 1 - data["sunlit"][100]
+    manifest.write_text(json.dumps(data))
+    after = input_hashes(tmp_path / "after")
+    read = passes if command != "export" else passes[:1]
+    assert set(before) == set(after) == {
+        str(p) for csv in read for p in (csv, Path(csv).with_suffix(".manifest.json"))}
+    assert [p for p in before if before[p] != after[p]] == [str(manifest)]
 
 
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):

@@ -2,6 +2,7 @@
 the JSON dict reader."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import warnings
@@ -20,11 +21,14 @@ from attlab.features import (
     sensor_errors_deg,
 )
 from attlab.harness import timeseries_rows
+from attlab.cli import main
 from attlab.passlog import (
     CSV_COLUMNS,
+    RECORDS_MAGIC,
     from_dict,
     read_manifest,
     read_passlog,
+    records_path_for,
     write_csv,
     write_json,
     write_passlog,
@@ -303,3 +307,128 @@ def test_read_passlog_errors_name_file_column_and_step(tmp_path, corrupt, named)
     assert msg.startswith(f"{csv}: ")
     for part in named:
         assert part in msg
+
+
+def _catalog_errors_config(tmp_path):
+    path = tmp_path / "errors.json"
+    path.write_text(json.dumps({"errors": {"css_noise": 3.0, "mag_noise": 40.0,
+                                           "gyro_noise_dps": 0.02}}))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("options", [
+    lambda tmp_path: [],
+    lambda tmp_path: ["--seed", "7"],
+    lambda tmp_path: ["--eclipse"],
+    _catalog_errors_config,
+], ids=["default", "seed-7", "eclipse", "errors-config"])
+def test_records_file_holds_the_bits_loadtxt_reads(tmp_path, options):
+    out = tmp_path / "cat"
+    assert main(["synth", *options(tmp_path), "--out", str(out)]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 5
+    for csv in csvs:
+        raw = Path(records_path_for(csv)).read_bytes()
+        body = raw[len(RECORDS_MAGIC) + 32:]
+        assert raw[:len(RECORDS_MAGIC)] == RECORDS_MAGIC
+        assert raw[len(RECORDS_MAGIC):len(RECORDS_MAGIC) + 32] == hashlib.sha256(
+            csv.read_bytes() + body).digest()
+        expected = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert body == expected.astype("<f8").tobytes()
+        log = read_passlog(csv)
+        assert np.hstack([log.t[:, None], log.css, log.mag, log.w, log.uS_i, log.uB_i,
+                          log.r_km, log.q_true]).tobytes() == expected.tobytes()
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the pass CSV was parsed")
+
+
+def _same_log(a, b):
+    """Whether two pass logs hold the same bits and manifest."""
+    return a.pass_id == b.pass_id and a.manifest == b.manifest and all(
+        getattr(a, k).tobytes() == getattr(b, k).tobytes()
+        for k in ("t", "css", "mag", "w", "uS_i", "uB_i", "r_km", "q_true"))
+
+
+@pytest.fixture
+def written_pass(tmp_path):
+    """A written catalog pass, and a copy of its CSV and manifest without a
+    records file, whose read is the parse."""
+    csv, manifest_path = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    shutil.copy(csv, bare / "a.csv")
+    shutil.copy(manifest_path, bare / "a.manifest.json")
+    return Path(csv), bare / "a.csv"
+
+
+def test_read_passlog_takes_the_records_file(written_pass, monkeypatch):
+    csv, bare = written_pass
+    parsed = read_passlog(bare)
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    assert _same_log(read_passlog(csv), parsed)
+    with pytest.raises(AssertionError, match="was parsed"):
+        read_passlog(bare)
+
+
+def test_read_passlog_reads_an_edited_cell_from_the_text(written_pass):
+    csv, _ = written_pass
+    lines = csv.read_text().splitlines()
+    before = read_passlog(csv).w[3, 0]
+    csv.write_text("\n".join(_set_cell(lines, 3, "w0", "0.125")) + "\n")
+    assert before != 0.125 and read_passlog(csv).w[3, 0] == 0.125
+
+
+def _truncate(records, csv):
+    records.write_bytes(records.read_bytes()[:-100])
+
+
+def _wrong_magic(records, csv):
+    raw = records.read_bytes()
+    records.write_bytes(b"X" + raw[1:])
+
+
+def _flip_body_byte(records, csv):
+    raw = bytearray(records.read_bytes())
+    raw[len(RECORDS_MAGIC) + 32 + 5000] ^= 0x01
+    records.write_bytes(bytes(raw))
+
+
+def _other_pass(records, csv):
+    other, _ = write_passlog(synth_pass(default_catalog()[1]), csv.with_name("b.csv"))
+    shutil.copy(records_path_for(other), records)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_magic, _flip_body_byte, _other_pass],
+                         ids=["truncated", "wrong-magic", "flipped-body-byte", "other-pass"])
+def test_read_passlog_parses_past_a_records_file_that_does_not_match(written_pass,
+                                                                    monkeypatch, damage):
+    csv, bare = written_pass
+    damage(Path(records_path_for(csv)), csv)
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    assert _same_log(read_passlog(csv), read_passlog(bare))
+    assert len(parses) == 2
+
+
+def test_read_passlog_reads_a_crlf_copy(written_pass, tmp_path):
+    csv, bare = written_pass
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    (crlf / "a.csv").write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+    for f in (csv.with_name("a.manifest.json"), Path(records_path_for(csv))):
+        shutil.copy(f, crlf / f.name)
+    assert _same_log(read_passlog(crlf / "a.csv"), read_passlog(bare))
+
+
+@pytest.mark.parametrize("with_records", [True, False], ids=["records", "no-records"])
+def test_read_passlog_not_utf8_names_the_file(written_pass, with_records):
+    csv = written_pass[0] if with_records else written_pass[1]
+    raw = bytearray(csv.read_bytes())
+    raw[2000] = 0xFF
+    csv.write_bytes(bytes(raw))
+    with pytest.raises(DataIntegrityError) as ei:
+        read_passlog(csv)
+    assert str(ei.value).startswith(f"{csv}: not UTF-8 text")
