@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 input/config error, 3 infeasible case,
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -36,7 +35,6 @@ from .harness import (
     timeseries_rows,
     triad_baseline_report,
     write_matrix_reports,
-    write_raw_profile_csv,
 )
 from .features import WINDOW_MAX
 from .passlog import (
@@ -44,12 +42,14 @@ from .passlog import (
     check_type,
     from_dict,
     manifest_path_for,
+    read_json,
     read_manifest,
     read_passlog,
     records_path_for,
     sha256_file,
     write_json,
     write_passlog,
+    write_raw_profile_csv,
     write_series_csv,
     write_text,
 )
@@ -80,11 +80,7 @@ def _out_dir(args, create=True):
 def _load_config(path):
     if path is None:
         return {}
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not valid JSON: {e}") from None
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg

@@ -8,7 +8,6 @@ exports for a trained model.
 """
 
 import contextlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,9 +32,9 @@ from .features import (
 from .passlog import (
     from_dict,
     manifest_path_for,
+    read_json,
     read_passlog,
     sha256_file,
-    write_csv,
     write_json,
     write_text,
 )
@@ -140,8 +139,7 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
 def _read_json(path):
     """The parsed file, or None when it is missing or not valid JSON."""
     try:
-        with open(path) as f:
-            return json.load(f)
+        return read_json(path)
     except (OSError, ValueError):
         return None
 
@@ -427,9 +425,3 @@ def timeseries_rows(params, nc, case, log, gyro_scale, css_bias=None):
     att[steps] = errors
     return {"t": log.t.astype(np.int64), "att_err_deg": att,
             **sensor_errors_deg(frames, mrp_to_quat(pred), steps)}
-
-
-def write_raw_profile_csv(log, path):
-    """Raw CSS/MAG counts per step, for profile-shape comparisons."""
-    return write_csv(path, "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2",
-                     [np.asarray(x).astype(np.int64) for x in (log.t, log.css, log.mag)])

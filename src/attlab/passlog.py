@@ -8,15 +8,17 @@ attitude. On disk a pass is a CSV plus a JSON sidecar manifest
 sunlit/saturation flags; its ``scenario.errors`` is a ``SensorErrors``.
 The writer also leaves ``<name>.records``, the CSV's numbers in binary
 under a digest of the CSV's bytes; the reader takes them from there only
-while the digest matches, and otherwise parses the CSV.
-``from_dict`` is the one path from a JSON-style dict to a dataclass.
+while the digest matches, and otherwise parses the CSV. Both apply the
+one column layout, ``PASS_LAYOUT``, and the one set of record rules,
+``PassLog.validate``. ``from_dict`` is the one path from a JSON-style
+dict to a dataclass.
 """
 
 import hashlib
-import io
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -31,11 +33,31 @@ CSV_COLUMNS = (
     "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2,w0,w1,w2,"
     "uSx,uSy,uSz,uBx,uBy,uBz,rx,ry,rz,qx,qy,qz,qw"
 )
+_COLUMNS = CSV_COLUMNS.split(",")
+
+
+def _layout(widths):
+    """``{field: (index, names)}`` of a record's columns, fields in file
+    order; a one-column field's index is its position, so it reads as (L,)."""
+    layout, start = {}, 0
+    for name, width in widths.items():
+        index = start if width == 1 else slice(start, start + width)
+        layout[name] = index, _COLUMNS[start:start + width]
+        start += width
+    return layout
+
+
+# The PassLog arrays in file order, by width; the counts (seconds and ADC
+# counts) come first and are written as integers.
+PASS_LAYOUT = _layout({"t": 1, "css": 6, "mag": 3, "w": 3, "uS_i": 3, "uB_i": 3,
+                       "r_km": 3, "q_true": 4})
+COUNT_FIELDS = ("t", "css", "mag")
 # A records file: this magic, SHA-256 of the CSV's bytes followed by the
 # body, then the body, each record's 26 columns as little-endian float64.
 RECORDS_MAGIC = b"ATTLAB-RECORDS1\n"
 _BODY_START = len(RECORDS_MAGIC) + hashlib.sha256().digest_size
-_RECORD_BYTES = 8 * len(CSV_COLUMNS.split(","))
+# The header line and its line end, any of "\n", "\r\n" and "\r"
+_HEADER_LINE = re.compile(rb"[^\r\n]*(\r\n?|\n)?")
 
 
 # Types a scalar field accepts; a bool (a Python int) is never a number.
@@ -153,6 +175,9 @@ class PassLog:
         """The log itself; a violated invariant raises DataIntegrityError
         naming the column and the step (record index) of the first
         offending record."""
+        arrays = [getattr(self, name) for name in PASS_LAYOUT]
+        if not all(np.isfinite(a).all() for a in arrays):
+            _reject_first(~np.isfinite(np.column_stack(arrays)), _COLUMNS, "non-finite value")
         gaps = np.diff(self.t) != PASS_DT_S
         if gaps.any():
             k = gaps.argmax() + 1
@@ -162,24 +187,27 @@ class PassLog:
         n = len(self.t)
         if n != PASS_SAMPLES:
             raise DataIntegrityError(f"pass has {n} records, expected {PASS_SAMPLES}")
-        _reject_first(self.css < 0, "css", "negative ADC count")
-        _reject_first(self.css != np.round(self.css), "css", "ADC count is not an integer")
-        _reject_first(self.mag != np.round(self.mag), "mag", "ADC count is not an integer")
-        qn = np.linalg.norm(self.q_true, axis=1)
-        off = np.abs(qn - 1.0) > UNIT_NORM_TOL
-        if off.any():
-            k = off.argmax()
-            raise DataIntegrityError(f"columns qx,qy,qz,qw are not a unit quaternion "
-                                     f"at step {k} (norm {qn[k]:.9g})")
+        css, mag = PASS_LAYOUT["css"][1], PASS_LAYOUT["mag"][1]
+        _reject_first(self.css < 0, css, "negative ADC count")
+        _reject_first(self.css != np.round(self.css), css, "ADC count is not an integer")
+        _reject_first(self.mag != np.round(self.mag), mag, "ADC count is not an integer")
+        for name, kind in (("uS_i", "vector"), ("uB_i", "vector"), ("q_true", "quaternion")):
+            norm = np.linalg.norm(getattr(self, name), axis=1)
+            off = np.abs(norm - 1.0) > UNIT_NORM_TOL
+            if off.any():
+                k = off.argmax()
+                raise DataIntegrityError(
+                    f"columns {','.join(PASS_LAYOUT[name][1])} are not a unit {kind} "
+                    f"at step {k} (norm {norm[k]:.9g})")
         return self
 
 
-def _reject_first(bad, prefix, problem):
-    """Raise naming column ``<prefix><j>`` and step ``k`` of the first True
+def _reject_first(bad, columns, problem):
+    """Raise naming column ``columns[j]`` and step ``k`` of the first True
     entry ``[k, j]`` of the ``(L, m)`` mask ``bad``."""
     if bad.any():
         k, j = np.argwhere(bad)[0]
-        raise DataIntegrityError(f"{problem} in column {prefix}{j} at step {k}")
+        raise DataIntegrityError(f"{problem} in column {columns[j]} at step {k}")
 
 
 def write_text(path, text):
@@ -232,12 +260,18 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def _blocks(log, names):
+    """The ``names`` arrays of ``log`` in order, the counts as int64."""
+    return [np.asarray(getattr(log, name)).astype(np.int64) if name in COUNT_FIELDS
+            else getattr(log, name) for name in names]
+
+
 def write_passlog(log, csv_path):
     """Write the pass CSV, its records file and its sidecar manifest;
-    returns the paths of the CSV and the manifest."""
+    returns the paths of the CSV and the manifest. A log that
+    ``PassLog.validate`` rejects writes nothing."""
     log.validate()
-    counts = [np.asarray(x).astype(np.int64) for x in (log.t, log.css, log.mag)]
-    blocks = [*counts, log.w, log.uS_i, log.uB_i, log.r_km, log.q_true]
+    blocks = _blocks(log, PASS_LAYOUT)
     text = _csv_text(CSV_COLUMNS, blocks)
     csv_path = write_text(str(csv_path), text)
     # the blocks as float64 are the numbers the text reads back as: an
@@ -248,6 +282,13 @@ def write_passlog(log, csv_path):
     with open(records_path_for(csv_path), "wb") as f:
         f.write(RECORDS_MAGIC + digest.digest() + body)
     return csv_path, write_json(manifest_path_for(csv_path), log.manifest)
+
+
+def write_raw_profile_csv(log, path):
+    """The pass's raw counts per step, its first columns, for profile-shape
+    comparisons."""
+    header = ",".join(c for name in COUNT_FIELDS for c in PASS_LAYOUT[name][1])
+    return write_csv(path, header, _blocks(log, COUNT_FIELDS))
 
 
 def manifest_path_for(csv_path):
@@ -265,13 +306,23 @@ def read_manifest(csv_path):
     DataIntegrityError naming the file and the key."""
     path = manifest_path_for(csv_path)
     try:
-        with open(path) as f:
-            manifest = json.load(f)
+        manifest = read_json(path)
     except FileNotFoundError:
         manifest = {}
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise DataIntegrityError(f"{path}: not valid JSON: {e}") from None
+    except ValueError as e:
+        raise DataIntegrityError(str(e)) from None
     return manifest, _check_manifest(manifest, path, csv_path)
+
+
+def read_json(path):
+    """The JSON file's value, its bytes decoded as UTF-8 whatever the locale;
+    a file that is not JSON raises ValueError naming it."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return json.loads(raw)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
 
 
 def _check_manifest(manifest, path, csv_path):
@@ -311,85 +362,62 @@ def _check_manifest(manifest, path, csv_path):
     return pass_id
 
 
-def _check_cells(data, csv_path):
-    """Reject non-finite cells and model vectors off unit norm, naming the
-    file, the column and the step of the first offending record."""
-    columns = CSV_COLUMNS.split(",")
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        k, col = bad[0]
-        raise DataIntegrityError(
-            f"{csv_path}: non-finite value in column {columns[col]} at step {k}")
-    for first in (13, 16):  # uS_i, uB_i
-        norm = np.linalg.norm(data[:, first:first + 3], axis=1)
-        off = np.flatnonzero(np.abs(norm - 1.0) > UNIT_NORM_TOL)
-        if len(off):
-            k = off[0]
-            raise DataIntegrityError(
-                f"{csv_path}: columns {','.join(columns[first:first + 3])} are not "
-                f"a unit vector at step {k} (norm {norm[k]:.9g})")
-
-
 def _malformed_row(lines, csv_path):
     """The DataIntegrityError for pass records that do not read as one
     number per column, naming the file and the column and step of the
     first record that is not."""
-    columns = CSV_COLUMNS.split(",")
     for k, line in enumerate(line for line in lines if line.strip()):
         cells = line.split(",")
-        if len(cells) < len(columns):
+        if len(cells) < len(_COLUMNS):
             return DataIntegrityError(
-                f"{csv_path}: no value in column {columns[len(cells)]} at step {k} "
-                f"(the record has {len(cells)} of {len(columns)} cells)")
-        if len(cells) > len(columns):
+                f"{csv_path}: no value in column {_COLUMNS[len(cells)]} at step {k} "
+                f"(the record has {len(cells)} of {len(_COLUMNS)} cells)")
+        if len(cells) > len(_COLUMNS):
             return DataIntegrityError(
-                f"{csv_path}: a cell after column {columns[-1]} at step {k} "
-                f"(the record has {len(cells)} of {len(columns)} cells)")
-        for name, cell in zip(columns, cells):
+                f"{csv_path}: a cell after column {_COLUMNS[-1]} at step {k} "
+                f"(the record has {len(cells)} of {len(_COLUMNS)} cells)")
+        for name, cell in zip(_COLUMNS, cells):
             try:
                 float(cell)
             except ValueError:
                 return DataIntegrityError(
                     f"{csv_path}: {cell!r} in column {name} at step {k} is not a number")
-    return DataIntegrityError(f"{csv_path}: records are not {len(columns)} numbers each")
+    return DataIntegrityError(f"{csv_path}: records are not {len(_COLUMNS)} numbers each")
 
 
-def _stored_records(csv_bytes, records_file):
-    """The ``(L, 26)`` records that ``records_file`` (a records file's bytes
-    as a uint8 array) holds for the pass CSV ``csv_bytes``: a view of its
-    body, or None unless its magic, its whole-record length and its digest
-    all match."""
+def _stored_records(csv_bytes, csv_path):
+    """The ``(L, 26)`` records that the pass's records file holds for its
+    CSV's bytes ``csv_bytes``: a view of the file's body, or None when
+    there is no such file or its magic, its whole-record length or its
+    digest does not match."""
+    try:
+        records_file = np.fromfile(records_path_for(csv_path), dtype=np.uint8)
+    except OSError:
+        return None
     body = records_file[_BODY_START:]
     if (records_file[:len(RECORDS_MAGIC)].tobytes() != RECORDS_MAGIC
-            or len(body) % _RECORD_BYTES):
+            or len(body) % (8 * len(_COLUMNS))):
         return None
     digest = hashlib.sha256(csv_bytes)
     digest.update(body)
     if digest.digest() != records_file[len(RECORDS_MAGIC):_BODY_START].tobytes():
         return None
-    return body.view("<f8").reshape(-1, _RECORD_BYTES // 8)
+    return body.view("<f8").reshape(-1, len(_COLUMNS))
 
 
-def _read_records(f, csv_path, stored):
-    """The records of the pass CSV open as text in ``f``: ``stored`` when it
-    is not None and the header and the first record are there, else the
-    parsed text."""
-    header = f.readline().strip()
-    if header != CSV_COLUMNS:
-        raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
-    start = f.tell()
-    if not f.readline():  # numpy would warn and read one empty column
-        raise DataIntegrityError(f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
-    if stored is not None:
-        return stored
-    f.seek(start)
+def _parsed_records(body, csv_path):
+    """The ``(L, 26)`` records of the CSV text ``body``, the bytes after
+    the header line."""
     try:
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        lines = body.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise DataIntegrityError(f"{csv_path}: not UTF-8 text: {e}") from None
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError:
         data = None
-    if data is None or data.shape[1] != len(CSV_COLUMNS.split(",")):
-        f.seek(start)
-        raise _malformed_row(f.read().splitlines(), csv_path)
+    if data is None or data.shape[1] != len(_COLUMNS):
+        raise _malformed_row(lines, csv_path)
     return data
 
 
@@ -397,41 +425,24 @@ def read_passlog(csv_path):
     """Load and validate a pass CSV; the manifest sidecar is loaded if present.
 
     The records come from the pass's records file when its digest matches
-    the CSV's bytes, else from the CSV's text; either way they are checked
-    alike. Every DataIntegrityError names the file, and the column and
-    step of the first offending record where there is one.
+    the CSV's bytes, else from the CSV's text; either way
+    ``PassLog.validate`` checks them. Every DataIntegrityError names the
+    file, and the column and step of the first offending record where
+    there is one.
     """
-    try:
-        records_file = np.fromfile(records_path_for(csv_path), dtype=np.uint8)
-    except OSError:
-        records_file = None
-    stored = None
-    if records_file is None:  # parse the text, hashing and copying nothing
-        f = open(csv_path, encoding="utf-8")
-    else:
-        with open(csv_path, "rb") as f:
-            csv_bytes = f.read()
-        stored = _stored_records(csv_bytes, records_file)
-        f = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8")
-    try:
-        with f:
-            data = _read_records(f, csv_path, stored)
-    except UnicodeDecodeError as e:
-        raise DataIntegrityError(f"{csv_path}: not UTF-8 text: {e}") from None
-    _check_cells(data, csv_path)
+    with open(csv_path, "rb") as f:
+        csv_bytes = f.read()
+    header = _HEADER_LINE.match(csv_bytes)
+    if header[0].strip() != CSV_COLUMNS.encode():
+        raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
+    if header.end() == len(csv_bytes):  # numpy would warn and read one empty column
+        raise DataIntegrityError(f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
+    data = _stored_records(csv_bytes, csv_path)
+    if data is None:
+        data = _parsed_records(csv_bytes[header.end():], csv_path)
     manifest, pass_id = read_manifest(csv_path)
-    log = PassLog(
-        pass_id=pass_id,
-        t=data[:, 0],
-        css=data[:, 1:7],
-        mag=data[:, 7:10],
-        w=data[:, 10:13],
-        uS_i=data[:, 13:16],
-        uB_i=data[:, 16:19],
-        r_km=data[:, 19:22],
-        q_true=data[:, 22:26],
-        manifest=manifest,
-    )
+    log = PassLog(pass_id=pass_id, manifest=manifest,
+                  **{name: data[:, index] for name, (index, _) in PASS_LAYOUT.items()})
     try:
         return log.validate()
     except DataIntegrityError as e:

@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +467,39 @@ def test_pass_id_not_a_file_name_exit_2(tmp_path, pass_args, capsys, command, pa
     err = capsys.readouterr().err
     assert str(source) in err and "key 'pass_id'" in err
     assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+
+def _c_locale_attlab(*argv):
+    """``attlab argv`` in a child process under the C locale with UTF-8 mode
+    off, where the locale's encoding is ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "attlab.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, errors="replace")
+
+
+def test_utf8_json_read_under_c_locale(tmp_path, pass_args, fast_cfg_path):
+    # a pass id outside ASCII, in UTF-8: first in the scenarios of a synth
+    # config, given twice, so synth names it as repeated before it writes a
+    # file of that name; then in a pass manifest that train reads
+    sc = {**dataclasses.asdict(default_catalog()[0]), "pass_id": "P\u00e41"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"scenarios": [sc, sc]}, ensure_ascii=False).encode())
+    assert "P\u00e41".encode() in cfg.read_bytes()
+    run = _c_locale_attlab("synth", "--config", cfg, "--out", tmp_path / "o")
+    assert run.returncode == 2, run.stderr
+    assert "pass_id 'P\\xe41' is repeated" in run.stderr
+    assert "not valid JSON" not in run.stderr and not (tmp_path / "o").exists()
+
+    passes = _copy_catalog(tmp_path, pass_args)
+    manifest = Path(passes[4]).with_suffix(".manifest.json")
+    data = json.loads(manifest.read_text())
+    manifest.write_bytes(json.dumps({**data, "pass_id": "P\u00e45"}, ensure_ascii=False).encode())
+    run = _c_locale_attlab("train", *passes, "--case", "C1a", "--config", fast_cfg_path,
+                           "--out", tmp_path / "cell")
+    assert run.returncode == 0, run.stderr
+    assert load_model(tmp_path / "cell" / "C1a_R1" / "model.bin")[2]["test_pass_id"] == "P\u00e45"
 
 
 @pytest.mark.parametrize("with_records", [True, False], ids=["records", "no-records"])

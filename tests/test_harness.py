@@ -18,9 +18,8 @@ from attlab.harness import (
     timeseries_rows,
     triad_baseline_report,
     write_matrix_reports,
-    write_raw_profile_csv,
 )
-from attlab.passlog import write_series_csv
+from attlab.passlog import CSV_COLUMNS, write_raw_profile_csv, write_series_csv
 from attlab.synth import SensorErrors, default_catalog, synth_pass
 
 FAST_TC = TrainConfig(max_epochs=25)
@@ -371,4 +370,5 @@ def test_raw_profile_export(tmp_path, catalog_logs):
     write_raw_profile_csv(catalog_logs[0], p)
     lines = p.read_text().splitlines()
     assert lines[0] == "t,css0,css1,css2,css3,css4,css5,mag0,mag1,mag2"
+    assert lines[0].split(",") == CSV_COLUMNS.split(",")[:10]
     assert len(lines) == 363

@@ -4,6 +4,7 @@ the JSON dict reader."""
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -432,3 +433,53 @@ def test_read_passlog_not_utf8_names_the_file(written_pass, with_records):
     with pytest.raises(DataIntegrityError) as ei:
         read_passlog(csv)
     assert str(ei.value).startswith(f"{csv}: not UTF-8 text")
+
+
+def _nan_w0(log):
+    log.w[40, 0] = np.nan
+
+
+def _long_uS(log):
+    log.uS_i[7] *= 2.0
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_nan_w0, "non-finite value in column w0 at step 40"),
+    (_long_uS, "columns uSx,uSy,uSz are not a unit vector at step 7 (norm 2)"),
+], ids=["nan-w0", "off-unit-uS"])
+def test_write_passlog_refuses_what_the_reader_rejects(tmp_path, damage, named):
+    log = synth_pass(default_catalog()[0])
+    damage(log)
+    with pytest.raises(DataIntegrityError, match=re.escape(named)):
+        write_passlog(log, tmp_path / "a.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_read_passlog_nan_cell_names_the_same_column_and_step_either_way(written_pass,
+                                                                        monkeypatch):
+    # a records file that matches a CSV with a "nan" cell, as no writer
+    # leaves it, and the same CSV without one: both name the cell
+    csv, bare = written_pass
+    lines = csv.read_text().splitlines()
+    text = "\n".join(_set_cell(lines, 40, "w0", "nan")) + "\n"
+    body = np.loadtxt(text.splitlines()[1:], delimiter=",").astype("<f8").tobytes()
+    csv.write_text(text)
+    bare.write_text(text)
+    Path(records_path_for(csv)).write_bytes(
+        RECORDS_MAGIC + hashlib.sha256(text.encode() + body).digest() + body)
+    messages = []
+    for path in (bare, csv):
+        with pytest.raises(DataIntegrityError) as ei:
+            read_passlog(path)
+        messages.append(str(ei.value).removeprefix(f"{path}: "))
+        monkeypatch.setattr(np, "loadtxt", _no_parse)  # the second read takes the records
+    assert messages == ["non-finite value in column w0 at step 40"] * 2
+
+
+def test_read_passlog_reads_a_cr_copy(written_pass, tmp_path):
+    csv, bare = written_pass
+    cr = tmp_path / "cr"
+    cr.mkdir()
+    (cr / "a.csv").write_bytes(csv.read_bytes().replace(b"\n", b"\r"))
+    shutil.copy(csv.with_name("a.manifest.json"), cr / "a.manifest.json")
+    assert _same_log(read_passlog(cr / "a.csv"), read_passlog(bare))
