@@ -86,14 +86,18 @@ def _load_config(path):
     return cfg
 
 
-def _write_manifest(outdir, subcommand, resolved_config, inputs, seeds, outputs,
-                    started):
+def _write_manifest(outdir, subcommand, resolved_config, logs, seeds, outputs,
+                    started, models=()):
+    """``run_manifest.json``, hashing the files ``logs`` were read from and ``models``."""
+    input_hashes = {p: sha256_file(p) for p in models}
+    for log in logs:
+        input_hashes.update(log.input_hashes())
     manifest = {
         "tool_version": __version__,
         "format_version": FORMAT_VERSION,
         "subcommand": subcommand,
         "resolved_config": resolved_config,
-        "input_hashes": {str(p): sha256_file(p) for p in inputs},
+        "input_hashes": input_hashes,
         "seeds": seeds,
         "outputs": [str(p) for p in outputs],
         "started_utc": started,
@@ -106,16 +110,16 @@ def _now():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _pass_inputs(passes):
-    """The input files of a command reading ``passes``: each pass CSV and
-    the manifest beside it, where there is one, since its flags and MAG
-    calibration set results too. A records file is derived from its CSV
-    and checked against it, so it is no input."""
-    inputs = []
-    for p in passes:
-        m = manifest_path_for(p)
-        inputs += [p, m] if os.path.exists(m) else [p]
-    return inputs
+def _check_file_names(named):
+    """Reject a pass id that names output files but that the file-system
+    encoding cannot encode; ``named`` pairs each id with the file and key
+    it came from (a file name's stem always encodes)."""
+    for pass_id, where in named:
+        try:
+            os.fsencode(pass_id)
+        except UnicodeEncodeError:
+            raise ValueError(f"{where} {pass_id!r} cannot name a file in the file-system "
+                             f"encoding {sys.getfilesystemencoding()!r}") from None
 
 
 def cmd_synth(args):
@@ -137,6 +141,8 @@ def cmd_synth(args):
         scenarios = [from_dict(Scenario, d, f"{where}: scenarios[{k}]")
                      for k, d in enumerate(cfg["scenarios"])]
         _reject_repeats([sc.pass_id for sc in scenarios], f"{where}: key 'scenarios': pass_id")
+        _check_file_names((sc.pass_id, f"{where}: scenarios[{k}]: key 'pass_id'")
+                          for k, sc in enumerate(scenarios))
     else:
         base_seed = check_type(where, "base_seed", cfg.get("base_seed", 20211218), int)
         source = f"{where}: key 'base_seed'"
@@ -174,6 +180,8 @@ def cmd_triad(args):
     css_bias = _css_bias(args.css_bias)
     logs = [read_passlog(p) for p in args.passes]
     _reject_repeats([log.pass_id for log in logs], "pass id")
+    _check_file_names((log.pass_id, f"{manifest_path_for(log.csv_path)}: key 'pass_id'")
+                      for log in logs)
     priorities = ("sun", "mag") if args.priority == "both" else (args.priority,)
     rows = triad_baseline_report(logs, css_bias=css_bias, priorities=priorities)
     outdir = _out_dir(args)
@@ -189,17 +197,17 @@ def cmd_triad(args):
               f"rms_sun_deg={r['rms_sun_deg']:.3f} rms_mag_deg={r['rms_mag_deg']:.3f} "
               f"skipped={r['skipped_steps']} "
               + " ".join(f"{k}={v}" for k, v in r["skip_reasons"].items()))
-    _write_manifest(outdir, "triad", {"priority": args.priority},
-                    _pass_inputs(args.passes), {}, outputs, started)
+    _write_manifest(outdir, "triad", {"priority": args.priority}, logs, {}, outputs,
+                    started)
     return 0
 
 
 def _train_inputs(args):
-    """``(tc, window, css_bias, pass_ids)`` for ``train`` and ``ablate``,
-    checked before any pass CSV is read or hashed. ``--config`` may hold
-    the ``TrainConfig`` fields and ``window``, but not ``seed``: the seed
-    label sets it. The pass ids come from the manifests and must differ,
-    so the test pass is not a train pass too."""
+    """``(tc, window, css_bias, logs)`` for ``train`` and ``ablate``, all
+    checked before each pass is read, once. ``--config`` may hold the
+    ``TrainConfig`` fields and ``window``, but not ``seed``: the seed label
+    sets it. The pass ids come from the manifests and must differ, so the
+    test pass is not a train pass too."""
     if len(args.passes) != 5:
         raise ValueError(f"{args.command} requires exactly 5 passes: four train, last tests")
     cfg = _load_config(args.config)
@@ -214,9 +222,8 @@ def _train_inputs(args):
     if not 1 <= window <= WINDOW_MAX:
         raise ValueError(f"{source} must be in 1..{WINDOW_MAX}, got {window}")
     css_bias = _css_bias(args.css_bias)
-    pass_ids = [read_manifest(p)[1] for p in args.passes]
-    _reject_repeats(pass_ids, "pass id")
-    return tc, window, css_bias, pass_ids
+    _reject_repeats([read_manifest(p)[1] for p in args.passes], "pass id")
+    return tc, window, css_bias, [read_passlog(p) for p in args.passes]
 
 
 def _reject_repeats(labels, what):
@@ -230,9 +237,9 @@ def cmd_train(args):
     directory reuses it. The run manifest goes in the cell directory,
     where ablate's own manifest does not overwrite it."""
     started = _now()
-    tc, n, css_bias, _ = _train_inputs(args)
+    tc, n, css_bias, logs = _train_inputs(args)
     outdir = _out_dir(args, create=False)
-    _, (result,) = run_matrix(args.passes, [args.case], outdir, seeds=(args.seed,),
+    _, (result,) = run_matrix(logs, [args.case], outdir, seeds=(args.seed,),
                               n=n, tc=tc, css_bias=css_bias, on_cell=_report_cell)
     print(f"case={result.case_id} seed={result.seed_name} "
           f"train_rms_deg={result.train_rms_deg:.3f} "
@@ -242,7 +249,7 @@ def cmd_train(args):
     _write_manifest(cell, "train",
                     {"case": args.case, "window": n, "config_file": args.config,
                      "train_config": dataclasses.asdict(tc)},
-                    _pass_inputs(args.passes), {"seed": args.seed},
+                    logs, {"seed": args.seed},
                     [os.path.join(outdir, result.model_path),
                      os.path.join(outdir, result.history_path)], started)
     return 0
@@ -259,7 +266,6 @@ def _report_cell(result, epochs, seconds):
 
 def cmd_ablate(args):
     started = _now()
-    tc, n, css_bias, pass_ids = _train_inputs(args)
     if args.cases == "all":
         case_ids = list(DEFAULT_CASE_IDS)
     else:
@@ -275,23 +281,25 @@ def cmd_ablate(args):
     jobs = _usable_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    tc, n, css_bias, logs = _train_inputs(args)
     outdir = _out_dir(args, create=False)
-    tables, results = run_matrix(args.passes, case_ids, outdir, seeds=seeds, n=n,
+    tables, results = run_matrix(logs, case_ids, outdir, seeds=seeds, n=n,
                                  jobs=jobs, resume=args.resume, tc=tc,
                                  css_bias=css_bias, on_cell=_report_cell)
     meta = {"cases": case_ids, "seeds": list(seeds), "window": n,
             "train_config": dataclasses.asdict(tc),
-            "pass_ids": pass_ids}
+            "pass_ids": [log.pass_id for log in logs]}
     paths = write_matrix_reports(tables, results, outdir, meta)
     print(render_tables_markdown(tables))
-    _write_manifest(outdir, "ablate", meta, _pass_inputs(args.passes),
-                    {"seeds": list(seeds)}, list(paths.values()), started)
+    _write_manifest(outdir, "ablate", meta, logs, {"seeds": list(seeds)},
+                    list(paths.values()), started)
     return 0
 
 
 def cmd_export(args):
     started = _now()
     log = read_passlog(args.passfile)
+    _check_file_names([(log.pass_id, f"{manifest_path_for(log.csv_path)}: key 'pass_id'")])
     if args.model:
         params, nc, case, prov = _export_model(args.model)
         series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"),
@@ -307,9 +315,8 @@ def cmd_export(args):
         write_raw_profile_csv(log, p)
         outputs.append(p)
         print(f"wrote {p}")
-    inputs = _pass_inputs([args.passfile]) + ([args.model] if args.model else [])
-    _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw},
-                    inputs, {}, outputs, started)
+    _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw}, [log], {},
+                    outputs, started, models=[args.model] if args.model else [])
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .cases import case_spec
-from .convnet import NetConfig, TrainConfig, forward, save_model, train
+from .convnet import NetConfig, TrainConfig, forward, load_model, save_model, train
 from .features import (
     SENSOR_MODELS,
     FeatureFrames,
@@ -29,15 +29,7 @@ from .features import (
     sensor_errors_deg,
     shuffle_windows,
 )
-from .passlog import (
-    from_dict,
-    manifest_path_for,
-    read_json,
-    read_passlog,
-    sha256_file,
-    write_json,
-    write_text,
-)
+from .passlog import from_dict, read_json, write_json, write_text
 from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import triad_pass_eval
 
@@ -136,45 +128,32 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     return result
 
 
-def _read_json(path):
-    """The parsed file, or None when it is missing or not valid JSON."""
-    try:
-        return read_json(path)
-    except (OSError, ValueError):
-        return None
-
-
 def _epochs_run(cell):
-    """Epochs the cell's training ran (rows of its ``history.csv``), or
-    None when that file is missing."""
-    try:
-        with open(os.path.join(cell, "history.csv")) as f:
-            return sum(1 for _ in f) - 1
-    except OSError:
-        return None
+    """Epochs the cell's training ran: the rows of its ``history.csv``."""
+    with open(os.path.join(cell, "history.csv")) as f:
+        return sum(1 for _ in f) - 1
 
 
 def _cell_worker(args):
     """One cell, reused under ``resume`` or trained; returns (result,
-    epochs run, wall s).
+    epochs run, wall s). A cell is reused only when its ``inputs.json``
+    matches and its result, history and model all load.
 
     ``inputs.json`` is removed before training and written after it, so it
     never vouches for a half-written cell.
     """
     started = time.perf_counter()
-    pass_paths, outdir, resume, tc, inputs = args
+    logs, outdir, resume, tc, inputs = args
     cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
     marker = os.path.join(cell, "inputs.json")
-    if resume and _read_json(marker) == inputs:
-        saved_path = os.path.join(cell, "result.json")
-        saved = _read_json(saved_path)
-        epochs = _epochs_run(cell)
-        if saved is not None and epochs is not None:
-            return (from_dict(RunResult, saved, saved_path), epochs,
-                    time.perf_counter() - started)
+    saved_path = os.path.join(cell, "result.json")
+    with contextlib.suppress(OSError, ValueError):  # IncompatibleModelError too
+        if resume and read_json(marker) == inputs:
+            load_model(os.path.join(cell, "model.bin"))
+            saved = from_dict(RunResult, read_json(saved_path), saved_path)
+            return saved, _epochs_run(cell), time.perf_counter() - started
     with contextlib.suppress(FileNotFoundError):
         os.remove(marker)
-    logs = [read_passlog(p) for p in pass_paths]
     result = run_case(inputs["case"], inputs["seed"], logs, outdir, n=inputs["window"],
                       tc=tc, css_bias=inputs["css_bias"])
     write_json(marker, inputs)
@@ -280,32 +259,30 @@ def report_json(tables, results, meta):
             "runs": [asdict(r) for r in results]}
 
 
-def run_matrix(pass_paths, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
+def run_matrix(logs, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
                resume=False, tc=None, css_bias=None, on_cell=None):
-    """All (case, seed) cells, each in its directory under ``outdir``;
-    returns (tables, results) in catalog order.
+    """All (case, seed) cells on the five pass ``logs``, each cell in its
+    directory under ``outdir``; returns (tables, results) in catalog order.
 
     ``on_cell(result, epochs, seconds)`` observes each cell, in catalog
     order, as soon as its result arrives; ``epochs`` is the length of the
     cell's training history and ``seconds`` the cell's wall time.
     ``resume`` reuses a cell only when its ``inputs.json`` (case, seed,
-    window, training config, CSS bias, version, pass-file hashes; no paths
-    or times) equals this run's.
+    window, training config, CSS bias, version, the logs' digests; no
+    paths or times) equals this run's.
     """
     if not case_ids:
         raise ValueError("no cases selected")
-    pass_paths = list(map(str, pass_paths))
     tc = tc or TrainConfig()
     shared = {
         "window": n,
         "train_config": asdict(tc),
         "css_bias": list(css_bias) if css_bias is not None else None,
         "version": __version__,
-        "passes": [{"csv": sha256_file(p),
-                    "manifest": sha256_file(m) if os.path.exists(m) else None}
-                   for p, m in zip(pass_paths, map(manifest_path_for, pass_paths))],
+        "passes": [{"csv": log.csv_sha256, "manifest": log.manifest_sha256}
+                   for log in logs],
     }
-    tasks = [(pass_paths, outdir, resume, tc, {"case": cid, "seed": sn, **shared})
+    tasks = [(logs, outdir, resume, tc, {"case": cid, "seed": sn, **shared})
              for cid in case_ids for sn in seeds]
     workers = min(jobs, len(tasks))
     results = []

@@ -170,6 +170,16 @@ class PassLog:
     r_km: np.ndarray  # (362, 3) orbit position, km ECI
     q_true: np.ndarray  # (362, 4) truth attitude [x, y, z, w]
     manifest: dict = field(default_factory=dict)
+    # set by read_passlog: the CSV's path and the hex SHA-256 of the CSV and
+    # manifest bytes it parsed (None without a manifest)
+    csv_path: str | None = None
+    csv_sha256: str | None = None
+    manifest_sha256: str | None = None
+
+    def input_hashes(self):
+        """``{path: hex SHA-256}`` of the CSV and manifest read_passlog parsed."""
+        paths = self.csv_path, manifest_path_for(self.csv_path)
+        return {p: h for p, h in zip(paths, (self.csv_sha256, self.manifest_sha256)) if h}
 
     def validate(self):
         """The log itself; a violated invariant raises DataIntegrityError
@@ -253,11 +263,8 @@ def write_series_csv(path, series):
 
 def sha256_file(path):
     """Hex SHA-256 of the file's bytes."""
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _blocks(log, names):
@@ -300,18 +307,22 @@ def records_path_for(csv_path):
 
 
 def read_manifest(csv_path):
-    """The pass's sidecar manifest (``{}`` when it has none) and its pass
-    id: the manifest's ``pass_id``, else the stem of the CSV file's name
-    (``P1`` for ``dir/P1.csv``). A malformed manifest or pass id raises
-    DataIntegrityError naming the file and the key."""
+    """The pass's sidecar manifest (``{}`` when it has none), its pass id
+    and the hex SHA-256 of the manifest's bytes (None when it has none).
+    The pass id is the manifest's ``pass_id``, else the stem of the CSV
+    file's name (``P1`` for ``dir/P1.csv``). A malformed manifest or pass
+    id raises DataIntegrityError naming the file and the key."""
     path = manifest_path_for(csv_path)
     try:
-        manifest = read_json(path)
+        with open(path, "rb") as f:
+            raw = f.read()
+        manifest = json.loads(raw)
     except FileNotFoundError:
-        manifest = {}
-    except ValueError as e:
-        raise DataIntegrityError(str(e)) from None
-    return manifest, _check_manifest(manifest, path, csv_path)
+        return {}, _check_manifest({}, path, csv_path), None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise DataIntegrityError(f"{path}: not valid JSON: {e}") from None
+    pass_id = _check_manifest(manifest, path, csv_path)
+    return manifest, pass_id, hashlib.sha256(raw).hexdigest()
 
 
 def read_json(path):
@@ -385,11 +396,11 @@ def _malformed_row(lines, csv_path):
     return DataIntegrityError(f"{csv_path}: records are not {len(_COLUMNS)} numbers each")
 
 
-def _stored_records(csv_bytes, csv_path):
+def _stored_records(csv_digest, csv_path):
     """The ``(L, 26)`` records that the pass's records file holds for its
-    CSV's bytes ``csv_bytes``: a view of the file's body, or None when
-    there is no such file or its magic, its whole-record length or its
-    digest does not match."""
+    CSV's bytes, whose SHA-256 state is ``csv_digest``: a view of the
+    file's body, or None when there is no such file or its magic, its
+    whole-record length or its digest does not match."""
     try:
         records_file = np.fromfile(records_path_for(csv_path), dtype=np.uint8)
     except OSError:
@@ -398,7 +409,7 @@ def _stored_records(csv_bytes, csv_path):
     if (records_file[:len(RECORDS_MAGIC)].tobytes() != RECORDS_MAGIC
             or len(body) % (8 * len(_COLUMNS))):
         return None
-    digest = hashlib.sha256(csv_bytes)
+    digest = csv_digest.copy()
     digest.update(body)
     if digest.digest() != records_file[len(RECORDS_MAGIC):_BODY_START].tobytes():
         return None
@@ -426,9 +437,10 @@ def read_passlog(csv_path):
 
     The records come from the pass's records file when its digest matches
     the CSV's bytes, else from the CSV's text; either way
-    ``PassLog.validate`` checks them. Every DataIntegrityError names the
-    file, and the column and step of the first offending record where
-    there is one.
+    ``PassLog.validate`` checks them. The log keeps the SHA-256 of the
+    CSV's and the manifest's bytes it parsed. Every DataIntegrityError
+    names the file, and the column and step of the first offending record
+    where there is one.
     """
     with open(csv_path, "rb") as f:
         csv_bytes = f.read()
@@ -437,11 +449,13 @@ def read_passlog(csv_path):
         raise DataIntegrityError(f"unexpected pass CSV header in {csv_path}")
     if header.end() == len(csv_bytes):  # numpy would warn and read one empty column
         raise DataIntegrityError(f"{csv_path}: pass has 0 records, expected {PASS_SAMPLES}")
-    data = _stored_records(csv_bytes, csv_path)
+    csv_digest = hashlib.sha256(csv_bytes)
+    data = _stored_records(csv_digest, csv_path)
     if data is None:
         data = _parsed_records(csv_bytes[header.end():], csv_path)
-    manifest, pass_id = read_manifest(csv_path)
-    log = PassLog(pass_id=pass_id, manifest=manifest,
+    manifest, pass_id, manifest_sha256 = read_manifest(csv_path)
+    log = PassLog(pass_id=pass_id, manifest=manifest, csv_path=str(csv_path),
+                  csv_sha256=csv_digest.hexdigest(), manifest_sha256=manifest_sha256,
                   **{name: data[:, index] for name, (index, _) in PASS_LAYOUT.items()})
     try:
         return log.validate()

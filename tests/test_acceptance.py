@@ -28,6 +28,7 @@ from attlab.harness import (
     triad_baseline_report,
     write_matrix_reports,
 )
+from attlab.passlog import read_passlog
 from attlab.rotations import (
     angle_between_deg,
     dcm_to_quat,
@@ -47,10 +48,10 @@ def _verdict(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _matrix(pass_paths, out, jobs):
+def _matrix(logs, out, jobs):
     """The full matrix on ``jobs`` workers, its reports written under
     ``out``; returns (tables, results)."""
-    tables, results = run_matrix(pass_paths, list(DEFAULT_CASE_IDS), outdir=out, jobs=jobs)
+    tables, results = run_matrix(logs, list(DEFAULT_CASE_IDS), outdir=out, jobs=jobs)
     meta = {"cases": list(DEFAULT_CASE_IDS), "seeds": ["R1", "R2", "R3"], "window": 5}
     write_matrix_reports(tables, results, out, meta)
     return tables, results
@@ -65,14 +66,14 @@ def matrix_env(tmp_path_factory, catalog_dir, catalog_logs):
     runs the executor's thread; the jobs=2 pool forks from the child. The
     child runs at niceness +10, so on a 2-core host the serial matrix, the
     longer of the two, keeps a whole core."""
-    _, pass_paths = catalog_dir
+    logs = [read_passlog(p) for p in catalog_dir[1]]
     first, second = (tmp_path_factory.mktemp(f"matrix_{label}")
                      for label in ("first", "second"))
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn,
                              initializer=os.nice, initargs=(10,)) as child:
-        pending = child.submit(_matrix, pass_paths, second, 2)
-        tables, results = _matrix(pass_paths, first, 1)
+        pending = child.submit(_matrix, logs, second, 2)
+        tables, results = _matrix(logs, first, 1)
         pending.result()
     return {"first": {"out": first, "tables": tables, "results": results},
             "second": {"out": second},

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -36,6 +38,13 @@ FAST_CFG = {"max_epochs": 25}
 def fast_cfg_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "fast.json"
     p.write_text(json.dumps(FAST_CFG))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def two_epoch_cfg_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("cfg") / "two.json"
+    p.write_text(json.dumps({"max_epochs": 2}))
     return str(p)
 
 
@@ -435,11 +444,11 @@ def test_repeated_pass_id_exit_2(tmp_path, pass_args, monkeypatch, capsys, comma
         argv = ["synth", "--config", str(cfg)]
     elif command == "triad":  # a copy of P1 in another directory keeps its pass id
         argv = ["triad", *pass_args, *_copy_catalog(tmp_path, pass_args[:1])]
-    else:  # P1 would test a model it also trained
-        def no_hashing(path):
-            raise AssertionError(f"{path} was hashed")
+    else:  # P1 would test a model it also trained; no pass is read first
+        def no_reading(path):
+            raise AssertionError(f"{path} was read")
 
-        monkeypatch.setattr("attlab.harness.sha256_file", no_hashing)
+        monkeypatch.setattr(cli, "read_passlog", no_reading)
         case = ["--case", "C1a"] if command == "train" else ["--cases", "C1a"]
         argv = [command, *pass_args[:4], pass_args[0], *case]
     out = tmp_path / "o"
@@ -500,6 +509,26 @@ def test_utf8_json_read_under_c_locale(tmp_path, pass_args, fast_cfg_path):
                            "--out", tmp_path / "cell")
     assert run.returncode == 0, run.stderr
     assert load_model(tmp_path / "cell" / "C1a_R1" / "model.bin")[2]["test_pass_id"] == "P\u00e45"
+
+
+def test_pass_id_the_file_system_cannot_encode_exit_2(tmp_path, pass_args):
+    # under the C locale, file names are ASCII: synth, triad and export name
+    # their outputs by pass id, so they reject this one before making --out
+    cfg = tmp_path / "cfg.json"
+    sc = {**dataclasses.asdict(default_catalog()[0]), "pass_id": "P\u00e41"}
+    cfg.write_bytes(json.dumps({"scenarios": [sc]}, ensure_ascii=False).encode())
+    passes = _copy_catalog(tmp_path, pass_args)
+    manifest = Path(passes[0]).with_suffix(".manifest.json")
+    data = {**json.loads(manifest.read_text()), "pass_id": "P\u00e41"}
+    manifest.write_bytes(json.dumps(data, ensure_ascii=False).encode())
+    for argv, source in [(["synth", "--config", cfg], f"{cfg}: scenarios[0]: key 'pass_id'"),
+                         (["triad", *passes], f"{manifest}: key 'pass_id'"),
+                         (["export", passes[0], "--raw"], f"{manifest}: key 'pass_id'")]:
+        out = tmp_path / argv[0]
+        run = _c_locale_attlab(*argv, "--out", out)
+        assert run.returncode == 2, run.stderr
+        assert source in run.stderr and "cannot name a file" in run.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("with_records", [True, False], ids=["records", "no-records"])
@@ -613,6 +642,102 @@ def test_ablate_resume_retrains_on_changed_inputs(tmp_path, pass_args):
     assert (cell / "model.bin").stat().st_mtime_ns == stamp
 
 
+@pytest.mark.parametrize("damage", ["deleted", "cut"])
+def test_ablate_resume_retrains_a_cell_whose_model_does_not_load(tmp_path, pass_args,
+                                                                 two_epoch_cfg_path, damage):
+    d = tmp_path / "m"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1", "--out", str(d),
+            "--jobs", "1", "--config", two_epoch_cfg_path]
+    assert main(argv) == 0
+    model = d / "C1a_R1" / "model.bin"
+    trained = model.read_bytes()
+    if damage == "deleted":
+        model.unlink()
+    else:
+        model.write_bytes(trained[:-8])
+    assert main(argv + ["--resume"]) == 0
+    assert model.read_bytes() == trained
+
+
+@pytest.fixture
+def opened_by(tmp_path, monkeypatch):
+    """Logs each ``open`` of a file by path, in this process and in the
+    worker processes it forks; returns a function giving the ids of the
+    processes that opened a path, one per open."""
+    log_path = tmp_path / "opens.log"
+    log = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    real_open = builtins.open
+
+    def logged_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            os.write(log, f"{os.getpid()}\t{os.fspath(file)}\n".encode())
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", logged_open)
+
+    def opened(path):
+        lines = log_path.read_text().splitlines()
+        return [int(pid) for pid, p in (line.split("\t") for line in lines) if p == str(path)]
+
+    yield opened
+    os.close(log)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_reads_each_pass_once(tmp_path, pass_args, two_epoch_cfg_path, opened_by,
+                                     jobs):
+    assert main(["ablate", *pass_args, "--cases", "C1a,C4f", "--seeds", "R1", "--jobs", jobs,
+                 "--config", two_epoch_cfg_path, "--out", str(tmp_path / "o")]) == 0
+    # the manifest a second time for the pass-id check; no worker reads a pass
+    for csv in pass_args:
+        stem = csv.removesuffix(".csv")
+        assert opened_by(csv) == opened_by(f"{stem}.records") == [os.getpid()]
+        assert opened_by(f"{stem}.manifest.json") == [os.getpid()] * 2
+
+
+@pytest.mark.parametrize("command", ["triad", "export"])
+def test_triad_and_export_read_each_pass_file_once(tmp_path, pass_args, opened_by,
+                                                   command):
+    argv = {"triad": ["triad", *pass_args], "export": ["export", pass_args[0], "--raw"]}
+    assert main([*argv[command], "--out", str(tmp_path / "o")]) == 0
+    for csv in pass_args if command == "triad" else pass_args[:1]:
+        stem = csv.removesuffix(".csv")
+        for path in (csv, f"{stem}.records", f"{stem}.manifest.json"):
+            assert opened_by(path) == [os.getpid()]
+
+
+@pytest.mark.parametrize("command", ["triad", "export", "ablate"])
+def test_input_hashes_are_of_the_bytes_read(tmp_path, pass_args, two_epoch_cfg_path,
+                                            monkeypatch, command):
+    passes = _copy_catalog(tmp_path, pass_args)
+    manifest = Path(passes[0]).with_suffix(".manifest.json")
+    read = hashlib.sha256(manifest.read_bytes()).hexdigest()
+    real_read_passlog = cli.read_passlog
+
+    def read_then_edit(csv_path):
+        """The pass as read; P1's manifest then gets one sunlit flag flipped."""
+        log = real_read_passlog(csv_path)
+        if csv_path == passes[0]:
+            data = json.loads(manifest.read_text())
+            data["sunlit"][100] = 1 - data["sunlit"][100]
+            manifest.write_text(json.dumps(data))
+        return log
+
+    monkeypatch.setattr(cli, "read_passlog", read_then_edit)
+    argv = {"triad": ["triad", *passes],
+            "export": ["export", passes[0], "--raw"],
+            "ablate": ["ablate", *passes, "--cases", "C4f", "--seeds", "R1", "--jobs", "1",
+                       "--config", two_epoch_cfg_path]}[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() != read
+    assert json.loads((out / "run_manifest.json").read_text())["input_hashes"][
+        str(manifest)] == read
+    if command == "ablate":
+        inputs = json.loads((out / "C4f_R1" / "inputs.json").read_text())
+        assert inputs["passes"][0]["manifest"] == read
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("config, named", [
     ({"max_epochs": 3, "windw": 9}, "'windw'"),
@@ -665,18 +790,17 @@ class _MatrixReached(Exception):
 
 
 @pytest.fixture
-def ablate_jobs(tmp_path, monkeypatch):
+def ablate_jobs(tmp_path, monkeypatch, pass_args):
     """Runs ``attlab ablate`` up to its ``run_matrix`` call; returns the
     ``jobs`` that call was given."""
     def record(*args, jobs, **kwargs):
         raise _MatrixReached(jobs)
 
     monkeypatch.setattr(cli, "run_matrix", record)
-    passes = [str(tmp_path / f"missing{k}.csv") for k in range(5)]
 
     def run():
         with pytest.raises(_MatrixReached) as ei:
-            main(["ablate", *passes, "--cases", "C1a", "--out", str(tmp_path / "o")])
+            main(["ablate", *pass_args, "--cases", "C1a", "--out", str(tmp_path / "o")])
         return ei.value.args[0]
 
     return run

@@ -19,7 +19,12 @@ from attlab.harness import (
     triad_baseline_report,
     write_matrix_reports,
 )
-from attlab.passlog import CSV_COLUMNS, write_raw_profile_csv, write_series_csv
+from attlab.passlog import (
+    CSV_COLUMNS,
+    read_passlog,
+    write_raw_profile_csv,
+    write_series_csv,
+)
 from attlab.synth import SensorErrors, default_catalog, synth_pass
 
 FAST_TC = TrainConfig(max_epochs=25)
@@ -143,11 +148,16 @@ def test_run_case_rejects_wrong_pass_count(tmp_path, catalog_logs):
     assert not any(tmp_path.iterdir())
 
 
-def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
-    _, paths = catalog_dir
+@pytest.fixture(scope="module")
+def catalog_read(catalog_dir):
+    """The catalog's passes as read from their files, with their digests."""
+    return [read_passlog(p) for p in catalog_dir[1]]
+
+
+def test_run_matrix_shape_and_resume(tmp_path, catalog_read):
     out = tmp_path / "m1"
     seen = []
-    tables, results = run_matrix(paths, ["C1a", "C4f"], seeds=("R1",), n=5,
+    tables, results = run_matrix(catalog_read, ["C1a", "C4f"], seeds=("R1",), n=5,
                                  outdir=out, tc=FAST_TC,
                                  on_cell=lambda r, e, s: seen.append((r, e, s)))
     assert len(results) == 2
@@ -160,7 +170,7 @@ def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
     # resume: delete nothing, rerun -> identical bytes, and the reused
     # cells report the epochs of their saved histories
     seen2 = []
-    tables2, results2 = run_matrix(paths, ["C1a", "C4f"], seeds=("R1",), n=5,
+    tables2, results2 = run_matrix(catalog_read, ["C1a", "C4f"], seeds=("R1",), n=5,
                                    outdir=out, resume=True, tc=FAST_TC,
                                    on_cell=lambda r, e, s: seen2.append((r, e)))
     assert seen2 == [(r, e) for r, e, _ in seen]
@@ -169,8 +179,7 @@ def test_run_matrix_shape_and_resume(tmp_path, catalog_dir):
     assert results2 == results
 
 
-def test_run_matrix_pool_capped_at_cell_count(tmp_path, monkeypatch, catalog_dir):
-    _, paths = catalog_dir
+def test_run_matrix_pool_capped_at_cell_count(tmp_path, monkeypatch, catalog_read):
     sizes = []
 
     class InlinePool:
@@ -188,16 +197,15 @@ def test_run_matrix_pool_capped_at_cell_count(tmp_path, monkeypatch, catalog_dir
 
     monkeypatch.setattr("attlab.harness.ProcessPoolExecutor", InlinePool)
     tc = TrainConfig(max_epochs=2)
-    run_matrix(paths, ["C1a"], tmp_path, seeds=("R1",), jobs=4, tc=tc)
+    run_matrix(catalog_read, ["C1a"], tmp_path, seeds=("R1",), jobs=4, tc=tc)
     assert sizes == []  # one cell runs in-process
-    run_matrix(paths, ["C1a"], tmp_path, seeds=("R1", "R2"), jobs=4, tc=tc)
+    run_matrix(catalog_read, ["C1a"], tmp_path, seeds=("R1", "R2"), jobs=4, tc=tc)
     assert sizes == [2]
 
 
-def test_run_matrix_rejects_empty_cases(tmp_path, catalog_dir):
-    _, paths = catalog_dir
+def test_run_matrix_rejects_empty_cases(tmp_path, catalog_read):
     with pytest.raises(ValueError):
-        run_matrix(paths, [], tmp_path, tc=FAST_TC)
+        run_matrix(catalog_read, [], tmp_path, tc=FAST_TC)
 
 
 def test_triad_baseline_report_biased(catalog_logs):

@@ -27,6 +27,7 @@ from attlab.passlog import (
     CSV_COLUMNS,
     RECORDS_MAGIC,
     from_dict,
+    manifest_path_for,
     read_manifest,
     read_passlog,
     records_path_for,
@@ -171,8 +172,25 @@ def test_pass_id_from_manifest_else_path(tmp_path):
     assert read_manifest(csv)[1] == "P2" == read_passlog(csv).pass_id
     bare = tmp_path / "bare.csv"
     shutil.copy(csv, bare)
-    assert read_manifest(bare) == ({}, "bare")
+    assert read_manifest(bare) == ({}, "bare", None)
     assert read_passlog(bare).pass_id == "bare"
+
+
+def test_read_passlog_keeps_the_digests_of_the_bytes_it_parsed(written_pass):
+    def sha256(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    csv, bare = written_pass
+    manifest = Path(manifest_path_for(csv))
+    for path in (csv, bare):  # from the records file, and parsed
+        log = read_passlog(path)
+        assert (log.csv_path, log.csv_sha256, log.manifest_sha256) == (
+            str(path), sha256(path), sha256(manifest))
+        assert log.input_hashes() == {str(path): sha256(path),
+                                      manifest_path_for(path): sha256(manifest)}
+    Path(manifest_path_for(bare)).unlink()
+    log = read_passlog(bare)
+    assert log.manifest_sha256 is None and log.input_hashes() == {str(bare): sha256(bare)}
 
 
 @pytest.mark.parametrize("key, flags", [
