@@ -46,7 +46,6 @@ from .passlog import (
     read_manifest,
     read_passlog,
     records_path_for,
-    sha256_file,
     write_json,
     write_passlog,
     write_raw_profile_csv,
@@ -88,8 +87,9 @@ def _load_config(path):
 
 def _write_manifest(outdir, subcommand, resolved_config, logs, seeds, outputs,
                     started, models=()):
-    """``run_manifest.json``, hashing the files ``logs`` were read from and ``models``."""
-    input_hashes = {p: sha256_file(p) for p in models}
+    """``run_manifest.json``, with the digests of the files ``logs`` were
+    read from and the ``{path: digest}`` of ``models``."""
+    input_hashes = dict(models)
     for log in logs:
         input_hashes.update(log.input_hashes())
     manifest = {
@@ -300,8 +300,9 @@ def cmd_export(args):
     started = _now()
     log = read_passlog(args.passfile)
     _check_file_names([(log.pass_id, f"{manifest_path_for(log.csv_path)}: key 'pass_id'")])
+    models = {}  # the model file's path and the digest of the bytes parsed
     if args.model:
-        params, nc, case, prov = _export_model(args.model)
+        params, nc, case, prov, models[args.model] = _export_model(args.model)
         series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"),
                                  css_bias=prov.get("css_bias"))
     outdir = _out_dir(args)
@@ -312,18 +313,17 @@ def cmd_export(args):
         print(f"wrote {p}")
     if args.raw or not args.model:
         p = os.path.join(outdir, f"profile_{log.pass_id}.csv")
-        write_raw_profile_csv(log, p)
-        outputs.append(p)
+        outputs.append(write_raw_profile_csv(log, p))
         print(f"wrote {p}")
     _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw}, [log], {},
-                    outputs, started, models=[args.model] if args.model else [])
+                    outputs, started, models)
     return 0
 
 
 def _export_model(path):
-    """``(params, nc, case, provenance)`` of a trained model file; the case
-    comes from its provenance ``case_id`` and must match its channels."""
-    params, nc, prov = load_model(path)
+    """``(params, nc, case, provenance, digest)`` of a trained model file; the
+    case comes from its provenance ``case_id`` and must match its channels."""
+    params, nc, prov, digest = load_model(path)
     if "case_id" not in prov:
         raise IncompatibleModelError(f"{path}: provenance has no key 'case_id'")
     try:
@@ -334,7 +334,7 @@ def _export_model(path):
         raise IncompatibleModelError(
             f"{path}: header 'channels' is {nc.channels}, but case "
             f"{case.case_id} has {case.channel_count} channels")
-    return params, nc, case, prov
+    return params, nc, case, prov, digest
 
 
 def _css_bias(text):

@@ -31,6 +31,7 @@ and slow every later step; the flush does not change the parameters'
 bits.
 """
 
+import hashlib
 import json
 import struct
 from collections import deque
@@ -148,10 +149,10 @@ def _blocked_forward(params, a, dropout_mask=None, acts=None):
 
     The rows are zero-padded once to whole ``GEMM_ROWS``-row blocks, and
     each affine map is one stacked ``matmul`` of ``GEMM_ROWS``-row GEMMs,
-    each small enough to stay on the calling thread. A row's bits depend
-    on where it falls in OpenBLAS's row tiles, and ``GEMM_ROWS`` is a
-    multiple of the tile height, so every row sits in a full tile and a
-    window gets the same bits in a stack of any length, alone included.
+    each small enough to stay on the calling thread. Every row is thus
+    predicted in a GEMM of the same shape, so its bits do not depend on
+    the stack it is predicted in: a window gets the same bits in a stack
+    of any length, alone included.
     """
     rows = len(a)
     if rows % GEMM_ROWS:
@@ -481,9 +482,9 @@ def save_model(params, nc, path, provenance=None):
 
 
 def load_model(path):
-    """Returns (params, config, provenance). A file that is not a whole
-    model with a consistent header raises IncompatibleModelError naming
-    ``path`` and, where one is at fault, the header key."""
+    """Returns (params, config, provenance, hex SHA-256 of the bytes parsed).
+    A file that is not a whole model with a consistent header raises
+    IncompatibleModelError naming ``path`` and the header key at fault."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(_MAGIC):
@@ -521,4 +522,5 @@ def load_model(path):
         raise IncompatibleModelError(f"{path}: model file holds {len(body)} bytes of "
                                      f"parameters, its header's shapes need {count * 8}")
     vec = np.frombuffer(body, dtype="<f8").astype(float)
-    return NetParams.from_vector(vec, shapes), nc, header["provenance"]
+    return (NetParams.from_vector(vec, shapes), nc, header["provenance"],
+            hashlib.sha256(data).hexdigest())

@@ -8,16 +8,19 @@ exports for a trained model.
 """
 
 import contextlib
+import hashlib
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cases import case_spec
-from .convnet import NetConfig, TrainConfig, forward, load_model, save_model, train
+from .convnet import NetConfig, TrainConfig, forward, save_model, train
 from .features import (
     SENSOR_MODELS,
     FeatureFrames,
@@ -128,36 +131,37 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     return result
 
 
-def _epochs_run(cell):
-    """Epochs the cell's training ran: the rows of its ``history.csv``."""
-    with open(os.path.join(cell, "history.csv")) as f:
-        return sum(1 for _ in f) - 1
+def _cell_outputs(cell):
+    """The bytes of the cell's outputs and their hex SHA-256s, by file name."""
+    data = {name: Path(cell, name).read_bytes()
+            for name in ("model.bin", "history.csv", "result.json")}
+    return data, {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
 
 
 def _cell_worker(args):
     """One cell, reused under ``resume`` or trained; returns (result,
-    epochs run, wall s). A cell is reused only when its ``inputs.json``
-    matches and its result, history and model all load.
-
-    ``inputs.json`` is removed before training and written after it, so it
-    never vouches for a half-written cell.
-    """
+    epochs run: the rows of its ``history.csv``, wall s). ``inputs.json``
+    is removed before training and written after it, with the outputs'
+    digests under ``outputs``, so it never vouches for a half-written cell."""
     started = time.perf_counter()
     logs, outdir, resume, tc, inputs = args
     cell = os.path.join(str(outdir), f"{inputs['case']}_{inputs['seed']}")
     marker = os.path.join(cell, "inputs.json")
-    saved_path = os.path.join(cell, "result.json")
-    with contextlib.suppress(OSError, ValueError):  # IncompatibleModelError too
-        if resume and read_json(marker) == inputs:
-            load_model(os.path.join(cell, "model.bin"))
-            saved = from_dict(RunResult, read_json(saved_path), saved_path)
-            return saved, _epochs_run(cell), time.perf_counter() - started
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(marker)
-    result = run_case(inputs["case"], inputs["seed"], logs, outdir, n=inputs["window"],
-                      tc=tc, css_bias=inputs["css_bias"])
-    write_json(marker, inputs)
-    return result, _epochs_run(cell), time.perf_counter() - started
+    result = None
+    with contextlib.suppress(OSError, ValueError):
+        if resume:
+            data, digests = _cell_outputs(cell)
+            if read_json(marker) == {**inputs, "outputs": digests}:
+                result = from_dict(RunResult, json.loads(data["result.json"]),
+                                   os.path.join(cell, "result.json"))
+    if result is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(marker)
+        result = run_case(inputs["case"], inputs["seed"], logs, outdir,
+                          n=inputs["window"], tc=tc, css_bias=inputs["css_bias"])
+        data, digests = _cell_outputs(cell)
+        write_json(marker, {**inputs, "outputs": digests})
+    return result, data["history.csv"].count(b"\n") - 1, time.perf_counter() - started
 
 
 @dataclass
@@ -267,9 +271,9 @@ def run_matrix(logs, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
     ``on_cell(result, epochs, seconds)`` observes each cell, in catalog
     order, as soon as its result arrives; ``epochs`` is the length of the
     cell's training history and ``seconds`` the cell's wall time.
-    ``resume`` reuses a cell only when its ``inputs.json`` (case, seed,
-    window, training config, CSS bias, version, the logs' digests; no
-    paths or times) equals this run's.
+    ``resume`` reuses a cell only when its ``inputs.json`` holds this run's
+    inputs (case, seed, window, training config, CSS bias, version, the
+    logs' digests; no paths or times) and its outputs' current digests.
     """
     if not case_ids:
         raise ValueError("no cases selected")

@@ -261,12 +261,6 @@ def write_series_csv(path, series):
     return write_csv(path, ",".join(series), series.values())
 
 
-def sha256_file(path):
-    """Hex SHA-256 of the file's bytes."""
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
 def _blocks(log, names):
     """The ``names`` arrays of ``log`` in order, the counts as int64."""
     return [np.asarray(getattr(log, name)).astype(np.int64) if name in COUNT_FIELDS

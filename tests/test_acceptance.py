@@ -310,7 +310,7 @@ def test_test_error_peaks_near_sequence_edges(matrix_env):
     out = matrix_env["first"]["out"]
     locs = []
     for sn in ("R1", "R2", "R3"):
-        params, nc, prov = load_model(os.path.join(out, f"C1e_{sn}", "model.bin"))
+        params, nc, prov, _ = load_model(os.path.join(out, f"C1e_{sn}", "model.bin"))
         att = timeseries_rows(params, nc, case_spec("C1e"),
                               matrix_env["catalog_logs"][4],
                               prov["gyro_scale"])["att_err_deg"]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attlab import cli
+from attlab import cli, harness
 from attlab.cli import main
 from attlab.convnet import NetConfig, init_params, load_model, save_model
 from attlab.passlog import read_passlog
@@ -659,6 +659,81 @@ def test_ablate_resume_retrains_a_cell_whose_model_does_not_load(tmp_path, pass_
     assert model.read_bytes() == trained
 
 
+def _cell_outputs(cell):
+    return {name: (cell / name).read_bytes()
+            for name in ("model.bin", "history.csv", "result.json")}
+
+
+def test_ablate_resume_retrains_cells_whose_models_were_swapped(tmp_path, pass_args,
+                                                                two_epoch_cfg_path):
+    d = tmp_path / "swap"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1,R2", "--out", str(d),
+            "--jobs", "1", "--config", two_epoch_cfg_path]
+    assert main(argv) == 0
+    cells = {seed: d / f"C1a_{seed}" for seed in ("R1", "R2")}
+    trained = {seed: _cell_outputs(cell) for seed, cell in cells.items()}
+    # each model still loads, but it is the other seed's
+    (cells["R1"] / "model.bin").write_bytes(trained["R2"]["model.bin"])
+    (cells["R2"] / "model.bin").write_bytes(trained["R1"]["model.bin"])
+    assert main(argv + ["--resume"]) == 0
+    for seed, cell in cells.items():
+        assert _cell_outputs(cell) == trained[seed]
+        assert load_model(cell / "model.bin")[2]["seed_name"] == seed
+
+
+@pytest.mark.parametrize("edited", ["result.json", "history.csv"])
+def test_ablate_resume_retrains_a_cell_whose_output_was_edited(tmp_path, pass_args,
+                                                               two_epoch_cfg_path, edited):
+    d = tmp_path / "edit"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1", "--out", str(d),
+            "--jobs", "1", "--config", two_epoch_cfg_path]
+    assert main(argv) == 0
+    cell = d / "C1a_R1"
+    trained = _cell_outputs(cell)
+    report = (d / "ablation_report.md").read_bytes()
+    # one digit changed: the first of the test RMS, or of the first epoch's loss
+    before = {"result.json": '"test_rms_deg": ', "history.csv": "\n1,"}[edited]
+    path = cell / edited
+    text = path.read_text()
+    at = text.index(before) + len(before)
+    path.write_text(text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1:])
+    assert main(argv + ["--resume"]) == 0
+    assert _cell_outputs(cell) == trained
+    assert (d / "ablation_report.md").read_bytes() == report
+
+
+def test_ablate_resume_retrains_a_cell_without_output_digests_once(
+        tmp_path, pass_args, two_epoch_cfg_path, monkeypatch):
+    d = tmp_path / "old"
+    argv = ["ablate", *pass_args, "--cases", "C1a", "--seeds", "R1", "--out", str(d),
+            "--jobs", "1", "--config", two_epoch_cfg_path]
+    assert main(argv) == 0
+    cell = d / "C1a_R1"
+    trained = _cell_outputs(cell)
+    marker = cell / "inputs.json"
+    inputs = json.loads(marker.read_text())
+    assert inputs["outputs"] == {name: hashlib.sha256(data).hexdigest()
+                                 for name, data in trained.items()}
+    # a marker written before it held the outputs' digests
+    del inputs["outputs"]
+    marker.write_text(json.dumps(inputs, indent=2, sort_keys=True) + "\n")
+    runs = []
+    real_run_case = harness.run_case
+
+    def counted(*args, **kwargs):
+        runs.append(args[:2])
+        return real_run_case(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_case", counted)
+    assert main(argv + ["--resume"]) == 0
+    assert runs == [("C1a", "R1")]
+    assert _cell_outputs(cell) == trained
+    stamp = (cell / "model.bin").stat().st_mtime_ns
+    assert main(argv + ["--resume"]) == 0
+    assert runs == [("C1a", "R1")]
+    assert (cell / "model.bin").stat().st_mtime_ns == stamp
+
+
 @pytest.fixture
 def opened_by(tmp_path, monkeypatch):
     """Logs each ``open`` of a file by path, in this process and in the
@@ -695,15 +770,46 @@ def test_ablate_reads_each_pass_once(tmp_path, pass_args, two_epoch_cfg_path, op
         assert opened_by(f"{stem}.manifest.json") == [os.getpid()] * 2
 
 
-@pytest.mark.parametrize("command", ["triad", "export"])
-def test_triad_and_export_read_each_pass_file_once(tmp_path, pass_args, opened_by,
-                                                   command):
-    argv = {"triad": ["triad", *pass_args], "export": ["export", pass_args[0], "--raw"]}
+@pytest.fixture(scope="module")
+def two_epoch_model(tmp_path_factory, pass_args, two_epoch_cfg_path):
+    """The model file of a C1a R1 cell trained for two epochs."""
+    d = tmp_path_factory.mktemp("two_epoch")
+    assert main(["train", *pass_args, "--case", "C1a", "--config", two_epoch_cfg_path,
+                 "--out", str(d)]) == 0
+    return str(d / "C1a_R1" / "model.bin")
+
+
+@pytest.mark.parametrize("command", ["triad", "export", "export --model"])
+def test_triad_and_export_read_each_pass_file_once(tmp_path, pass_args, two_epoch_model,
+                                                   opened_by, command):
+    argv = {"triad": ["triad", *pass_args], "export": ["export", pass_args[0], "--raw"],
+            "export --model": ["export", pass_args[0], "--raw", "--model", two_epoch_model]}
     assert main([*argv[command], "--out", str(tmp_path / "o")]) == 0
     for csv in pass_args if command == "triad" else pass_args[:1]:
         stem = csv.removesuffix(".csv")
         for path in (csv, f"{stem}.records", f"{stem}.manifest.json"):
             assert opened_by(path) == [os.getpid()]
+    # the model too: the run manifest records the digest of the bytes parsed
+    assert opened_by(two_epoch_model) == ([os.getpid()] if "--model" in argv[command] else [])
+
+
+def test_export_records_the_digest_of_the_model_bytes_parsed(tmp_path, pass_args,
+                                                             two_epoch_model, monkeypatch):
+    model = tmp_path / "model.bin"
+    shutil.copy(two_epoch_model, model)
+    parsed = hashlib.sha256(model.read_bytes()).hexdigest()
+    real_load_model = cli.load_model
+
+    def load_then_rewrite(path):
+        loaded = real_load_model(path)
+        model.write_bytes(b"rewritten after it was parsed")
+        return loaded
+
+    monkeypatch.setattr(cli, "load_model", load_then_rewrite)
+    out = tmp_path / "o"
+    assert main(["export", pass_args[4], "--model", str(model), "--out", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["input_hashes"][
+        str(model)] == parsed
 
 
 @pytest.mark.parametrize("command", ["triad", "export", "ablate"])

@@ -133,7 +133,7 @@ def test_run_case_deterministic(tmp_path, catalog_logs):
 def test_run_case_persists_artifacts(tmp_path, catalog_logs):
     r = run_case("C1a", "R1", catalog_logs, n=5, outdir=tmp_path, tc=FAST_TC)
     assert r.model_path == "C1a_R1/model.bin"  # relative to the output dir
-    params, nc, prov = load_model(tmp_path / r.model_path)
+    params, nc, prov, _ = load_model(tmp_path / r.model_path)
     assert prov["case_id"] == "C1a"
     assert prov["gyro_scale"] == r.gyro_scale
     assert prov["train_pass_ids"] == ["P1", "P2", "P3", "P4"]
@@ -308,7 +308,7 @@ def test_triad_baseline_zero_error_catalog():
 
 def test_timeseries_export(tmp_path, catalog_logs):
     r = run_case("C1e", "R1", catalog_logs, n=5, outdir=tmp_path, tc=FAST_TC)
-    params, nc, prov = load_model(tmp_path / r.model_path)
+    params, nc, prov, _ = load_model(tmp_path / r.model_path)
     case = case_spec("C1e")
     series = timeseries_rows(params, nc, case, catalog_logs[4], prov["gyro_scale"])
     assert all(len(x) == 362 for x in series.values())
