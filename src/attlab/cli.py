@@ -38,6 +38,7 @@ from .harness import (
 )
 from .features import WINDOW_MAX
 from .passlog import (
+    Scenario,
     SensorErrors,
     check_type,
     from_dict,
@@ -52,13 +53,7 @@ from .passlog import (
     write_series_csv,
     write_text,
 )
-from .synth import (
-    CATALOG_ERRORS,
-    Scenario,
-    default_catalog,
-    eclipse_variant,
-    synth_pass,
-)
+from .synth import CATALOG_ERRORS, default_catalog, eclipse_variant, synth_pass
 
 OUT_ROOT_ENV = "ATTLAB_OUT"
 FORMAT_VERSION = 1
@@ -79,7 +74,7 @@ def _out_dir(args, create=True):
 def _load_config(path):
     if path is None:
         return {}
-    cfg = read_json(path)
+    cfg, _ = read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg
@@ -138,7 +133,7 @@ def cmd_synth(args):
         if not isinstance(cfg["scenarios"], list):
             raise ValueError(f"{where}: key 'scenarios' must be a list")
         base_seed = None
-        scenarios = [from_dict(Scenario, d, f"{where}: scenarios[{k}]")
+        scenarios = [from_dict(Scenario, d, where, f"scenarios[{k}]")
                      for k, d in enumerate(cfg["scenarios"])]
         _reject_repeats([sc.pass_id for sc in scenarios], f"{where}: key 'scenarios': pass_id")
         _check_file_names((sc.pass_id, f"{where}: scenarios[{k}]: key 'pass_id'")
@@ -156,7 +151,7 @@ def cmd_synth(args):
                 raise ValueError(f"{where}: key 'errors' must be an object")
             errors = from_dict(SensorErrors,
                                {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]},
-                               f"{where}: errors")
+                               where, "errors")
         scenarios = default_catalog(base_seed=base_seed, errors=errors)
     outdir = _out_dir(args)
     if args.eclipse:
@@ -250,8 +245,8 @@ def cmd_train(args):
                     {"case": args.case, "window": n, "config_file": args.config,
                      "train_config": dataclasses.asdict(tc)},
                     logs, {"seed": args.seed},
-                    [os.path.join(outdir, result.model_path),
-                     os.path.join(outdir, result.history_path)], started)
+                    [os.path.join(cell, name) for name in
+                     ("model.bin", "history.csv", "result.json", "inputs.json")], started)
     return 0
 
 

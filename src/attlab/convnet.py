@@ -505,7 +505,7 @@ def load_model(path):
         if key not in header:
             raise IncompatibleModelError(f"{path}: header has no key {key!r}")
     try:
-        nc = from_dict(NetConfig, {key: header[key] for key in net_keys}, f"{path}: header")
+        nc = from_dict(NetConfig, {key: header[key] for key in net_keys}, path, "header")
     except ValueError as e:
         raise IncompatibleModelError(str(e)) from None
     if not isinstance(header["provenance"], dict):

@@ -94,17 +94,17 @@ def build_frames(log, css_bias=None, gyro_scale=None):
     marked unavailable so a gyro-using case cannot silently train on
     unscaled data.
     """
-    err = log.manifest.get("scenario", {}).get("errors")
-    if not err:
+    if log.manifest.scenario is None:
         raise ValueError(f"pass {log.pass_id}: manifest carries no sensor config "
                          "(scenario.errors with mag_ref, mag_scale)")
+    err = log.manifest.scenario.errors
 
     L = len(log.t)
     ones = np.ones(L, dtype=bool)
-    sunlit = np.asarray(log.manifest.get("sunlit", ones), dtype=bool)
-    saturated = np.asarray(log.manifest.get("mag_saturated", ~ones), dtype=bool)
+    sunlit = ones if log.manifest.sunlit is None else log.manifest.sunlit
+    saturated = ~ones if log.manifest.mag_saturated is None else log.manifest.mag_saturated
     uS_c, uE_c, sun_avail, earth_avail = css_to_sun_earth(log.css, css_bias)
-    uB_m, mag_avail = mag_to_unit(log.mag, err["mag_ref"], err["mag_scale"])
+    uB_m, mag_avail = mag_to_unit(log.mag, err.mag_ref, err.mag_scale)
     uE_i = -log.r_km / np.linalg.norm(log.r_km, axis=1, keepdims=True)
 
     w_g = log.w / gyro_scale if gyro_scale else log.w.copy()

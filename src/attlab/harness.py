@@ -151,7 +151,7 @@ def _cell_worker(args):
     with contextlib.suppress(OSError, ValueError):
         if resume:
             data, digests = _cell_outputs(cell)
-            if read_json(marker) == {**inputs, "outputs": digests}:
+            if read_json(marker)[0] == {**inputs, "outputs": digests}:
                 result = from_dict(RunResult, json.loads(data["result.json"]),
                                    os.path.join(cell, "result.json"))
     if result is None:

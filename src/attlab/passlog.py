@@ -4,8 +4,8 @@ A pass is one 6-minute observation log: 362 records at a strict 1 s
 cadence. Each record carries the raw coarse-sensor counts, the gyro
 rates, the inertial model vectors, the orbit position, and the truth
 attitude. On disk a pass is a CSV plus a JSON sidecar manifest
-(``<name>.manifest.json``) holding the scenario, seed, and per-step
-sunlit/saturation flags; its ``scenario.errors`` is a ``SensorErrors``.
+(``<name>.manifest.json``), read as a ``PassManifest``: the ``Scenario``
+the pass was made from, its seed, and per-step sunlit/saturation flags.
 The writer also leaves ``<name>.records``, the CSV's numbers in binary
 under a digest of the CSV's bytes; the reader takes them from there only
 while the digest matches, and otherwise parses the CSV. Both apply the
@@ -19,11 +19,12 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import DataIntegrityError
+from .refmodels import OrbitElements
 
 PASS_SAMPLES = 362
 PASS_DT_S = 1.0
@@ -73,43 +74,51 @@ def check_type(where, key, value, kind):
     return value
 
 
-def from_dict(cls, d, where):
+def from_dict(cls, d, where, path=""):
     """A ``cls`` dataclass from a JSON-style dict. A dataclass field is read
     from its nested dict the same way and a tuple field from a list; an
     int, float, bool or str field must get a value of that type, kept
-    unconverted. Raises ValueError, prefixed with ``where``, naming an
-    unknown, missing or wrongly typed key; a ValueError from ``cls``
-    itself gets the same prefix."""
+    unconverted. Raises ValueError, prefixed with ``where`` and the dotted
+    key ``path`` to ``d``, naming an unknown, missing or wrongly typed key;
+    a ValueError from ``cls`` itself gets the same prefix."""
+    prefix = f"{where}: {path}" if path else where
     if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
+        named = f" for key {path.rpartition('.')[2]!r}" if path else ""
+        raise ValueError(f"{prefix}: expected an object{named}, got {type(d).__name__}")
     known = {f.name: f for f in fields(cls)}
     for key in d:
         if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}")
+            raise ValueError(f"{prefix}: unknown key {key!r}")
     for name, f in known.items():
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{where}: missing key {name!r}")
+            raise ValueError(f"{prefix}: missing key {name!r}")
     values = {}
     for key, v in d.items():
         kind = known[key].type
         if is_dataclass(kind):
-            v = from_dict(kind, v, f"{where} {key}")
+            v = from_dict(kind, v, where, f"{path}.{key}" if path else key)
         elif kind is tuple:
             if not isinstance(v, (list, tuple)):
-                raise ValueError(f"{where}: key {key!r} must be a list")
+                raise ValueError(f"{prefix}: key {key!r} must be a list")
             v = tuple(v)
         elif kind in _JSON_TYPES:
-            check_type(where, key, v, kind)
+            check_type(prefix, key, v, kind)
         values[key] = v
     try:
         return cls(**values)
     except ValueError as e:  # the dataclass's own range checks
-        raise ValueError(f"{where}: {e}") from None
+        raise ValueError(f"{prefix}: {e}") from None
 
 
 def _finite_number(x):
     """True for a finite int or float; a bool is not a number."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_numbers(key, value, n):
+    """Raise a ValueError naming ``key`` unless ``value`` holds ``n`` finite numbers."""
+    if len(value) != n or not all(map(_finite_number, value)):
+        raise ValueError(f"key {key!r} must be a list of {n} finite numbers, got {value!r}")
 
 
 @dataclass
@@ -135,9 +144,7 @@ class SensorErrors:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is tuple:
-                if len(value) != len(f.default) or not all(map(_finite_number, value)):
-                    raise ValueError(f"key {f.name!r} must be a list of {len(f.default)} "
-                                     f"finite numbers, got {value!r}")
+                _check_numbers(f.name, value, len(f.default))
             elif not _finite_number(value):
                 raise ValueError(f"key {f.name!r} must be finite, got {value!r}")
         for key in ("css_noise", "mag_noise", "gyro_noise_dps"):
@@ -159,6 +166,74 @@ def check_pass_id(where, value):
 
 
 @dataclass
+class Maneuver:
+    axis: tuple = (0.0, 0.0, 1.0)  # body frame
+    magnitude_deg: float = 0.0
+    start_s: float = 60.0
+    rate_limit_dps: float = 0.5
+
+    def __post_init__(self):
+        if self.start_s < 0:
+            raise ValueError("maneuver start must be >= 0")
+        if not 0.0 < self.rate_limit_dps <= 5.0:
+            raise ValueError("rate limit must be in (0, 5] deg/s")
+
+
+@dataclass
+class Scenario:
+    pass_id: str
+    orbit: OrbitElements
+    epoch: float  # pass start, UTC seconds
+    q0: tuple  # initial attitude [x, y, z, w]
+    maneuver: Maneuver = field(default_factory=Maneuver)
+    errors: SensorErrors = field(default_factory=SensorErrors)
+    seed: int = 0
+    force_eclipse: bool = False
+
+    def __post_init__(self):
+        check_pass_id("key 'pass_id'", self.pass_id)
+        _check_numbers("q0", self.q0, 4)
+        if self.seed < 0:
+            raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
+
+    def hash(self):
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@dataclass
+class PassManifest:
+    """A pass's sidecar manifest; an absent key reads as None, a flag list as a bool array."""
+
+    pass_id: str = None
+    seed: int = None
+    scenario: Scenario = None
+    scenario_hash: str = None  # the first 16 hex digits of Scenario.hash
+    sunlit: tuple = None
+    mag_saturated: tuple = None
+
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
+        if self.scenario_hash is not None and not re.fullmatch("[0-9a-f]{16}",
+                                                               self.scenario_hash):
+            raise ValueError("key 'scenario_hash' must be 16 lowercase hex digits, "
+                             f"got {self.scenario_hash!r}")
+        for key in ("sunlit", "mag_saturated"):
+            flags = getattr(self, key)
+            if isinstance(flags, tuple):  # as read from a list
+                if [type(v) for v in flags] != [int] * PASS_SAMPLES or set(flags) - {0, 1}:
+                    raise ValueError(f"key {key!r} must be a list of {PASS_SAMPLES} "
+                                     "entries, each 0 or 1")
+                setattr(self, key, np.array(flags, dtype=bool))
+
+    def to_dict(self):
+        """The JSON-style dict ``from_dict`` reads back; an absent key is left out."""
+        return {key: value.astype(int).tolist() if isinstance(value, np.ndarray) else value
+                for key, value in asdict(self).items() if value is not None}
+
+
+@dataclass
 class PassLog:
     pass_id: str
     t: np.ndarray  # (362,) seconds from pass start
@@ -169,7 +244,7 @@ class PassLog:
     uB_i: np.ndarray  # (362, 3) model field direction, ECI unit vectors
     r_km: np.ndarray  # (362, 3) orbit position, km ECI
     q_true: np.ndarray  # (362, 4) truth attitude [x, y, z, w]
-    manifest: dict = field(default_factory=dict)
+    manifest: PassManifest = field(default_factory=PassManifest)
     # set by read_passlog: the CSV's path and the hex SHA-256 of the CSV and
     # manifest bytes it parsed (None without a manifest)
     csv_path: str | None = None
@@ -282,7 +357,7 @@ def write_passlog(log, csv_path):
     digest.update(body)
     with open(records_path_for(csv_path), "wb") as f:
         f.write(RECORDS_MAGIC + digest.digest() + body)
-    return csv_path, write_json(manifest_path_for(csv_path), log.manifest)
+    return csv_path, write_json(manifest_path_for(csv_path), log.manifest.to_dict())
 
 
 def write_raw_profile_csv(log, path):
@@ -301,70 +376,43 @@ def records_path_for(csv_path):
 
 
 def read_manifest(csv_path):
-    """The pass's sidecar manifest (``{}`` when it has none), its pass id
-    and the hex SHA-256 of the manifest's bytes (None when it has none).
-    The pass id is the manifest's ``pass_id``, else the stem of the CSV
-    file's name (``P1`` for ``dir/P1.csv``). A malformed manifest or pass
-    id raises DataIntegrityError naming the file and the key."""
+    """The pass's sidecar ``PassManifest`` (all None when it has none), its
+    pass id and the hex SHA-256 of the manifest's bytes (None when it has
+    none). The pass id is the manifest's ``pass_id``, else the stem of the
+    CSV file's name (``P1`` for ``dir/P1.csv``). A malformed manifest or
+    pass id raises DataIntegrityError naming the file and the key."""
     path = manifest_path_for(csv_path)
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        manifest = json.loads(raw)
-    except FileNotFoundError:
-        return {}, _check_manifest({}, path, csv_path), None
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise DataIntegrityError(f"{path}: not valid JSON: {e}") from None
-    pass_id = _check_manifest(manifest, path, csv_path)
-    return manifest, pass_id, hashlib.sha256(raw).hexdigest()
-
-
-def read_json(path):
-    """The JSON file's value, its bytes decoded as UTF-8 whatever the locale;
-    a file that is not JSON raises ValueError naming it."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        return json.loads(raw)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not valid JSON: {e}") from None
-
-
-def _check_manifest(manifest, path, csv_path):
-    """The pass id ``read_manifest`` returns. Reject a manifest that is not
-    an object, per-step ``sunlit`` / ``mag_saturated`` flags that are not
-    one 0 or 1 per record, a pass id that ``check_pass_id`` rejects and,
-    where ``scenario.errors`` is present, errors that ``SensorErrors``
-    rejects or that lack the MAG reference values."""
-    if not isinstance(manifest, dict):
-        raise DataIntegrityError(
-            f"{path}: manifest must be a JSON object, got {type(manifest).__name__}")
-    for key in ("sunlit", "mag_saturated"):
-        if key not in manifest:
-            continue
-        flags = manifest[key]
-        if not (isinstance(flags, list) and len(flags) == PASS_SAMPLES
-                and all(type(v) is int and v in (0, 1) for v in flags)):
-            raise DataIntegrityError(f"{path}: key {key!r} must be a list of "
-                                     f"{PASS_SAMPLES} entries, each 0 or 1")
-    scenario = manifest.get("scenario", {})
-    if not isinstance(scenario, dict):
-        raise DataIntegrityError(f"{path}: key 'scenario' must be an object")
-    if "pass_id" in manifest:
-        where, pass_id = f"{path}: key 'pass_id'", manifest["pass_id"]
-    else:
-        where = f"{csv_path}: pass id (the file name's stem)"
-        pass_id = os.path.basename(str(csv_path)).removesuffix(".csv")
-    try:
+        d, digest = read_json(path) if os.path.exists(path) else ({}, None)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: manifest must be a JSON object, got {type(d).__name__}")
+        if "pass_id" in d:
+            where, pass_id = f"{path}: key 'pass_id'", d["pass_id"]
+        else:
+            where = f"{csv_path}: pass id (the file name's stem)"
+            pass_id = os.path.basename(str(csv_path)).removesuffix(".csv")
         check_pass_id(where, pass_id)
-        if "errors" in scenario:
-            from_dict(SensorErrors, scenario["errors"], f"{path}: scenario.errors")
-            for key in ("mag_ref", "mag_scale"):  # TRIAD and the features read them
-                if key not in scenario["errors"]:
+        manifest = from_dict(PassManifest, d, path)
+        if manifest.scenario is not None:  # else Scenario's defaults stand in for these
+            errors = d["scenario"]["errors"] if "errors" in d["scenario"] else {}
+            for key in ("mag_ref", "mag_scale"):
+                if key not in errors:
                     raise ValueError(f"{path}: scenario.errors: missing key {key!r}")
     except ValueError as e:
         raise DataIntegrityError(str(e)) from None
-    return pass_id
+    return manifest, pass_id, digest
+
+
+def read_json(path):
+    """The JSON file's value, its bytes decoded as UTF-8 whatever the locale,
+    and the hex SHA-256 of those bytes; a file that is not JSON raises
+    ValueError naming it."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
 
 
 def _malformed_row(lines, csv_path):

@@ -12,15 +12,13 @@ the TRIAD baseline, while a white-noise-only simulator would make the
 two indistinguishable.
 """
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import refmodels
 from .errors import ScenarioInfeasibleError
-from .passlog import PASS_SAMPLES, PassLog, SensorErrors, check_pass_id, from_dict
+from .passlog import PASS_SAMPLES, Maneuver, PassLog, PassManifest, Scenario, SensorErrors
 from .refmodels import OrbitElements
 from .rotations import (
     _cross,
@@ -45,41 +43,6 @@ PANEL_NORMALS = np.array([
 ])
 
 MAG_RAIL_GAUSS = 2.0  # sensor saturates at +/- 2 gauss
-
-
-@dataclass
-class Maneuver:
-    axis: tuple = (0.0, 0.0, 1.0)  # body frame
-    magnitude_deg: float = 0.0
-    start_s: float = 60.0
-    rate_limit_dps: float = 0.5
-
-    def __post_init__(self):
-        if self.start_s < 0:
-            raise ValueError("maneuver start must be >= 0")
-        if not 0.0 < self.rate_limit_dps <= 5.0:
-            raise ValueError("rate limit must be in (0, 5] deg/s")
-
-
-@dataclass
-class Scenario:
-    pass_id: str
-    orbit: OrbitElements
-    epoch: float  # pass start, UTC seconds
-    q0: tuple  # initial attitude [x, y, z, w]
-    maneuver: Maneuver = field(default_factory=Maneuver)
-    errors: SensorErrors = field(default_factory=SensorErrors)
-    seed: int = 0
-    force_eclipse: bool = False
-
-    def __post_init__(self):
-        check_pass_id("key 'pass_id'", self.pass_id)
-        if self.seed < 0:
-            raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
-
-    def hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def make_attitude_profile(sc):
@@ -178,14 +141,6 @@ def synth_pass(sc):
     mag, saturated = simulate_mag(q_true, B, sc.errors, rng)
     w_meas = simulate_gyro(w_true, sc.errors, rng)
 
-    manifest = {
-        "pass_id": sc.pass_id,
-        "seed": sc.seed,
-        "scenario": asdict(sc),
-        "scenario_hash": sc.hash(),
-        "sunlit": sunlit.astype(int).tolist(),
-        "mag_saturated": np.asarray(saturated).astype(int).tolist(),
-    }
     log = PassLog(
         pass_id=sc.pass_id,
         t=np.arange(PASS_SAMPLES, dtype=float),
@@ -196,7 +151,8 @@ def synth_pass(sc):
         uB_i=uB,
         r_km=r,
         q_true=q_true,
-        manifest=manifest,
+        manifest=PassManifest(pass_id=sc.pass_id, seed=sc.seed, scenario=sc,
+                              scenario_hash=sc.hash(), sunlit=sunlit, mag_saturated=saturated),
     )
     return log.validate()
 

@@ -198,6 +198,9 @@ def test_train_single_case(tmp_path, pass_args, fast_cfg_path, capsys):
     # the five pass CSVs and their manifests
     assert len(manifest["input_hashes"]) == 10
     assert manifest["seeds"] == {"seed": "R1"}
+    # every file the cell holds besides the run manifest
+    assert sorted(manifest["outputs"]) == sorted(
+        str(f) for f in (d / "C1a_R1").iterdir() if f.name != "run_manifest.json")
 
 
 def test_train_cell_reused_by_ablate_resume(tmp_path, pass_args, fast_cfg_path,
@@ -410,6 +413,10 @@ def _malformed(manifest, case):
         errors["mag_scale"] = "abc"
     elif case == "int-pass_id":
         manifest["pass_id"] = 7
+    elif case == "null-seed":
+        manifest["seed"] = None
+    elif case == "unknown-key":
+        manifest["sead"] = 1
     return json.dumps(manifest)
 
 
@@ -420,7 +427,10 @@ def _malformed(manifest, case):
     ("no-mag_scale", "scenario.errors: missing key 'mag_scale'"),
     ("text-mag_scale", "scenario.errors: key 'mag_scale' must be float"),
     ("int-pass_id", "key 'pass_id' must be a string"),
-], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id"])
+    ("null-seed", "key 'seed' must be int"),
+    ("unknown-key", "unknown key 'sead'"),
+], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id", "null-seed",
+        "unknown-key"])
 def test_malformed_manifest_exit_2(tmp_path, pass_args, capsys, command, case, named):
     passes = _copy_catalog(tmp_path, pass_args)
     manifest = Path(passes[0]).with_suffix(".manifest.json")

@@ -315,27 +315,29 @@ def test_returned_params_are_best_checkpoint():
     assert all(np.array_equal(a, b) for a, b in zip(best.weights, ref.weights))
 
 
-def whole_set_forward(p, Xf):
-    """The plain inference forward: one unpadded ``x @ W + b`` per layer over
-    all rows. Unlike the network forward's, a row's bits here can depend on
-    the stack it is predicted in: over the 100 rows of
-    ``test_train_matches_per_array_reference_bitwise``, 3 to 7 rows differ
-    in their last bits under OpenBLAS's Haswell and Nehalem kernels, none
-    under SkylakeX."""
-    a = Xf
-    for k, (W, b) in enumerate(zip(p.weights, p.biases)):
-        a = a @ W + b
-        if k < len(p.weights) - 1:
-            a = np.maximum(a, 0.0)
-    return a
+def reference_forward(p, X):
+    """The plain inference forward of the windows ``X``: as in
+    ``reference_gradient``, the rows are zero-padded to whole ``GEMM_ROWS``
+    blocks, then each block goes through one ``x @ W + b`` per layer."""
+    Xf = X.reshape(len(X), -1)
+    out = []
+    for start in range(0, len(Xf), GEMM_ROWS):
+        block = Xf[start:start + GEMM_ROWS]
+        a = np.zeros((GEMM_ROWS, Xf.shape[1]))
+        a[:len(block)] = block
+        for k, (W, b) in enumerate(zip(p.weights, p.biases)):
+            a = a @ W + b
+            if k < len(p.weights) - 1:
+                a = np.maximum(a, 0.0)
+        out.append(a[:len(block)])
+    return np.concatenate(out)
 
 
 def reference_train(ds, nc, tc):
     """The per-array training loop: Adam over each weight and bias array
-    in turn, a dropout draw per batch, and the epoch loss from one
-    ``whole_set_forward`` over the whole set; that loss, an RMS over every
-    row, has matched the network's on each kernel tried. No divergence
-    handling or early stop, so keep runs short."""
+    in turn, a dropout draw per batch, and the epoch loss from
+    ``reference_forward`` over the whole set. No divergence handling or
+    early stop, so keep runs short."""
     rng = np.random.default_rng(tc.seed)
     keep = 1.0 - nc.dropout
     p = init_params(nc)
@@ -356,7 +358,7 @@ def reference_train(ds, nc, tc):
                 m[i] = tc.beta1 * m[i] + (1.0 - tc.beta1) * gi
                 v[i] = tc.beta2 * v[i] + (1.0 - tc.beta2) * gi * gi
                 a -= tc.lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + tc.eps)
-        d = np.sum(mrp_to_quat(whole_set_forward(p, ds.X.reshape(len(ds), -1))) * ql, axis=-1)
+        d = np.sum(mrp_to_quat(reference_forward(p, ds.X)) * ql, axis=-1)
         ang = np.degrees(2.0 * np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - d * d)), np.abs(d)))
         L = float(np.sqrt(np.mean(ang * ang)))
         rows.append((epoch, L, tc.lr, ""))
@@ -367,7 +369,7 @@ def reference_train(ds, nc, tc):
 
 def test_train_matches_per_array_reference_bitwise():
     # 100 windows in batches of 32 (the last one short, padded by the
-    # forward); the reference's epoch loss is one 100-row whole-set GEMM
+    # forward); the reference's epoch loss pads them to four 32-row blocks
     rng = np.random.default_rng(12)
     ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
                        Y=rng.normal(scale=0.2, size=(100, 3)))
@@ -378,6 +380,8 @@ def test_train_matches_per_array_reference_bitwise():
     assert hist.rows == ref_rows
     assert all(np.array_equal(a, b) for a, b in
                zip(params.weights + params.biases, ref_params.weights + ref_params.biases))
+    # each row's prediction, not only their RMS, has the reference's bits
+    assert np.array_equal(forward(params, ds.X, nc), reference_forward(params, ds.X))
 
 
 def test_adam_flushes_small_moments_without_changing_the_update():
@@ -423,15 +427,15 @@ def test_adam_flushes_small_moments_without_changing_the_update():
 
 @pytest.fixture(scope="module")
 def stacked_predictions():
-    """Per (channels, window): params, 1472 random windows, and each
-    window's prediction from the 400-row stack it falls in."""
+    """Per (channels, window): params, 1472 random windows, and their
+    predictions by ``reference_forward`` over the whole set."""
     out = {}
     for channels in (3, 6, 15, 21):
         for n in (1, 5, 11):
             nc = NetConfig(n=n, channels=channels, seed=channels + n)
             p = init_params(nc)
             X = np.random.default_rng(n * channels).normal(size=(1472, n, channels))
-            ref = np.concatenate([forward(p, X[s:s + 400], nc) for s in range(0, 1472, 400)])
+            ref = reference_forward(p, X)
             out[channels, n] = nc, p, X, ref
     return out
 

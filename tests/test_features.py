@@ -264,12 +264,12 @@ def test_frames_follow_manifest_flags(catalog_logs):
     log = catalog_logs[0]
     plain = build_frames(log)
     assert all(plain.avail[g].all() for g in ("uS_c", "uE_c", "uB_m"))
-    sunlit = [1] * 362
-    saturated = [0] * 362
-    sunlit[7] = sunlit[8] = 0
-    saturated[100] = 1
-    flagged = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit,
-                                                 "mag_saturated": saturated})
+    sunlit = np.ones(362, dtype=bool)
+    saturated = np.zeros(362, dtype=bool)
+    sunlit[7] = sunlit[8] = False
+    saturated[100] = True
+    flagged = dataclasses.replace(log, manifest=dataclasses.replace(
+        log.manifest, sunlit=sunlit, mag_saturated=saturated))
     frames = build_frames(flagged)
     for g in ("uS_c", "uE_c"):
         assert np.flatnonzero(~frames.avail[g]).tolist() == [7, 8]
@@ -278,7 +278,7 @@ def test_frames_follow_manifest_flags(catalog_logs):
     for g in plain.groups:
         assert np.array_equal(frames.groups[g], plain.groups[g])
     # a manifest without the flags keeps every measured step
-    bare = {k: v for k, v in log.manifest.items() if k not in ("sunlit", "mag_saturated")}
+    bare = dataclasses.replace(log.manifest, sunlit=None, mag_saturated=None)
     frames = build_frames(dataclasses.replace(log, manifest=bare))
     assert all(frames.avail[g].all() for g in ("uS_c", "uE_c", "uB_m"))
 
@@ -318,16 +318,15 @@ def _sensor_error_frames(catalog_logs):
 
     out = [(log.pass_id, build_frames(log), log) for log in catalog_logs[:3]]
     ecl = synth_pass(eclipse_variant(default_catalog()[1]))
-    bias = ecl.manifest["scenario"]["errors"]["css_bias"]
+    bias = ecl.manifest.scenario.errors.css_bias
     out.append(("eclipse", build_frames(ecl, css_bias=bias), ecl))
     log = catalog_logs[3]
-    saturated = [0] * 362
-    for k in (0, 5, 6, 7, 200, 361):
-        saturated[k] = 1
-    sunlit = [1] * 362
-    sunlit[40] = sunlit[41] = 0
-    flagged = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit,
-                                                 "mag_saturated": saturated})
+    saturated = np.zeros(362, dtype=bool)
+    saturated[[0, 5, 6, 7, 200, 361]] = True
+    sunlit = np.ones(362, dtype=bool)
+    sunlit[40] = sunlit[41] = False
+    flagged = dataclasses.replace(log, manifest=dataclasses.replace(
+        log.manifest, sunlit=sunlit, mag_saturated=saturated))
     out.append(("saturated", build_frames(flagged), flagged))
     return out
 

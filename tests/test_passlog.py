@@ -26,6 +26,7 @@ from attlab.cli import main
 from attlab.passlog import (
     CSV_COLUMNS,
     RECORDS_MAGIC,
+    PassManifest,
     from_dict,
     manifest_path_for,
     read_manifest,
@@ -36,7 +37,14 @@ from attlab.passlog import (
     write_passlog,
     write_series_csv,
 )
-from attlab.synth import Maneuver, Scenario, SensorErrors, default_catalog, synth_pass
+from attlab.synth import (
+    Maneuver,
+    Scenario,
+    SensorErrors,
+    default_catalog,
+    eclipse_variant,
+    synth_pass,
+)
 from attlab.triad import triad_pass_eval
 
 
@@ -158,7 +166,7 @@ def test_from_dict_passes_scalars_through_unconverted():
     (Scenario, {**dataclasses.asdict(default_catalog()[0]), "pass_id": 7},
      "'pass_id' must be str"),
     (Scenario, {**dataclasses.asdict(default_catalog()[0]), "maneuver": {"start_s": "60"}},
-     "cfg.json maneuver: key 'start_s' must be float"),
+     "cfg.json: maneuver: key 'start_s' must be float"),
 ])
 def test_from_dict_rejects_wrong_types_naming_the_key(cls, d, named):
     with pytest.raises(ValueError) as ei:
@@ -172,7 +180,7 @@ def test_pass_id_from_manifest_else_path(tmp_path):
     assert read_manifest(csv)[1] == "P2" == read_passlog(csv).pass_id
     bare = tmp_path / "bare.csv"
     shutil.copy(csv, bare)
-    assert read_manifest(bare) == ({}, "bare", None)
+    assert read_manifest(bare) == (PassManifest(), "bare", None)
     assert read_passlog(bare).pass_id == "bare"
 
 
@@ -217,6 +225,39 @@ def _set_errors(**errors):
     return lambda m: m["scenario"]["errors"].update(errors)
 
 
+def _set(path, value):
+    """An edit of a pass manifest that sets the key at the dotted ``path``."""
+    *outer, key = path.split(".")
+
+    def edit(manifest):
+        for k in outer:
+            manifest = manifest[k]
+        manifest[key] = value
+    return edit
+
+
+_JSON_VALUES = {"null": None, "text": "x", "list": [], "object": {}}
+# Each manifest key, the JSON values above that are wrong for it (but for
+# the ones with cases of their own below), and the text that names the key
+# in the message
+_WRONG_VALUES = {
+    "pass_id": ("list object", "key 'pass_id'"),
+    "seed": ("null text list object", "key 'seed'"),
+    "scenario": ("null text object", "scenario"),
+    "scenario_hash": ("null text list object", "key 'scenario_hash'"),
+    "sunlit": ("null text list object", "key 'sunlit'"),
+    "mag_saturated": ("null text list object", "key 'mag_saturated'"),
+    "scenario.pass_id": ("null list object", "scenario: key 'pass_id'"),
+    "scenario.orbit": ("null text list object", "scenario.orbit"),
+    "scenario.epoch": ("null text list object", "scenario: key 'epoch'"),
+    "scenario.q0": ("null text list object", "scenario: key 'q0'"),
+    "scenario.maneuver": ("null text list", "scenario.maneuver"),
+    "scenario.errors": ("text list object", "scenario.errors"),
+    "scenario.seed": ("null text list object", "scenario: key 'seed'"),
+    "scenario.force_eclipse": ("null text list object", "scenario: key 'force_eclipse'"),
+}
+
+
 @pytest.mark.parametrize("edit, named", [
     pytest.param(lambda m: m["scenario"]["errors"].pop("mag_ref"),
                  "scenario.errors: missing key 'mag_ref'", id="no-mag_ref"),
@@ -248,6 +289,26 @@ def _set_errors(**errors):
                  "scenario.errors: expected an object", id="errors-null"),
     pytest.param(lambda m: m.update(scenario=[]), "'scenario'", id="scenario-list"),
     pytest.param(lambda m: m.update(pass_id=None), "'pass_id'", id="pass_id-null"),
+    *(pytest.param(_set(path, _JSON_VALUES[name]), named, id=f"{path}-{name}")
+      for path, (names, named) in _WRONG_VALUES.items() for name in names.split()),
+    pytest.param(_set("seed", -5), "key 'seed' must be >= 0", id="seed-negative"),
+    pytest.param(_set("scenario.seed", -5), "scenario: key 'seed' must be >= 0",
+                 id="scenario.seed-negative"),
+    pytest.param(_set("scenario.orbit", "garbage"), "scenario.orbit: expected an object",
+                 id="scenario.orbit-garbage"),
+    pytest.param(_set("scenario.q0", [0.0, 0.0, 1.0]), "scenario: key 'q0'",
+                 id="scenario.q0-three"),
+    pytest.param(_set("scenario_hash", "6E3E68F9A47BF89C"), "key 'scenario_hash'",
+                 id="scenario_hash-upper"),
+    pytest.param(_set("extra", 1), "unknown key 'extra'", id="unknown-key"),
+    pytest.param(_set("scenario.extra", 1), "scenario: unknown key 'extra'",
+                 id="scenario.unknown-key"),
+    # a scenario is a whole synth --config scenario, and carries its MAG
+    # reference values, or Scenario's defaults would stand in for them
+    pytest.param(lambda m: m.update(scenario={"errors": m["scenario"]["errors"]}),
+                 "scenario: missing key 'pass_id'", id="scenario-only-errors"),
+    pytest.param(lambda m: m["scenario"].pop("errors"),
+                 "scenario.errors: missing key 'mag_ref'", id="scenario-no-errors"),
     *(pytest.param(lambda m, v=v: m.update(pass_id=v),
                    "key 'pass_id' must be a string that names a file", id=f"pass_id-{name}")
       for name, v in (("parent", "../x"), ("slash", "a/b"), ("empty", ""),
@@ -263,6 +324,18 @@ def test_read_passlog_rejects_bad_manifest_keys(tmp_path, edit, named):
     assert str(ei.value).startswith(f"{manifest_path}: ") and named in str(ei.value)
 
 
+@pytest.mark.parametrize("eclipse", [False, True], ids=["default", "eclipse"])
+def test_read_then_write_passlog_keeps_every_byte(tmp_path, eclipse):
+    scenarios = default_catalog()
+    if eclipse:
+        scenarios = [eclipse_variant(sc) for sc in scenarios]
+    for sc in scenarios:
+        a, _ = write_passlog(synth_pass(sc), tmp_path / "a.csv")
+        b, _ = write_passlog(read_passlog(a), tmp_path / "b.csv")
+        for path_for in (str, manifest_path_for, records_path_for):
+            assert Path(path_for(b)).read_bytes() == Path(path_for(a)).read_bytes()
+
+
 def test_read_passlog_manifest_without_sensor_config(tmp_path):
     # an int mag_scale is a number; a manifest without scenario errors, or
     # none at all, reads, and build_frames then names the pass
@@ -271,7 +344,7 @@ def test_read_passlog_manifest_without_sensor_config(tmp_path):
     manifest = json.loads(Path(manifest_path).read_text())
     manifest["scenario"]["errors"]["mag_scale"] = 8000
     write_json(manifest_path, manifest)
-    assert read_passlog(csv).manifest["scenario"]["errors"]["mag_scale"] == 8000
+    assert read_passlog(csv).manifest.scenario.errors.mag_scale == 8000
     write_json(manifest_path, {"pass_id": "P9"})
     with pytest.raises(ValueError, match="pass P9: manifest carries no sensor config"):
         build_frames(read_passlog(csv))
@@ -284,11 +357,11 @@ def test_read_passlog_manifest_without_sensor_config(tmp_path):
 def test_read_passlog_flags_optional_and_kept(tmp_path):
     log = synth_pass(default_catalog()[0])
     csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
-    assert read_passlog(csv).manifest["sunlit"] == log.manifest["sunlit"]
+    assert np.array_equal(read_passlog(csv).manifest.sunlit, log.manifest.sunlit)
     manifest = json.loads(Path(manifest_path).read_text())
     del manifest["sunlit"], manifest["mag_saturated"]
     write_json(manifest_path, manifest)
-    assert "sunlit" not in read_passlog(csv).manifest
+    assert read_passlog(csv).manifest.sunlit is None
 
 
 def _set_cell(lines, step, column, value):
@@ -365,7 +438,7 @@ def _no_parse(*args, **kwargs):
 
 def _same_log(a, b):
     """Whether two pass logs hold the same bits and manifest."""
-    return a.pass_id == b.pass_id and a.manifest == b.manifest and all(
+    return a.pass_id == b.pass_id and a.manifest.to_dict() == b.manifest.to_dict() and all(
         getattr(a, k).tobytes() == getattr(b, k).tobytes()
         for k in ("t", "css", "mag", "w", "uS_i", "uB_i", "r_km", "q_true"))
 

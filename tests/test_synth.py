@@ -229,7 +229,7 @@ def test_eclipse_variant_css_constant_at_bias():
     log = synth_pass(sc)
     expected = np.round(np.asarray(sc.errors.css_bias))
     assert np.array_equal(log.css, np.tile(expected, (PASS_SAMPLES, 1)).astype(np.int64))
-    assert not any(log.manifest["sunlit"])
+    assert not log.manifest.sunlit.any()
 
 
 def test_zero_error_pass_sensor_truth_consistency():
@@ -252,7 +252,7 @@ def test_passlog_roundtrip(tmp_path):
     assert np.array_equal(back.mag, log.mag)
     assert np.array_equal(back.w, log.w)
     assert np.array_equal(back.q_true, log.q_true)
-    assert back.manifest["scenario_hash"] == log.manifest["scenario_hash"]
+    assert back.manifest.scenario_hash == log.manifest.scenario_hash
     assert back.pass_id == log.pass_id
 
 

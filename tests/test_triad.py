@@ -182,9 +182,9 @@ def test_pass_eval_sensor_columns_follow_own_availability():
     # but its field error is still measured
     log = synth_pass(default_catalog()[0])
     rows = [10, 11, 200]
-    sunlit = np.ones(362, dtype=int)
-    sunlit[rows] = 0
-    log = dataclasses.replace(log, manifest={**log.manifest, "sunlit": sunlit.tolist()})
+    sunlit = np.ones(362, dtype=bool)
+    sunlit[rows] = False
+    log = dataclasses.replace(log, manifest=dataclasses.replace(log.manifest, sunlit=sunlit))
     ev = triad_pass_eval(build_frames(log), attitude_labels(log), "mag")
     assert np.isnan(ev.att_err_deg[rows]).all()
     assert ev.skip_reasons["unavailable"] == len(rows)
