@@ -29,6 +29,7 @@ from .errors import (
 )
 from .harness import (
     SEED_NAMES,
+    Provenance,
     render_baseline_csv,
     render_tables_markdown,
     run_matrix,
@@ -153,14 +154,14 @@ def cmd_synth(args):
                                {**dataclasses.asdict(CATALOG_ERRORS), **cfg["errors"]},
                                where, "errors")
         scenarios = default_catalog(base_seed=base_seed, errors=errors)
-    outdir = _out_dir(args)
     if args.eclipse:
         scenarios = [eclipse_variant(sc) for sc in scenarios]
+    logs = [synth_pass(sc) for sc in scenarios]  # an infeasible one makes no --out
+    outdir = _out_dir(args)
     outputs = []
-    for sc in scenarios:
-        log = synth_pass(sc)
+    for log in logs:
         csv_path, manifest_path = write_passlog(
-            log, os.path.join(outdir, f"{sc.pass_id}.csv"))
+            log, os.path.join(outdir, f"{log.pass_id}.csv"))
         outputs += [csv_path, records_path_for(csv_path), manifest_path]
         print(f"wrote {csv_path}")
     _write_manifest(outdir, "synth", {"base_seed": base_seed,
@@ -298,8 +299,7 @@ def cmd_export(args):
     models = {}  # the model file's path and the digest of the bytes parsed
     if args.model:
         params, nc, case, prov, models[args.model] = _export_model(args.model)
-        series = timeseries_rows(params, nc, case, log, prov.get("gyro_scale"),
-                                 css_bias=prov.get("css_bias"))
+        series = timeseries_rows(params, nc, case, log, prov.gyro_scale, css_bias=prov.css_bias)
     outdir = _out_dir(args)
     outputs = []
     if args.model:
@@ -317,14 +317,10 @@ def cmd_export(args):
 
 def _export_model(path):
     """``(params, nc, case, provenance, digest)`` of a trained model file; the
-    case comes from its provenance ``case_id`` and must match its channels."""
+    case comes from its ``Provenance`` ``case_id`` and must match its channels."""
     params, nc, prov, digest = load_model(path)
-    if "case_id" not in prov:
-        raise IncompatibleModelError(f"{path}: provenance has no key 'case_id'")
-    try:
-        case = case_spec(prov["case_id"])
-    except ValueError as e:
-        raise IncompatibleModelError(f"{path}: provenance 'case_id': {e}") from None
+    prov = from_dict(Provenance, prov, path, "provenance")
+    case = case_spec(prov.case_id)
     if nc.channels != case.channel_count:
         raise IncompatibleModelError(
             f"{path}: header 'channels' is {nc.channels}, but case "

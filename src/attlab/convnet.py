@@ -482,8 +482,8 @@ def save_model(params, nc, path, provenance=None):
 
 
 def load_model(path):
-    """Returns (params, config, provenance, hex SHA-256 of the bytes parsed).
-    A file that is not a whole model with a consistent header raises
+    """Returns (params, config, raw provenance, hex SHA-256 of the bytes parsed).
+    A file that is not a whole format-1 model with a consistent header raises
     IncompatibleModelError naming ``path`` and the header key at fault."""
     with open(path, "rb") as f:
         data = f.read()
@@ -501,15 +501,16 @@ def load_model(path):
         raise IncompatibleModelError(
             f"{path}: header must be a JSON object, got {type(header).__name__}")
     net_keys = [f.name for f in fields(NetConfig)]
-    for key in (*net_keys, "shapes", "provenance"):
+    for key in ("format", *net_keys, "shapes", "provenance"):
         if key not in header:
             raise IncompatibleModelError(f"{path}: header has no key {key!r}")
+    if type(header["format"]) is not int or header["format"] != 1:
+        raise IncompatibleModelError(
+            f"{path}: header key 'format' must be 1, got {header['format']!r}")
     try:
         nc = from_dict(NetConfig, {key: header[key] for key in net_keys}, path, "header")
     except ValueError as e:
         raise IncompatibleModelError(str(e)) from None
-    if not isinstance(header["provenance"], dict):
-        raise IncompatibleModelError(f"{path}: header key 'provenance' must be an object")
     dims = nc.layer_dims
     shapes = [(d_in, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
     shapes += [(d,) for d in dims[1:]]

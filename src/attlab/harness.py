@@ -32,7 +32,7 @@ from .features import (
     sensor_errors_deg,
     shuffle_windows,
 )
-from .passlog import from_dict, read_json, write_json, write_text
+from .passlog import check_numbers, from_dict, read_json, to_dict, write_json, write_text
 from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import triad_pass_eval
 
@@ -59,6 +59,31 @@ class RunResult:
     gyro_scale: float
     model_path: str = ""
     history_path: str = ""
+
+
+@dataclass
+class Provenance:
+    """A model file's ``provenance``, as ``run_case`` writes it; a key other
+    than ``case_id`` and ``gyro_scale`` may be absent, and reads as None."""
+
+    case_id: str
+    gyro_scale: float  # the training passes' gyro scale, > 0
+    seed_name: str = None
+    seeds: dict = None  # {"net", "shuffle", "dropout"}: the RNG seeds
+    train_pass_ids: tuple = None
+    test_pass_id: str = None
+    window: int = None
+    css_bias: tuple = None  # the six counts subtracted from the CSS readings
+
+    def __post_init__(self):
+        try:
+            case_spec(self.case_id)
+        except ValueError as e:
+            raise ValueError(f"key 'case_id': {e}") from None
+        if not self.gyro_scale > 0:
+            raise ValueError(f"key 'gyro_scale' must be > 0, got {self.gyro_scale!r}")
+        if self.css_bias is not None:
+            check_numbers("css_bias", self.css_bias, 6)
 
 
 def _score(params, nc, windows):
@@ -100,18 +125,11 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     cell_name = f"{case_id}_{seed_name}"
     cell = os.path.join(str(outdir), cell_name)
     os.makedirs(cell, exist_ok=True)
-    provenance = {
-        "case_id": case_id,
-        "seed_name": seed_name,
-        "seeds": {"net": net_seed, "shuffle": shuffle_seed, "dropout": train_seed},
-        "gyro_scale": gyro_scale,
-        "train_pass_ids": [log.pass_id for log in logs[:4]],
-        "test_pass_id": logs[4].pass_id,
-        "window": n,
-    }
-    if css_bias is not None:  # absent otherwise, so unbiased models keep their bytes
-        provenance["css_bias"] = [float(b) for b in css_bias]
-    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=provenance)
+    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=to_dict(Provenance(
+        case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name,
+        seeds={"net": net_seed, "shuffle": shuffle_seed, "dropout": train_seed},
+        train_pass_ids=tuple(log.pass_id for log in logs[:4]),
+        test_pass_id=logs[4].pass_id, window=n, css_bias=css_bias)))
     history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
         case_id=case_id,

@@ -11,7 +11,7 @@ under a digest of the CSV's bytes; the reader takes them from there only
 while the digest matches, and otherwise parses the CSV. Both apply the
 one column layout, ``PASS_LAYOUT``, and the one set of record rules,
 ``PassLog.validate``. ``from_dict`` is the one path from a JSON-style
-dict to a dataclass.
+dict to a dataclass, and ``to_dict`` the way back.
 """
 
 import hashlib
@@ -76,11 +76,12 @@ def check_type(where, key, value, kind):
 
 def from_dict(cls, d, where, path=""):
     """A ``cls`` dataclass from a JSON-style dict. A dataclass field is read
-    from its nested dict the same way and a tuple field from a list; an
-    int, float, bool or str field must get a value of that type, kept
-    unconverted. Raises ValueError, prefixed with ``where`` and the dotted
-    key ``path`` to ``d``, naming an unknown, missing or wrongly typed key;
-    a ValueError from ``cls`` itself gets the same prefix."""
+    from its nested dict the same way, a tuple field from a list and a dict
+    field from an object; an int, float, bool or str field must get a value
+    of that type, kept unconverted, and a float field a finite one. Raises
+    ValueError, prefixed with ``where`` and the dotted key ``path`` to
+    ``d``, naming an unknown, missing or wrongly typed key; a ValueError
+    from ``cls`` itself gets the same prefix."""
     prefix = f"{where}: {path}" if path else where
     if not isinstance(d, dict):
         named = f" for key {path.rpartition('.')[2]!r}" if path else ""
@@ -101,8 +102,12 @@ def from_dict(cls, d, where, path=""):
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{prefix}: key {key!r} must be a list")
             v = tuple(v)
+        elif kind is dict and not isinstance(v, dict):
+            raise ValueError(f"{prefix}: key {key!r} must be an object, got {v!r}")
         elif kind in _JSON_TYPES:
             check_type(prefix, key, v, kind)
+            if kind is float and not math.isfinite(v):
+                raise ValueError(f"{prefix}: key {key!r} must be finite, got {v!r}")
         values[key] = v
     try:
         return cls(**values)
@@ -115,17 +120,26 @@ def _finite_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_numbers(key, value, n):
-    """Raise a ValueError naming ``key`` unless ``value`` holds ``n`` finite numbers."""
-    if len(value) != n or not all(map(_finite_number, value)):
-        raise ValueError(f"key {key!r} must be a list of {n} finite numbers, got {value!r}")
+def check_numbers(key, value, n, nonzero=False):
+    """Raise a ValueError naming ``key`` unless ``value`` holds ``n`` finite
+    numbers, not all zero when ``nonzero``."""
+    if (len(value) != n or not all(map(_finite_number, value))
+            or nonzero and not any(value)):
+        raise ValueError(f"key {key!r} must be a list of {n} finite numbers"
+                         f"{', not all zero' if nonzero else ''}, got {value!r}")
+
+
+def to_dict(obj):
+    """The dataclass ``obj`` as ``from_dict`` reads it: no None field, a flag array as 0/1."""
+    return {key: value.astype(int).tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(obj).items() if value is not None}
 
 
 @dataclass
 class SensorErrors:
     """Error knobs for the coarse-sensor suite; all counts are ADC counts. A
     tuple field holds as many finite numbers as its default, one per panel
-    or axis, and a float field is a finite number."""
+    or axis; ``from_dict`` sees that a float field is finite."""
 
     css_gain: tuple = (1000.0,) * 6
     css_bias: tuple = (0.0,) * 6
@@ -142,11 +156,8 @@ class SensorErrors:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
             if f.type is tuple:
-                _check_numbers(f.name, value, len(f.default))
-            elif not _finite_number(value):
-                raise ValueError(f"key {f.name!r} must be finite, got {value!r}")
+                check_numbers(f.name, getattr(self, f.name), len(f.default))
         for key in ("css_noise", "mag_noise", "gyro_noise_dps"):
             value = getattr(self, key)
             if value < 0:
@@ -173,6 +184,7 @@ class Maneuver:
     rate_limit_dps: float = 0.5
 
     def __post_init__(self):
+        check_numbers("axis", self.axis, 3, nonzero=True)
         if self.start_s < 0:
             raise ValueError("maneuver start must be >= 0")
         if not 0.0 < self.rate_limit_dps <= 5.0:
@@ -192,7 +204,7 @@ class Scenario:
 
     def __post_init__(self):
         check_pass_id("key 'pass_id'", self.pass_id)
-        _check_numbers("q0", self.q0, 4)
+        check_numbers("q0", self.q0, 4, nonzero=True)
         if self.seed < 0:
             raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
 
@@ -226,11 +238,6 @@ class PassManifest:
                     raise ValueError(f"key {key!r} must be a list of {PASS_SAMPLES} "
                                      "entries, each 0 or 1")
                 setattr(self, key, np.array(flags, dtype=bool))
-
-    def to_dict(self):
-        """The JSON-style dict ``from_dict`` reads back; an absent key is left out."""
-        return {key: value.astype(int).tolist() if isinstance(value, np.ndarray) else value
-                for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass
@@ -357,7 +364,7 @@ def write_passlog(log, csv_path):
     digest.update(body)
     with open(records_path_for(csv_path), "wb") as f:
         f.write(RECORDS_MAGIC + digest.digest() + body)
-    return csv_path, write_json(manifest_path_for(csv_path), log.manifest.to_dict())
+    return csv_path, write_json(manifest_path_for(csv_path), to_dict(log.manifest))
 
 
 def write_raw_profile_csv(log, path):
@@ -379,8 +386,9 @@ def read_manifest(csv_path):
     """The pass's sidecar ``PassManifest`` (all None when it has none), its
     pass id and the hex SHA-256 of the manifest's bytes (None when it has
     none). The pass id is the manifest's ``pass_id``, else the stem of the
-    CSV file's name (``P1`` for ``dir/P1.csv``). A malformed manifest or
-    pass id raises DataIntegrityError naming the file and the key."""
+    CSV file's name (``P1`` for ``dir/P1.csv``). A manifest with a scenario
+    must carry that scenario's hash and seed. A malformed manifest or pass
+    id raises DataIntegrityError naming the file and the key."""
     path = manifest_path_for(csv_path)
     try:
         d, digest = read_json(path) if os.path.exists(path) else ({}, None)
@@ -398,6 +406,11 @@ def read_manifest(csv_path):
             for key in ("mag_ref", "mag_scale"):
                 if key not in errors:
                     raise ValueError(f"{path}: scenario.errors: missing key {key!r}")
+            for key, made in (("scenario_hash", manifest.scenario.hash()),
+                              ("seed", manifest.scenario.seed)):
+                if getattr(manifest, key) != made:
+                    raise ValueError(f"{path}: key {key!r} is {getattr(manifest, key)!r}, "
+                                     f"but its scenario gives {made!r}")
     except ValueError as e:
         raise DataIntegrityError(str(e)) from None
     return manifest, pass_id, digest

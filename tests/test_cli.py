@@ -81,11 +81,16 @@ def test_synth_rejects_bad_config(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
 
 
-def _scenario_with_errors(**errors):
-    """The first catalog scenario, as a config dict, with ``errors`` changed."""
+def _scenario_config(path, value):
+    """A ``scenarios`` config holding the first catalog scenario with the key
+    at the dotted ``path`` set to ``value``."""
     sc = dataclasses.asdict(default_catalog()[0])
-    sc["errors"].update(errors)
-    return sc
+    *outer, key = path.split(".")
+    inner = sc
+    for k in outer:
+        inner = inner[k]
+    inner[key] = value
+    return json.dumps({"scenarios": [sc]})
 
 
 @pytest.mark.parametrize("config, named", [
@@ -107,12 +112,18 @@ def _scenario_with_errors(**errors):
     ('{"errors": {"gyro_noise_dps": NaN}}', "'gyro_noise_dps'"),
     ('{"errors": {"css_bias": [0, 0, 0, NaN, 0, 0]}}', "'css_bias'"),
     ('{"errors": {"mag_hard_iron": [0, Infinity, 0]}}', "'mag_hard_iron'"),
-    pytest.param(json.dumps({"scenarios": [_scenario_with_errors(mag_scale=float("nan"))]}),
-                 "'mag_scale'", id="scenario-mag_scale-NaN"),
+    pytest.param(_scenario_config("errors.mag_scale", float("nan")), "'mag_scale'",
+                 id="scenario-mag_scale-NaN"),
     ('{"base_seed": -1}', "'base_seed'"),
     pytest.param(json.dumps({"scenarios": [{**dataclasses.asdict(default_catalog()[0]),
                                             "seed": -4}]}),
                  "'seed'", id="scenario-seed-negative"),
+    pytest.param(_scenario_config("orbit.a_km", float("nan")), "'a_km'",
+                 id="scenario-a_km-NaN"),
+    pytest.param(_scenario_config("maneuver.axis", []), "'axis'", id="scenario-axis-empty"),
+    pytest.param(_scenario_config("maneuver.axis", [0, 0, 0]), "'axis'",
+                 id="scenario-axis-zero"),
+    pytest.param(_scenario_config("q0", [0, 0, 0, 0]), "'q0'", id="scenario-q0-zero"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
@@ -121,6 +132,16 @@ def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert named in err and str(cfg) in err
     assert not (tmp_path / "x").exists()
+
+
+def test_synth_infeasible_scenario_exit_3_makes_no_out(tmp_path, capsys):
+    # every pass is synthesized before --out is made
+    cfg = tmp_path / "slew.json"
+    cfg.write_text(_scenario_config("maneuver.magnitude_deg", 500))
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 3
+    assert "does not complete within the pass" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_negative_seed_option_exit_2(tmp_path, capsys):
@@ -1058,7 +1079,7 @@ def test_export_model_channels_disagree_with_case_exit_2(
 
 def test_export_model_unknown_case_id_exit_2(tmp_path, pass_args, untrained_model,
                                              capsys):
-    model = untrained_model(provenance={"case_id": "C9z"})
+    model = untrained_model(provenance={"case_id": "C9z", "gyro_scale": 1.0})
     out = tmp_path / "o"
     assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1075,6 +1096,15 @@ def _with_header(raw, edit):
 
 def _without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _with_provenance(edit):
+    """A model file's bytes with its header's provenance replaced by ``edit(provenance)``."""
+    return lambda raw: _with_header(raw, lambda h: {**h, "provenance": edit(h["provenance"])})
+
+
+def _set_provenance(key, value):
+    return _with_provenance(lambda prov: {**prov, key: value})
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -1094,6 +1124,16 @@ def _without(key):
                  id="shapes-disagree"),
     pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "provenance": "C1a"}),
                  "'provenance'", id="provenance-string"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "format": 2, "extra": 1}),
+                 "'format'", id="format-2"),
+    *(pytest.param(_set_provenance("gyro_scale", value), "'gyro_scale'",
+                   id=f"gyro_scale-{name}")
+      for name, value in (("text", "x"), ("null", None), ("zero", 0), ("negative", -1.0))),
+    pytest.param(_with_provenance(_without("gyro_scale")), "'gyro_scale'", id="no-gyro_scale"),
+    pytest.param(_set_provenance("case_id", 5), "'case_id'", id="case_id-int"),
+    pytest.param(_set_provenance("css_bias", [1, 2]), "'css_bias'", id="css_bias-two"),
+    pytest.param(_set_provenance("css_bias", "abc"), "'css_bias'", id="css_bias-text"),
+    pytest.param(_set_provenance("seeds", "x"), "'seeds'", id="seeds-text"),
 ])
 def test_export_malformed_model_exit_2(tmp_path, pass_args, untrained_model, capsys,
                                        damage, named):
@@ -1135,7 +1175,8 @@ def test_export_bad_input_creates_no_out_dir(tmp_path, eclipse_args, untrained_m
                                              capsys, model, code, named):
     path = {"missing": str(tmp_path / "missing.bin"),
             "pass": eclipse_args[0],
-            "sun-case": untrained_model(provenance={"case_id": "C1a"})}[model]
+            "sun-case": untrained_model(provenance={"case_id": "C1a",
+                                                    "gyro_scale": 1.0})}[model]
     out = tmp_path / "o"
     assert main(["export", eclipse_args[0], "--model", path, "--raw",
                  "--out", str(out)]) == code

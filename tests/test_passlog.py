@@ -32,6 +32,7 @@ from attlab.passlog import (
     read_manifest,
     read_passlog,
     records_path_for,
+    to_dict,
     write_csv,
     write_json,
     write_passlog,
@@ -301,6 +302,12 @@ _WRONG_VALUES = {
     pytest.param(_set("scenario_hash", "6E3E68F9A47BF89C"), "key 'scenario_hash'",
                  id="scenario_hash-upper"),
     pytest.param(_set("extra", 1), "unknown key 'extra'", id="unknown-key"),
+    # a manifest's hash and seed are those of its scenario
+    pytest.param(lambda m: m.update(scenario_hash="0" * 16) or m["scenario"].update(seed=5),
+                 "key 'scenario_hash' is '0000000000000000', but its scenario gives",
+                 id="scenario_hash-and-seed-disagree"),
+    pytest.param(_set("seed", 5), "key 'seed' is 5, but its scenario gives 20211218",
+                 id="seed-disagrees"),
     pytest.param(_set("scenario.extra", 1), "scenario: unknown key 'extra'",
                  id="scenario.unknown-key"),
     # a scenario is a whole synth --config scenario, and carries its MAG
@@ -337,12 +344,14 @@ def test_read_then_write_passlog_keeps_every_byte(tmp_path, eclipse):
 
 
 def test_read_passlog_manifest_without_sensor_config(tmp_path):
-    # an int mag_scale is a number; a manifest without scenario errors, or
-    # none at all, reads, and build_frames then names the pass
+    # an int mag_scale is a number (the scenario then hashes differently);
+    # a manifest without scenario errors, or none at all, reads, and
+    # build_frames then names the pass
     log = synth_pass(default_catalog()[0])
     csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
     manifest = json.loads(Path(manifest_path).read_text())
     manifest["scenario"]["errors"]["mag_scale"] = 8000
+    manifest["scenario_hash"] = from_dict(Scenario, manifest["scenario"], "scenario").hash()
     write_json(manifest_path, manifest)
     assert read_passlog(csv).manifest.scenario.errors.mag_scale == 8000
     write_json(manifest_path, {"pass_id": "P9"})
@@ -438,7 +447,7 @@ def _no_parse(*args, **kwargs):
 
 def _same_log(a, b):
     """Whether two pass logs hold the same bits and manifest."""
-    return a.pass_id == b.pass_id and a.manifest.to_dict() == b.manifest.to_dict() and all(
+    return a.pass_id == b.pass_id and to_dict(a.manifest) == to_dict(b.manifest) and all(
         getattr(a, k).tobytes() == getattr(b, k).tobytes()
         for k in ("t", "css", "mag", "w", "uS_i", "uB_i", "r_km", "q_true"))
 
