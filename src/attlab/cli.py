@@ -4,8 +4,7 @@ Every artifact-producing invocation writes one ``run_manifest.json``
 beside its outputs recording the tool version, the resolved config, the
 input file hashes, and the seeds, so a run can be audited and repeated.
 
-Exit codes: 0 success, 2 input/config error, 3 infeasible case,
-4 internal numeric failure.
+Exit codes: 0 success, 2 input/config error, 3 infeasible case.
 """
 
 import argparse
@@ -15,18 +14,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .cases import DEFAULT_CASE_IDS, case_spec
 from .convnet import TrainConfig, load_model
-from .errors import (
-    CaseInfeasibleError,
-    DataIntegrityError,
-    DegenerateGeometryError,
-    IncompatibleModelError,
-    ScenarioInfeasibleError,
-)
+from .errors import CaseInfeasibleError, IncompatibleModelError, ScenarioInfeasibleError
 from .harness import (
     SEED_NAMES,
     Provenance,
@@ -316,16 +307,18 @@ def cmd_export(args):
 
 
 def _export_model(path):
-    """``(params, nc, case, provenance, digest)`` of a trained model file; the
-    case comes from its ``Provenance`` ``case_id`` and must match its channels."""
+    """``(params, nc, case, provenance, digest)`` of a trained model file; the header's
+    ``channels``, ``n`` and ``seed`` must match its provenance's case, window and seeds."""
     params, nc, prov, digest = load_model(path)
     prov = from_dict(Provenance, prov, path, "provenance")
-    case = case_spec(prov.case_id)
-    if nc.channels != case.channel_count:
-        raise IncompatibleModelError(
-            f"{path}: header 'channels' is {nc.channels}, but case "
-            f"{case.case_id} has {case.channel_count} channels")
-    return params, nc, case, prov, digest
+    for what, value, key in (
+            (f"case {prov.case_id}'s channel count", prov.case.channel_count, "channels"),
+            ("provenance key 'window'", prov.window, "n"),
+            ("provenance key 'seeds.net'", getattr(prov.seeds, "net", None), "seed")):
+        if value is not None and value != getattr(nc, key):
+            raise IncompatibleModelError(f"{path}: {what} is {value}, but header key "
+                                         f"{key!r} is {getattr(nc, key)}")
+    return params, nc, prov.case, prov, digest
 
 
 def _css_bias(text):
@@ -420,10 +413,7 @@ def main(argv=None):
     except (CaseInfeasibleError, ScenarioInfeasibleError) as e:
         print(f"error: infeasible: {e}", file=sys.stderr)
         return 3
-    except (DegenerateGeometryError, FloatingPointError, np.linalg.LinAlgError) as e:
-        print(f"error: numeric failure: {e}", file=sys.stderr)
-        return 4
-    except (DataIntegrityError, IncompatibleModelError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # each other type in errors is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ import hashlib
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,29 @@ class NetConfig:
     @property
     def layer_dims(self):
         return (self.n * self.channels, *self.widths)
+
+
+@dataclass
+class ModelHeader:
+    """A model file's JSON header, every key required; ``config`` is its ``NetConfig``."""
+
+    format: int
+    n: int
+    channels: int
+    widths: tuple
+    dropout: float
+    seed: int
+    shapes: tuple
+    provenance: dict
+
+    def __post_init__(self):
+        if self.format != 1:
+            raise ValueError(f"key 'format' must be 1, got {self.format!r}")
+        self.config = NetConfig(self.n, self.channels, self.widths, self.dropout, self.seed)
+        d = self.config.layer_dims  # shapes W0..W3, then b0..b3, each of ints
+        need = [[i, o] for i, o in zip(d, d[1:])] + [[o] for o in d[1:]]
+        if list(self.shapes) != need or {type(v) for s in self.shapes for v in s} != {int}:
+            raise ValueError(f"key 'shapes' must be {need}, got {self.shapes}")
 
 
 class NetParams:
@@ -186,9 +209,10 @@ def _angles_deg(qp, ql):
 
 
 def _rms_angle_deg(params, Xf, ql):
-    """RMS rotation angle in degrees of the flattened rows ``Xf`` against
-    the label quaternions ``ql``; inference forward, no dropout."""
-    ang = _angles_deg(_mrp_to_quat(_blocked_forward(params, Xf)), ql)[0]
+    """RMS rotation angle in degrees of the first ``len(ql)`` flattened rows
+    ``Xf`` against the label quaternions ``ql``; inference forward, no
+    dropout. Rows past those, such as GEMM padding, are forwarded unscored."""
+    ang = _angles_deg(_mrp_to_quat(_blocked_forward(params, Xf)[:len(ql)]), ql)[0]
     return float(np.sqrt(np.add.reduce(ang * ang) / len(ang)))
 
 
@@ -385,7 +409,10 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     if N < tc.batch_size:
         raise ValueError(
             f"dataset of {N} windows is smaller than one batch ({tc.batch_size})")
-    Xf_all = _flatten_windows(ds.X, nc)
+    # zero-padded to whole GEMM blocks once, not by every epoch loss
+    Xf_padded = np.zeros((N + -N % GEMM_ROWS, nc.n * nc.channels))
+    Xf_all = Xf_padded[:N]
+    Xf_all[:] = _flatten_windows(ds.X, nc)
     ql_all = mrp_to_quat(np.asarray(ds.Y, dtype=float))
     keep = 1.0 - nc.dropout
     rng = np.random.default_rng(tc.seed)
@@ -417,7 +444,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
                 mask = None if masks is None else masks[sl]
                 _backprop(params, Xf_all[sl], ql_all[sl], mask, grads)
                 adam.step(params.vec, grads.vec, lr)
-            epoch_loss = _rms_angle_deg(params, Xf_all, ql_all)
+            epoch_loss = _rms_angle_deg(params, Xf_padded, ql_all)
         if loss_fault is not None:
             epoch_loss = float(loss_fault(epoch, epoch_loss))
 
@@ -462,17 +489,9 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
 # ---------------------------------------------------------------------------
 
 def save_model(params, nc, path, provenance=None):
-    header = {
-        "format": 1,
-        "n": nc.n,
-        "channels": nc.channels,
-        "widths": list(nc.widths),
-        "dropout": nc.dropout,
-        "seed": nc.seed,
-        "shapes": [list(a.shape) for a in params.weights + params.biases],
-        "provenance": provenance or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
+    header = ModelHeader(format=1, **asdict(nc), provenance=provenance or {},
+                         shapes=[list(a.shape) for a in params.weights + params.biases])
+    blob = json.dumps(asdict(header), sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))
@@ -483,8 +502,8 @@ def save_model(params, nc, path, provenance=None):
 
 def load_model(path):
     """Returns (params, config, raw provenance, hex SHA-256 of the bytes parsed).
-    A file that is not a whole format-1 model with a consistent header raises
-    IncompatibleModelError naming ``path`` and the header key at fault."""
+    A file that is not a whole model with a ``ModelHeader`` and finite parameters
+    raises IncompatibleModelError naming ``path`` and the key or array at fault."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(_MAGIC):
@@ -495,33 +514,19 @@ def load_model(path):
     (hlen,) = struct.unpack_from("<I", data, len(_MAGIC))
     try:
         header = json.loads(data[start:start + hlen])
-    except ValueError as e:  # not JSON, or not UTF-8
+    except ValueError as e:  # not JSON, not UTF-8, or an int past Python's digit limit
         raise IncompatibleModelError(f"{path}: header is not valid JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise IncompatibleModelError(
-            f"{path}: header must be a JSON object, got {type(header).__name__}")
-    net_keys = [f.name for f in fields(NetConfig)]
-    for key in ("format", *net_keys, "shapes", "provenance"):
-        if key not in header:
-            raise IncompatibleModelError(f"{path}: header has no key {key!r}")
-    if type(header["format"]) is not int or header["format"] != 1:
-        raise IncompatibleModelError(
-            f"{path}: header key 'format' must be 1, got {header['format']!r}")
     try:
-        nc = from_dict(NetConfig, {key: header[key] for key in net_keys}, path, "header")
+        header = from_dict(ModelHeader, header, path, "header")
     except ValueError as e:
         raise IncompatibleModelError(str(e)) from None
-    dims = nc.layer_dims
-    shapes = [(d_in, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
-    shapes += [(d,) for d in dims[1:]]
-    if header["shapes"] != [list(shape) for shape in shapes]:
-        raise IncompatibleModelError(f"{path}: header key 'shapes' is {header['shapes']}, "
-                                     f"but its config needs {shapes}")
     body = data[start + hlen:]
-    count = sum(int(np.prod(shape)) for shape in shapes)
+    count = sum(int(np.prod(shape)) for shape in header.shapes)
     if len(body) != count * 8:
         raise IncompatibleModelError(f"{path}: model file holds {len(body)} bytes of "
                                      f"parameters, its header's shapes need {count * 8}")
-    vec = np.frombuffer(body, dtype="<f8").astype(float)
-    return (NetParams.from_vector(vec, shapes), nc, header["provenance"],
-            hashlib.sha256(data).hexdigest())
+    params = NetParams.from_vector(np.frombuffer(body, "<f8").astype(float), header.shapes)
+    for k, a in enumerate(params.weights + params.biases):  # W0..W3, b0..b3
+        if not np.isfinite(a).all():
+            raise IncompatibleModelError(f"{path}: array {'Wb'[k // 4]}{k % 4} is not finite")
+    return params, header.config, header.provenance, hashlib.sha256(data).hexdigest()

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input/config problems exit 2,
-infeasible cases exit 3, numeric failures exit 4.
+The CLI maps these onto exit codes: infeasible cases exit 3, and every
+other one, a ValueError, exits 2 as an input/config problem.
 """
 
 

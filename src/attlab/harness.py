@@ -32,18 +32,25 @@ from .features import (
     sensor_errors_deg,
     shuffle_windows,
 )
-from .passlog import check_numbers, from_dict, read_json, to_dict, write_json, write_text
+from .passlog import (check_numbers, check_pass_id, from_dict, read_json, to_dict,
+                      write_json, write_text)
 from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import triad_pass_eval
 
 SEED_NAMES = ("R1", "R2", "R3")
-_SEED_VALUES = {"R1": 1, "R2": 2, "R3": 3}
 
 
-def seed_streams(seed_name):
-    """Per-run RNG seeds derived from the run label: (net, shuffle, dropout)."""
-    base = _SEED_VALUES[seed_name]
-    return base, 1000 + base, 2000 + base
+@dataclass
+class Seeds:
+    """A cell's RNG seeds; seed label Rk gives net k, shuffle 1000 + k, dropout 2000 + k."""
+
+    net: int
+    shuffle: int
+    dropout: int
+
+    def __post_init__(self):
+        if min(self.net, self.shuffle, self.dropout) < 0:
+            raise ValueError(f"each seed must be >= 0, got {asdict(self)}")
 
 
 @dataclass
@@ -63,13 +70,13 @@ class RunResult:
 
 @dataclass
 class Provenance:
-    """A model file's ``provenance``, as ``run_case`` writes it; a key other
-    than ``case_id`` and ``gyro_scale`` may be absent, and reads as None."""
+    """A model file's ``provenance``, as ``run_case`` writes it; ``case`` is its case's spec.
+    A key other than ``case_id`` and ``gyro_scale`` may be absent, and reads as None."""
 
     case_id: str
     gyro_scale: float  # the training passes' gyro scale, > 0
     seed_name: str = None
-    seeds: dict = None  # {"net", "shuffle", "dropout"}: the RNG seeds
+    seeds: Seeds = None
     train_pass_ids: tuple = None
     test_pass_id: str = None
     window: int = None
@@ -77,13 +84,17 @@ class Provenance:
 
     def __post_init__(self):
         try:
-            case_spec(self.case_id)
+            self.case = case_spec(self.case_id)
         except ValueError as e:
             raise ValueError(f"key 'case_id': {e}") from None
         if not self.gyro_scale > 0:
             raise ValueError(f"key 'gyro_scale' must be > 0, got {self.gyro_scale!r}")
         if self.css_bias is not None:
             check_numbers("css_bias", self.css_bias, 6)
+        for pass_id in self.train_pass_ids or ():
+            check_pass_id("an item of key 'train_pass_ids'", pass_id)
+        if self.test_pass_id is not None:
+            check_pass_id("key 'test_pass_id'", self.test_pass_id)
 
 
 def _score(params, nc, windows):
@@ -105,7 +116,8 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     if len(logs) != 5:
         raise ValueError(f"expected 5 passes (4 train + 1 test), got {len(logs)}")
     case = case_spec(case_id)
-    net_seed, shuffle_seed, train_seed = seed_streams(seed_name)
+    k = SEED_NAMES.index(seed_name) + 1
+    seeds = Seeds(net=k, shuffle=1000 + k, dropout=2000 + k)
     gyro_scale = gyro_scale_from_passes(logs[:4])
     frames = [build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
               for log in logs]
@@ -114,10 +126,10 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     # in-order windows of each pass, built once: the first four train
     # (shuffled together) and all five are scored
     windows = [build_windows(f, lab, n, case) for f, lab in zip(frames, labels)]
-    ds = shuffle_windows(concat_windows(windows[:4]), seed=shuffle_seed)
+    ds = shuffle_windows(concat_windows(windows[:4]), seed=seeds.shuffle)
 
-    nc = NetConfig(n=n, channels=case.channel_count, seed=net_seed)
-    tc = replace(tc or TrainConfig(), seed=train_seed)
+    nc = NetConfig(n=n, channels=case.channel_count, seed=seeds.net)
+    tc = replace(tc or TrainConfig(), seed=seeds.dropout)
     params, history = train(ds, nc, tc)
 
     errors = [_score(params, nc, w)[1] for w in windows]
@@ -126,10 +138,9 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     cell = os.path.join(str(outdir), cell_name)
     os.makedirs(cell, exist_ok=True)
     save_model(params, nc, os.path.join(cell, "model.bin"), provenance=to_dict(Provenance(
-        case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name,
-        seeds={"net": net_seed, "shuffle": shuffle_seed, "dropout": train_seed},
+        case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name, seeds=seeds,
         train_pass_ids=tuple(log.pass_id for log in logs[:4]),
-        test_pass_id=logs[4].pass_id, window=n, css_bias=css_bias)))
+        test_pass_id=logs[4].pass_id, window=nc.n, css_bias=css_bias)))
     history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
         case_id=case_id,

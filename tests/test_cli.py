@@ -1087,11 +1087,16 @@ def test_export_model_unknown_case_id_exit_2(tmp_path, pass_args, untrained_mode
     assert not out.exists()
 
 
+def _with_header_text(raw, edit):
+    """A model file's bytes with its header's JSON text replaced by ``edit(text)``."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    blob = edit(raw[12:12 + hlen])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
 def _with_header(raw, edit):
     """A model file's bytes with its JSON header replaced by ``edit(header)``."""
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
-    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+    return _with_header_text(raw, lambda text: json.dumps(edit(json.loads(text))).encode())
 
 
 def _without(key):
@@ -1107,11 +1112,22 @@ def _set_provenance(key, value):
     return _with_provenance(lambda prov: {**prov, key: value})
 
 
+def _with_parameter(raw, index, value):
+    """A model file's bytes with entry ``index`` of its parameter vector set to ``value``."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    vec = np.frombuffer(raw[12 + hlen:], dtype="<f8").copy()
+    vec[index] = value
+    return raw[:12 + hlen] + vec.tobytes()
+
+
 @pytest.mark.parametrize("damage, named", [
     pytest.param(lambda raw: raw[:10], "truncated", id="cut-after-magic"),
     pytest.param(lambda raw: raw[:40], "not valid JSON", id="cut-in-header"),
     pytest.param(lambda raw: raw[:-8], "bytes of parameters", id="cut-in-parameters"),
-    pytest.param(lambda raw: _with_header(raw, lambda h: [h]), "JSON object",
+    pytest.param(lambda raw: _with_header_text(
+        raw, lambda text: text.replace(b'"seed": 0', b'"seed": ' + b"1" * 5000)),
+                 "not valid JSON", id="seed-5000-digits"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: [h]), "expected an object",
                  id="header-list"),
     pytest.param(lambda raw: _with_header(raw, _without("n")), "'n'", id="no-n"),
     pytest.param(lambda raw: _with_header(raw, _without("provenance")), "'provenance'",
@@ -1122,10 +1138,15 @@ def _set_provenance(key, value):
                  "widths", id="widths-float"),
     pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "channels": 9}), "'shapes'",
                  id="shapes-disagree"),
+    pytest.param(lambda raw: _with_header(
+        raw, lambda h: {**h, "shapes": [[float(d) for d in s] for s in h["shapes"]]}),
+                 "'shapes'", id="shapes-float"),
     pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "provenance": "C1a"}),
                  "'provenance'", id="provenance-string"),
-    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "format": 2, "extra": 1}),
-                 "'format'", id="format-2"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "format": 2}), "'format'",
+                 id="format-2"),
+    pytest.param(lambda raw: _with_header(raw, lambda h: {**h, "extra": 1}), "'extra'",
+                 id="extra-key"),
     *(pytest.param(_set_provenance("gyro_scale", value), "'gyro_scale'",
                    id=f"gyro_scale-{name}")
       for name, value in (("text", "x"), ("null", None), ("zero", 0), ("negative", -1.0))),
@@ -1134,6 +1155,16 @@ def _set_provenance(key, value):
     pytest.param(_set_provenance("css_bias", [1, 2]), "'css_bias'", id="css_bias-two"),
     pytest.param(_set_provenance("css_bias", "abc"), "'css_bias'", id="css_bias-text"),
     pytest.param(_set_provenance("seeds", "x"), "'seeds'", id="seeds-text"),
+    pytest.param(_set_provenance("seeds", {"x": "y"}), "'x'", id="seeds-unknown-key"),
+    pytest.param(_set_provenance("seeds", {"net": -1, "shuffle": 1001, "dropout": 2001}),
+                 "'net': -1", id="seeds-net-negative"),
+    pytest.param(_set_provenance("train_pass_ids", [1, None]), "'train_pass_ids'",
+                 id="train_pass_ids-null"),
+    pytest.param(_set_provenance("window", 7), "'window'", id="window-mismatch"),
+    pytest.param(_set_provenance("seeds", {"net": 1, "shuffle": 1001, "dropout": 2001}),
+                 "'seeds.net'", id="seeds-net-mismatch"),
+    pytest.param(lambda raw: _with_parameter(raw, 0, np.nan), "array W0", id="W0-nan"),
+    pytest.param(lambda raw: _with_parameter(raw, -1, np.inf), "array b3", id="b3-inf"),
 ])
 def test_export_malformed_model_exit_2(tmp_path, pass_args, untrained_model, capsys,
                                        damage, named):
