@@ -89,8 +89,21 @@ def _write_manifest(outdir, subcommand, resolved_config, logs, seeds, outputs,
         "outputs": [str(p) for p in outputs],
         "started_utc": started,
         "finished_utc": _now(),
+        "peak_rss_mib": _peak_rss_mib(),
     }
     return write_json(os.path.join(outdir, "run_manifest.json"), manifest)
+
+
+def _peak_rss_mib():
+    """Peak resident set so far of this process and of its waited-for children,
+    in MiB; None where there is no ``resource`` module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 2.0 ** (20 if sys.platform == "darwin" else 10)  # ru_maxrss: bytes, else KiB
+    return {"self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+            "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit}
 
 
 def _now():

@@ -24,7 +24,9 @@ inference (``forward``) and the RMS-angle loss
 the rows to whole 32-row blocks, GEMMs small enough that OpenBLAS never
 wakes its helper threads, so a window's prediction has the same bits in
 any stack; backprop reads the input of each affine map that this
-forward keeps, without the padding. Each epoch draws its
+forward keeps, without the padding. The RMS-angle loss forwards its
+rows in 256-row chunks, so training holds no padded copy of its windows
+and no full-set activations. Each epoch draws its
 dropout masks in one call. Adam flushes tiny first moments to zero,
 since the moments of dead-ReLU weights otherwise decay into subnormals
 and slow every later step; the flush does not change the parameters'
@@ -48,6 +50,7 @@ DIVERGENCE_FACTOR = 10.0
 # Rows per GEMM. OpenBLAS runs a GEMM on the calling thread while
 # M*N*K <= 4*65536, which 32 rows keep for every layer while n*C <= 128.
 GEMM_ROWS = 32
+LOSS_ROWS = 8 * GEMM_ROWS  # rows per forward of the RMS-angle loss
 ANGLE_GUARD_RAD = 1e-7  # gradient-path floor; the loss value is untouched
 # _Adam zeroes first moments below FLUSH_BELOW every FLUSH_EVERY steps;
 # 2**-960 is 2**62 times the smallest normal double.
@@ -209,10 +212,14 @@ def _angles_deg(qp, ql):
 
 
 def _rms_angle_deg(params, Xf, ql):
-    """RMS rotation angle in degrees of the first ``len(ql)`` flattened rows
-    ``Xf`` against the label quaternions ``ql``; inference forward, no
-    dropout. Rows past those, such as GEMM padding, are forwarded unscored."""
-    ang = _angles_deg(_mrp_to_quat(_blocked_forward(params, Xf)[:len(ql)]), ql)[0]
+    """RMS rotation angle in degrees of the flattened rows ``Xf`` against the
+    label quaternions ``ql``; inference forward, no dropout. The rows are
+    forwarded in ``LOSS_ROWS``-row chunks, so only one chunk's activations
+    are held, and their angles are reduced once."""
+    ang = np.empty(len(ql))
+    for start in range(0, len(ql), LOSS_ROWS):
+        sl = slice(start, start + LOSS_ROWS)
+        ang[sl] = _angles_deg(_mrp_to_quat(_blocked_forward(params, Xf[sl])), ql[sl])[0]
     return float(np.sqrt(np.add.reduce(ang * ang) / len(ang)))
 
 
@@ -389,10 +396,11 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
 
     Each epoch draws its dropout masks in one call and slices them per
     batch. The batches and the epoch loss (the RMS angle over the full
-    training set, dropout off) run through one blocked forward, so no
-    GEMM wakes the BLAS threads. Adam flushes tiny first moments to zero
-    before they turn subnormal (see ``_Adam``), so every epoch costs the
-    same. Early stop fires when the trailing 40-epoch mean exceeds the
+    training set, dropout off, in ``LOSS_ROWS``-row chunks) run through
+    one blocked forward on views of ``ds.X``, so no GEMM wakes the BLAS
+    threads and the windows are not copied. Adam flushes tiny first
+    moments to zero before they turn subnormal (see ``_Adam``), so every
+    epoch costs the same. Early stop fires when the trailing 40-epoch mean exceeds the
     previous 40-epoch mean (so never before epoch 80).
     A non-finite epoch loss, or one above 10x the running best, rolls
     parameters back two accepted epochs, multiplies the learning rate by
@@ -409,10 +417,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     if N < tc.batch_size:
         raise ValueError(
             f"dataset of {N} windows is smaller than one batch ({tc.batch_size})")
-    # zero-padded to whole GEMM blocks once, not by every epoch loss
-    Xf_padded = np.zeros((N + -N % GEMM_ROWS, nc.n * nc.channels))
-    Xf_all = Xf_padded[:N]
-    Xf_all[:] = _flatten_windows(ds.X, nc)
+    Xf_all = _flatten_windows(ds.X, nc)
     ql_all = mrp_to_quat(np.asarray(ds.Y, dtype=float))
     keep = 1.0 - nc.dropout
     rng = np.random.default_rng(tc.seed)
@@ -444,7 +449,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
                 mask = None if masks is None else masks[sl]
                 _backprop(params, Xf_all[sl], ql_all[sl], mask, grads)
                 adam.step(params.vec, grads.vec, lr)
-            epoch_loss = _rms_angle_deg(params, Xf_padded, ql_all)
+            epoch_loss = _rms_angle_deg(params, Xf_all, ql_all)
         if loss_fault is not None:
             epoch_loss = float(loss_fault(epoch, epoch_loss))
 

@@ -52,6 +52,11 @@ class Seeds:
         if min(self.net, self.shuffle, self.dropout) < 0:
             raise ValueError(f"each seed must be >= 0, got {asdict(self)}")
 
+    @classmethod
+    def of(cls, seed_name):
+        k = SEED_NAMES.index(seed_name) + 1
+        return cls(net=k, shuffle=1000 + k, dropout=2000 + k)
+
 
 @dataclass
 class RunResult:
@@ -91,10 +96,21 @@ class Provenance:
             raise ValueError(f"key 'gyro_scale' must be > 0, got {self.gyro_scale!r}")
         if self.css_bias is not None:
             check_numbers("css_bias", self.css_bias, 6)
-        for pass_id in self.train_pass_ids or ():
+        if self.seed_name not in (None, *SEED_NAMES):
+            raise ValueError(f"key 'seed_name' must be one of {SEED_NAMES}, "
+                             f"got {self.seed_name!r}")
+        if None not in (self.seed_name, self.seeds) and self.seeds != Seeds.of(self.seed_name):
+            raise ValueError(f"key 'seeds' {asdict(self.seeds)} are not those of key "
+                             f"'seed_name' {self.seed_name!r}")
+        ids = self.train_pass_ids or ()
+        for pass_id in ids:
             check_pass_id("an item of key 'train_pass_ids'", pass_id)
+        if self.train_pass_ids is not None and not len(ids) == len(set(ids)) == 4:
+            raise ValueError(f"key 'train_pass_ids' must be four distinct pass ids, got {ids}")
         if self.test_pass_id is not None:
             check_pass_id("key 'test_pass_id'", self.test_pass_id)
+        if self.test_pass_id in ids:
+            raise ValueError(f"key 'test_pass_id' {self.test_pass_id!r} is in 'train_pass_ids'")
 
 
 def _score(params, nc, windows):
@@ -116,23 +132,26 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     if len(logs) != 5:
         raise ValueError(f"expected 5 passes (4 train + 1 test), got {len(logs)}")
     case = case_spec(case_id)
-    k = SEED_NAMES.index(seed_name) + 1
-    seeds = Seeds(net=k, shuffle=1000 + k, dropout=2000 + k)
+    seeds = Seeds.of(seed_name)
     gyro_scale = gyro_scale_from_passes(logs[:4])
     frames = [build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
               for log in logs]
     labels = [attitude_labels(log) for log in logs]
 
-    # in-order windows of each pass, built once: the first four train
-    # (shuffled together) and all five are scored
-    windows = [build_windows(f, lab, n, case) for f, lab in zip(frames, labels)]
-    ds = shuffle_windows(concat_windows(windows[:4]), seed=seeds.shuffle)
+    # the first four passes' windows, shuffled together, are the only copy
+    # training holds; each pass's in-order windows are built for scoring
+    # after it, and the test pass's once before it too, so a pass that
+    # cannot be windowed fails before training, in pass order
+    ds = shuffle_windows(concat_windows([build_windows(f, lab, n, case) for f, lab
+                                         in zip(frames[:4], labels[:4])]), seed=seeds.shuffle)
+    build_windows(frames[4], labels[4], n, case)
 
     nc = NetConfig(n=n, channels=case.channel_count, seed=seeds.net)
     tc = replace(tc or TrainConfig(), seed=seeds.dropout)
     params, history = train(ds, nc, tc)
 
-    errors = [_score(params, nc, w)[1] for w in windows]
+    errors = [_score(params, nc, build_windows(f, lab, n, case))[1]
+              for f, lab in zip(frames, labels)]
 
     cell_name = f"{case_id}_{seed_name}"
     cell = os.path.join(str(outdir), cell_name)

@@ -607,6 +607,24 @@ def test_run_manifest_hashes_the_pass_manifests(tmp_path, pass_args, capsys, com
     assert [p for p in before if before[p] != after[p]] == [str(manifest)]
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "export"])
+def test_run_manifest_records_peak_rss(tmp_path, pass_args, two_epoch_cfg_path, command):
+    argv = {"synth": ["synth"],
+            "train": ["train", *pass_args, "--case", "C4f", "--config", two_epoch_cfg_path],
+            "export": ["export", pass_args[0], "--raw"]}[command]
+    cell = "C4f_R1" if command == "train" else ""
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    rss = json.loads((tmp_path / "o" / cell / "run_manifest.json").read_text())["peak_rss_mib"]
+    assert set(rss) == {"self", "children"}
+    assert rss["self"] > 0 and rss["children"] >= 0
+
+
+def test_run_manifest_peak_rss_null_without_resource(tmp_path, pass_args, monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)  # so importing it fails
+    assert main(["export", pass_args[0], "--raw", "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "run_manifest.json").read_text())["peak_rss_mib"] is None
+
+
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):
     d = tmp_path / "ablate"
     rc = main(["ablate", *pass_args, "--cases", "C1a,C4f", "--seeds", "R1",
@@ -1160,6 +1178,17 @@ def _with_parameter(raw, index, value):
                  "'net': -1", id="seeds-net-negative"),
     pytest.param(_set_provenance("train_pass_ids", [1, None]), "'train_pass_ids'",
                  id="train_pass_ids-null"),
+    pytest.param(_set_provenance("seed_name", "R9"), "'seed_name'", id="seed_name-R9"),
+    pytest.param(_with_provenance(lambda prov: {
+        **prov, "seed_name": "R2", "seeds": {"net": 1, "shuffle": 1001, "dropout": 2001}}),
+                 "'seeds'", id="seeds-not-seed_name's"),
+    pytest.param(_set_provenance("train_pass_ids", ["P1"]), "'train_pass_ids'",
+                 id="train_pass_ids-one"),
+    pytest.param(_set_provenance("train_pass_ids", ["P1", "P2", "P2", "P3"]),
+                 "'train_pass_ids'", id="train_pass_ids-repeated"),
+    pytest.param(_with_provenance(lambda prov: {
+        **prov, "train_pass_ids": ["P1", "P2", "P3", "P4"], "test_pass_id": "P1"}),
+                 "'test_pass_id'", id="test_pass_id-a-train-pass"),
     pytest.param(_set_provenance("window", 7), "'window'", id="window-mismatch"),
     pytest.param(_set_provenance("seeds", {"net": 1, "shuffle": 1001, "dropout": 2001}),
                  "'seeds.net'", id="seeds-net-mismatch"),

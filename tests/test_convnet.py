@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from attlab.convnet import (
     FLUSH_BELOW,
     FLUSH_EVERY,
     GEMM_ROWS,
+    LOSS_ROWS,
     NetConfig,
     NetParams,
     TrainConfig,
@@ -27,7 +29,9 @@ from attlab.features import (
     attitude_labels,
     build_frames,
     build_windows,
+    concat_windows,
     gyro_scale_from_passes,
+    shuffle_windows,
 )
 from attlab.rotations import mrp_to_quat, quat_from_axis_angle, quat_to_mrp
 
@@ -452,6 +456,17 @@ def test_forward_rows_match_whole_set_forward_bitwise(stacked_predictions, rows)
             assert np.array_equal(out, ref[offset:offset + rows]), (channels, n, offset)
 
 
+@pytest.mark.parametrize("rows", [LOSS_ROWS - 1, LOSS_ROWS, LOSS_ROWS + 1, 1432])
+def test_chunked_loss_matches_whole_set_loss_bitwise(stacked_predictions, rows):
+    # the loss forwards LOSS_ROWS rows at a time; its value has the bits of
+    # the angles of one whole-set forward, reduced once
+    nc, p, X, ref = stacked_predictions[21, 5]
+    Y = np.random.default_rng(rows).normal(scale=0.2, size=(rows, 3))
+    d = np.sum(mrp_to_quat(ref[:rows]) * mrp_to_quat(Y), axis=-1)
+    ang = np.degrees(2.0 * np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - d * d)), np.abs(d)))
+    assert loss(p, X[:rows], Y, nc) == float(np.sqrt(np.mean(ang * ang)))
+
+
 def test_one_window_gets_its_row_of_the_pass_prediction(catalog_logs):
     log = catalog_logs[4]
     case = case_spec("C1f")
@@ -463,6 +478,30 @@ def test_one_window_gets_its_row_of_the_pass_prediction(catalog_logs):
     assert len(pred) == 358
     for k in range(len(pred)):
         assert np.array_equal(forward(p, windows.X[k:k + 1], nc), pred[k:k + 1]), k
+
+
+def test_train_holds_no_copy_of_its_windows(catalog_logs):
+    # C1f, the widest case, on the catalog's four training passes as a
+    # cell trains them: 1,432 windows of 105 values, 1.2 MB
+    case = case_spec("C1f")
+    gyro_scale = gyro_scale_from_passes(catalog_logs[:4])
+    ds = shuffle_windows(concat_windows([
+        build_windows(build_frames(log, gyro_scale=gyro_scale), attitude_labels(log), 5, case)
+        for log in catalog_logs[:4]]), seed=1001)
+    nc = NetConfig(n=5, channels=case.channel_count, seed=1)
+    tracemalloc.start()
+    try:
+        train(ds, nc, TrainConfig(max_epochs=2, seed=2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what train must hold: an epoch's dropout masks; parameter-sized
+    # vectors (params, grads, initial, best, three checkpoints, Adam's m, v
+    # and two scratch vectors, and one spare); one loss chunk's activations
+    param_bytes = init_params(nc).vec.nbytes
+    bound = (len(ds) * nc.widths[2] * 8 + 12 * param_bytes
+             + LOSS_ROWS * sum(nc.layer_dims) * 8)
+    assert peak < bound, (peak, bound)
 
 
 def reference_gradient(p, X, Y, dropout_mask=None):

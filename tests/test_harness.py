@@ -1,11 +1,14 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attlab.cases import case_spec
-from attlab.convnet import NetConfig, TrainConfig, init_params, load_model
+from attlab import harness
+from attlab.convnet import NetConfig, TrainConfig, init_params, load_model, train
 from attlab.harness import (
     RunResult,
     aggregate_case,
@@ -140,6 +143,30 @@ def test_run_case_persists_artifacts(tmp_path, catalog_logs):
     assert (tmp_path / "C1a_R1" / "history.csv").exists()
     saved = json.loads((tmp_path / "C1a_R1" / "result.json").read_text())
     assert saved["train_rms_deg"] == r.train_rms_deg
+
+
+def test_run_case_holds_no_in_order_windows_while_training(tmp_path, catalog_logs,
+                                                            monkeypatch):
+    built, alive = [], []
+    build_windows = harness.build_windows
+
+    def tracked_build_windows(*args):
+        windows = build_windows(*args)
+        built.append(weakref.ref(windows.X))
+        return windows
+
+    def tracked_train(*args):
+        gc.collect()
+        alive.extend(ref() is not None for ref in built)
+        return train(*args)
+
+    monkeypatch.setattr(harness, "build_windows", tracked_build_windows)
+    monkeypatch.setattr(harness, "train", tracked_train)
+    run_case("C1f", "R1", catalog_logs, tmp_path, n=5, tc=FAST_TC)
+    # the four training passes and the test pass were windowed before
+    # training, and none of those window sets outlived the shuffled set
+    assert alive == [False] * 5
+    assert len(built) == 10  # each pass is windowed again to be scored
 
 
 def test_run_case_rejects_wrong_pass_count(tmp_path, catalog_logs):
