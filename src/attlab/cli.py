@@ -16,11 +16,9 @@ import time
 
 from . import __version__
 from .cases import DEFAULT_CASE_IDS, case_spec
-from .convnet import TrainConfig, load_model
-from .errors import CaseInfeasibleError, IncompatibleModelError, ScenarioInfeasibleError
+from .convnet import SEED_NAMES, TrainConfig, load_model
+from .errors import CaseInfeasibleError, ScenarioInfeasibleError
 from .harness import (
-    SEED_NAMES,
-    Provenance,
     render_baseline_csv,
     render_tables_markdown,
     run_matrix,
@@ -302,8 +300,9 @@ def cmd_export(args):
     _check_file_names([(log.pass_id, f"{manifest_path_for(log.csv_path)}: key 'pass_id'")])
     models = {}  # the model file's path and the digest of the bytes parsed
     if args.model:
-        params, nc, case, prov, models[args.model] = _export_model(args.model)
-        series = timeseries_rows(params, nc, case, log, prov.gyro_scale, css_bias=prov.css_bias)
+        params, nc, prov, models[args.model] = load_model(args.model)
+        series = timeseries_rows(params, nc, prov.case, log, prov.gyro_scale,
+                                 css_bias=prov.css_bias)
     outdir = _out_dir(args)
     outputs = []
     if args.model:
@@ -317,21 +316,6 @@ def cmd_export(args):
     _write_manifest(outdir, "export", {"model": args.model, "raw": args.raw}, [log], {},
                     outputs, started, models)
     return 0
-
-
-def _export_model(path):
-    """``(params, nc, case, provenance, digest)`` of a trained model file; the header's
-    ``channels``, ``n`` and ``seed`` must match its provenance's case, window and seeds."""
-    params, nc, prov, digest = load_model(path)
-    prov = from_dict(Provenance, prov, path, "provenance")
-    for what, value, key in (
-            (f"case {prov.case_id}'s channel count", prov.case.channel_count, "channels"),
-            ("provenance key 'window'", prov.window, "n"),
-            ("provenance key 'seeds.net'", getattr(prov.seeds, "net", None), "seed")):
-        if value is not None and value != getattr(nc, key):
-            raise IncompatibleModelError(f"{path}: {what} is {value}, but header key "
-                                         f"{key!r} is {getattr(nc, key)}")
-    return params, nc, prov.case, prov, digest
 
 
 def _css_bias(text):

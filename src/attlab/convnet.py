@@ -41,9 +41,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .cases import case_spec
 from .errors import IncompatibleModelError
 from .features import WINDOW_MAX
-from .passlog import from_dict, write_text
+from .passlog import check_numbers, check_pass_id, from_dict, to_dict, write_text
 from .rotations import _mrp_to_quat, mrp_to_quat
 
 DIVERGENCE_FACTOR = 10.0
@@ -84,9 +85,67 @@ class NetConfig:
         return (self.n * self.channels, *self.widths)
 
 
+SEED_NAMES = ("R1", "R2", "R3")
+
+
+@dataclass
+class Seeds:
+    """A cell's RNG seeds; seed label Rk gives net k, shuffle 1000 + k, dropout 2000 + k."""
+
+    net: int
+    shuffle: int
+    dropout: int
+
+    @classmethod
+    def of(cls, seed_name):
+        k = SEED_NAMES.index(seed_name) + 1
+        return cls(net=k, shuffle=1000 + k, dropout=2000 + k)
+
+
+@dataclass
+class Provenance:
+    """A model file's ``provenance``, as ``run_case`` writes it; ``case`` is its case's spec.
+    Every key is required except ``css_bias``."""
+
+    case_id: str
+    gyro_scale: float  # the training passes' gyro scale, > 0
+    seed_name: str
+    seeds: Seeds
+    train_pass_ids: tuple
+    test_pass_id: str
+    window: int
+    css_bias: tuple = None  # the six counts subtracted from the CSS readings
+
+    def __post_init__(self):
+        try:
+            self.case = case_spec(self.case_id)
+        except ValueError as e:
+            raise ValueError(f"key 'case_id': {e}") from None
+        if not self.gyro_scale > 0:
+            raise ValueError(f"key 'gyro_scale' must be > 0, got {self.gyro_scale!r}")
+        if self.css_bias is not None:
+            check_numbers("css_bias", self.css_bias, 6)
+        if self.seed_name not in SEED_NAMES:
+            raise ValueError(f"key 'seed_name' must be one of {SEED_NAMES}, "
+                             f"got {self.seed_name!r}")
+        if self.seeds != Seeds.of(self.seed_name):
+            raise ValueError(f"key 'seeds' {asdict(self.seeds)} are not those of key "
+                             f"'seed_name' {self.seed_name!r}")
+        ids = self.train_pass_ids
+        for pass_id in ids:
+            check_pass_id("an item of key 'train_pass_ids'", pass_id)
+        if not len(ids) == len(set(ids)) == 4:
+            raise ValueError(f"key 'train_pass_ids' must be four distinct pass ids, got {ids}")
+        check_pass_id("key 'test_pass_id'", self.test_pass_id)
+        if self.test_pass_id in ids:
+            raise ValueError(f"key 'test_pass_id' {self.test_pass_id!r} is in 'train_pass_ids'")
+
+
 @dataclass
 class ModelHeader:
-    """A model file's JSON header, every key required; ``config`` is its ``NetConfig``."""
+    """A model file's JSON header, every key required; ``config`` is its ``NetConfig``.
+    Its ``channels``, ``n`` and ``seed`` must be its provenance's case's channel count,
+    window and ``seeds.net``."""
 
     format: int
     n: int
@@ -95,7 +154,7 @@ class ModelHeader:
     dropout: float
     seed: int
     shapes: tuple
-    provenance: dict
+    provenance: Provenance
 
     def __post_init__(self):
         if self.format != 1:
@@ -105,6 +164,13 @@ class ModelHeader:
         need = [[i, o] for i, o in zip(d, d[1:])] + [[o] for o in d[1:]]
         if list(self.shapes) != need or {type(v) for s in self.shapes for v in s} != {int}:
             raise ValueError(f"key 'shapes' must be {need}, got {self.shapes}")
+        prov = self.provenance
+        for what, value, key in (
+                (f"case {prov.case_id}'s channel count", prov.case.channel_count, "channels"),
+                ("provenance key 'window'", prov.window, "n"),
+                ("provenance key 'seeds.net'", prov.seeds.net, "seed")):
+            if value != getattr(self, key):
+                raise ValueError(f"{what} is {value}, but key {key!r} is {getattr(self, key)}")
 
 
 class NetParams:
@@ -493,10 +559,10 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
 # Model file format: magic, header length, JSON header, raw float64 blocks.
 # ---------------------------------------------------------------------------
 
-def save_model(params, nc, path, provenance=None):
-    header = ModelHeader(format=1, **asdict(nc), provenance=provenance or {},
+def save_model(params, nc, path, provenance):
+    header = ModelHeader(format=1, **asdict(nc), provenance=provenance,
                          shapes=[list(a.shape) for a in params.weights + params.biases])
-    blob = json.dumps(asdict(header), sort_keys=True).encode()
+    blob = json.dumps(to_dict(header), sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))
@@ -506,7 +572,7 @@ def save_model(params, nc, path, provenance=None):
 
 
 def load_model(path):
-    """Returns (params, config, raw provenance, hex SHA-256 of the bytes parsed).
+    """Returns (params, config, ``Provenance``, hex SHA-256 of the bytes parsed).
     A file that is not a whole model with a ``ModelHeader`` and finite parameters
     raises IncompatibleModelError naming ``path`` and the key or array at fault."""
     with open(path, "rb") as f:

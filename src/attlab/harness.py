@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .cases import case_spec
-from .convnet import NetConfig, TrainConfig, forward, save_model, train
+from .convnet import (SEED_NAMES, NetConfig, Provenance, Seeds, TrainConfig, forward,
+                      save_model, train)
 from .features import (
     SENSOR_MODELS,
     FeatureFrames,
@@ -32,30 +33,9 @@ from .features import (
     sensor_errors_deg,
     shuffle_windows,
 )
-from .passlog import (check_numbers, check_pass_id, from_dict, read_json, to_dict,
-                      write_json, write_text)
+from .passlog import from_dict, read_json, write_json, write_text
 from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import triad_pass_eval
-
-SEED_NAMES = ("R1", "R2", "R3")
-
-
-@dataclass
-class Seeds:
-    """A cell's RNG seeds; seed label Rk gives net k, shuffle 1000 + k, dropout 2000 + k."""
-
-    net: int
-    shuffle: int
-    dropout: int
-
-    def __post_init__(self):
-        if min(self.net, self.shuffle, self.dropout) < 0:
-            raise ValueError(f"each seed must be >= 0, got {asdict(self)}")
-
-    @classmethod
-    def of(cls, seed_name):
-        k = SEED_NAMES.index(seed_name) + 1
-        return cls(net=k, shuffle=1000 + k, dropout=2000 + k)
 
 
 @dataclass
@@ -71,46 +51,6 @@ class RunResult:
     gyro_scale: float
     model_path: str = ""
     history_path: str = ""
-
-
-@dataclass
-class Provenance:
-    """A model file's ``provenance``, as ``run_case`` writes it; ``case`` is its case's spec.
-    A key other than ``case_id`` and ``gyro_scale`` may be absent, and reads as None."""
-
-    case_id: str
-    gyro_scale: float  # the training passes' gyro scale, > 0
-    seed_name: str = None
-    seeds: Seeds = None
-    train_pass_ids: tuple = None
-    test_pass_id: str = None
-    window: int = None
-    css_bias: tuple = None  # the six counts subtracted from the CSS readings
-
-    def __post_init__(self):
-        try:
-            self.case = case_spec(self.case_id)
-        except ValueError as e:
-            raise ValueError(f"key 'case_id': {e}") from None
-        if not self.gyro_scale > 0:
-            raise ValueError(f"key 'gyro_scale' must be > 0, got {self.gyro_scale!r}")
-        if self.css_bias is not None:
-            check_numbers("css_bias", self.css_bias, 6)
-        if self.seed_name not in (None, *SEED_NAMES):
-            raise ValueError(f"key 'seed_name' must be one of {SEED_NAMES}, "
-                             f"got {self.seed_name!r}")
-        if None not in (self.seed_name, self.seeds) and self.seeds != Seeds.of(self.seed_name):
-            raise ValueError(f"key 'seeds' {asdict(self.seeds)} are not those of key "
-                             f"'seed_name' {self.seed_name!r}")
-        ids = self.train_pass_ids or ()
-        for pass_id in ids:
-            check_pass_id("an item of key 'train_pass_ids'", pass_id)
-        if self.train_pass_ids is not None and not len(ids) == len(set(ids)) == 4:
-            raise ValueError(f"key 'train_pass_ids' must be four distinct pass ids, got {ids}")
-        if self.test_pass_id is not None:
-            check_pass_id("key 'test_pass_id'", self.test_pass_id)
-        if self.test_pass_id in ids:
-            raise ValueError(f"key 'test_pass_id' {self.test_pass_id!r} is in 'train_pass_ids'")
 
 
 def _score(params, nc, windows):
@@ -156,10 +96,10 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     cell_name = f"{case_id}_{seed_name}"
     cell = os.path.join(str(outdir), cell_name)
     os.makedirs(cell, exist_ok=True)
-    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=to_dict(Provenance(
+    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=Provenance(
         case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name, seeds=seeds,
         train_pass_ids=tuple(log.pass_id for log in logs[:4]),
-        test_pass_id=logs[4].pass_id, window=nc.n, css_bias=css_bias)))
+        test_pass_id=logs[4].pass_id, window=nc.n, css_bias=css_bias))
     history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
         case_id=case_id,

@@ -16,9 +16,9 @@ dict to a dataclass, and ``to_dict`` the way back.
 
 import hashlib
 import json
-import math
 import os
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -106,7 +106,7 @@ def from_dict(cls, d, where, path=""):
             raise ValueError(f"{prefix}: key {key!r} must be an object, got {v!r}")
         elif kind in _JSON_TYPES:
             check_type(prefix, key, v, kind)
-            if kind is float and not math.isfinite(v):
+            if kind is float and not _finite_number(v):
                 raise ValueError(f"{prefix}: key {key!r} must be finite, got {v!r}")
         values[key] = v
     try:
@@ -116,8 +116,9 @@ def from_dict(cls, d, where, path=""):
 
 
 def _finite_number(x):
-    """True for a finite int or float; a bool is not a number."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """True for a finite int or float, an int within float range; a bool is not a number."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)  # False for NaN; exact for any int
 
 
 def check_numbers(key, value, n, nonzero=False):
@@ -130,9 +131,11 @@ def check_numbers(key, value, n, nonzero=False):
 
 
 def to_dict(obj):
-    """The dataclass ``obj`` as ``from_dict`` reads it: no None field, a flag array as 0/1."""
-    return {key: value.astype(int).tolist() if isinstance(value, np.ndarray) else value
-            for key, value in asdict(obj).items() if value is not None}
+    """The dataclass ``obj`` as ``from_dict`` reads it: no None field at any depth, a flag
+    array as 0/1."""
+    return asdict(obj, dict_factory=lambda items: {
+        key: value.astype(int).tolist() if isinstance(value, np.ndarray) else value
+        for key, value in items if value is not None})
 
 
 @dataclass

@@ -313,7 +313,7 @@ def test_test_error_peaks_near_sequence_edges(matrix_env):
         params, nc, prov, _ = load_model(os.path.join(out, f"C1e_{sn}", "model.bin"))
         att = timeseries_rows(params, nc, case_spec("C1e"),
                               matrix_env["catalog_logs"][4],
-                              prov["gyro_scale"])["att_err_deg"]
+                              prov.gyro_scale)["att_err_deg"]
         att = att[~np.isnan(att)]
         locs.append(int(np.argmax(att)) / len(att))
     assert any(loc < 0.25 or loc > 0.75 for loc in locs), locs

@@ -14,6 +14,7 @@ import pytest
 
 from attlab import cli, harness
 from attlab.cli import main
+from attlab.cases import case_spec
 from attlab.convnet import NetConfig, init_params, load_model, save_model
 from attlab.passlog import read_passlog
 from attlab.synth import default_catalog
@@ -124,6 +125,8 @@ def _scenario_config(path, value):
     pytest.param(_scenario_config("maneuver.axis", [0, 0, 0]), "'axis'",
                  id="scenario-axis-zero"),
     pytest.param(_scenario_config("q0", [0, 0, 0, 0]), "'q0'", id="scenario-q0-zero"),
+    pytest.param(_scenario_config("q0", [0, 0, 0, 10 ** 400]), "'q0'",
+                 id="scenario-q0-past-float-range"),
 ])
 def test_synth_config_key_error_exit_2(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.json"
@@ -278,7 +281,7 @@ def test_export_series_pools_to_test_rms(tmp_path, pass_args):
     exported, test_rms, provenance = _export_and_test_rms(tmp_path, pass_args, "C1f")
     assert exported == test_rms
     # trained without a CSS bias, the model records none
-    assert "css_bias" not in provenance
+    assert provenance.css_bias is None
 
 
 def test_export_applies_trained_css_bias(tmp_path, pass_args):
@@ -288,7 +291,7 @@ def test_export_applies_trained_css_bias(tmp_path, pass_args):
     exported, test_rms, provenance = _export_and_test_rms(
         tmp_path, pass_args, "C1a", "--css-bias", bias)
     assert exported == test_rms
-    assert provenance["css_bias"] == [float(b) for b in bias.split(",")]
+    assert provenance.css_bias == tuple(float(b) for b in bias.split(","))
 
 
 def test_train_window_11_gives_352_windows(tmp_path, pass_args, fast_cfg_path):
@@ -539,7 +542,7 @@ def test_utf8_json_read_under_c_locale(tmp_path, pass_args, fast_cfg_path):
     run = _c_locale_attlab("train", *passes, "--case", "C1a", "--config", fast_cfg_path,
                            "--out", tmp_path / "cell")
     assert run.returncode == 0, run.stderr
-    assert load_model(tmp_path / "cell" / "C1a_R1" / "model.bin")[2]["test_pass_id"] == "P\u00e45"
+    assert load_model(tmp_path / "cell" / "C1a_R1" / "model.bin")[2].test_pass_id == "P\u00e45"
 
 
 def test_pass_id_the_file_system_cannot_encode_exit_2(tmp_path, pass_args):
@@ -673,7 +676,7 @@ def test_ablate_resume_retrains_on_changed_inputs(tmp_path, pass_args):
 
     def trained():
         history = (cell / "history.csv").read_text().splitlines()[1:]
-        return load_model(cell / "model.bin")[2]["window"], len(history)
+        return load_model(cell / "model.bin")[2].window, len(history)
 
     assert main(argv + [config(3)]) == 0
     assert trained() == (5, 3)
@@ -727,7 +730,7 @@ def test_ablate_resume_retrains_cells_whose_models_were_swapped(tmp_path, pass_a
     assert main(argv + ["--resume"]) == 0
     for seed, cell in cells.items():
         assert _cell_outputs(cell) == trained[seed]
-        assert load_model(cell / "model.bin")[2]["seed_name"] == seed
+        assert load_model(cell / "model.bin")[2].seed_name == seed
 
 
 @pytest.mark.parametrize("edited", ["result.json", "history.csv"])
@@ -915,6 +918,7 @@ def test_input_hashes_are_of_the_bytes_read(tmp_path, pass_args, two_epoch_cfg_p
     ({"beta2": 1}, "'beta2'"),
     ({"lr_decay": 0}, "'lr_decay'"),
     ({"lr_decay": 1.5}, "'lr_decay'"),
+    ({"lr": 10 ** 400}, "'lr'"),  # past float range
 ])
 def test_train_config_bad_key_exit_2(tmp_path, capsys, command, config, named):
     # the passes do not exist: the config is rejected before any is read
@@ -1061,13 +1065,15 @@ def test_export_raw_only(tmp_path, pass_args):
 
 
 @pytest.fixture
-def untrained_model(tmp_path):
-    """Writes an untrained model file with the given header and provenance;
-    returns its path."""
-    def write(channels=6, provenance=None, name="model.bin"):
-        nc = NetConfig(n=5, channels=channels)
-        path = tmp_path / name
-        save_model(init_params(nc), nc, path, provenance=provenance)
+def untrained_model(tmp_path, make_provenance):
+    """Writes an untrained model file of ``case_id`` (seed label R1, window 5),
+    its bytes then changed by ``damage(raw)`` when given; returns its path."""
+    def write(case_id="C1a", damage=None):
+        nc = NetConfig(n=5, channels=case_spec(case_id).channel_count, seed=1)
+        path = tmp_path / "model.bin"
+        save_model(init_params(nc), nc, path, make_provenance(case_id))
+        if damage is not None:
+            path.write_bytes(damage(path.read_bytes()))
         return str(path)
 
     return write
@@ -1075,7 +1081,7 @@ def untrained_model(tmp_path):
 
 def test_export_model_without_case_id_exit_2(tmp_path, pass_args, untrained_model,
                                              capsys):
-    model = untrained_model(provenance=None)
+    model = untrained_model(damage=_with_provenance(_without("case_id")))
     out = tmp_path / "o"
     assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1086,8 +1092,9 @@ def test_export_model_without_case_id_exit_2(tmp_path, pass_args, untrained_mode
 @pytest.mark.parametrize("channels, case_id", [(21, "C4f"), (6, "C1f"), (9, "C1a")])
 def test_export_model_channels_disagree_with_case_exit_2(
         tmp_path, pass_args, untrained_model, capsys, channels, case_id):
-    model = untrained_model(channels=channels,
-                            provenance={"case_id": case_id, "gyro_scale": 1.0})
+    # a model written for a case of ``channels`` channels, relabelled ``case_id``
+    written = {21: "C1f", 6: "C1a", 9: "C1b"}[channels]
+    model = untrained_model(written, damage=_set_provenance("case_id", case_id))
     out = tmp_path / "o"
     assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1097,7 +1104,7 @@ def test_export_model_channels_disagree_with_case_exit_2(
 
 def test_export_model_unknown_case_id_exit_2(tmp_path, pass_args, untrained_model,
                                              capsys):
-    model = untrained_model(provenance={"case_id": "C9z", "gyro_scale": 1.0})
+    model = untrained_model(damage=_set_provenance("case_id", "C9z"))
     out = tmp_path / "o"
     assert main(["export", pass_args[0], "--model", model, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1143,7 +1150,7 @@ def _with_parameter(raw, index, value):
     pytest.param(lambda raw: raw[:40], "not valid JSON", id="cut-in-header"),
     pytest.param(lambda raw: raw[:-8], "bytes of parameters", id="cut-in-parameters"),
     pytest.param(lambda raw: _with_header_text(
-        raw, lambda text: text.replace(b'"seed": 0', b'"seed": ' + b"1" * 5000)),
+        raw, lambda text: text.replace(b'"seed": 1', b'"seed": ' + b"1" * 5000)),
                  "not valid JSON", id="seed-5000-digits"),
     pytest.param(lambda raw: _with_header(raw, lambda h: [h]), "expected an object",
                  id="header-list"),
@@ -1190,14 +1197,20 @@ def _with_parameter(raw, index, value):
         **prov, "train_pass_ids": ["P1", "P2", "P3", "P4"], "test_pass_id": "P1"}),
                  "'test_pass_id'", id="test_pass_id-a-train-pass"),
     pytest.param(_set_provenance("window", 7), "'window'", id="window-mismatch"),
-    pytest.param(_set_provenance("seeds", {"net": 1, "shuffle": 1001, "dropout": 2001}),
+    pytest.param(_with_provenance(lambda prov: {
+        **prov, "seed_name": "R2", "seeds": {"net": 2, "shuffle": 1002, "dropout": 2002}}),
                  "'seeds.net'", id="seeds-net-mismatch"),
     pytest.param(lambda raw: _with_parameter(raw, 0, np.nan), "array W0", id="W0-nan"),
     pytest.param(lambda raw: _with_parameter(raw, -1, np.inf), "array b3", id="b3-inf"),
+    # every provenance key but css_bias is required
+    *(pytest.param(_with_provenance(_without(key)), f"'{key}'", id=f"no-{key}")
+      for key in ("seed_name", "seeds", "train_pass_ids", "test_pass_id", "window")),
+    pytest.param(_set_provenance("gyro_scale", 10 ** 400), "'gyro_scale'",
+                 id="gyro_scale-past-float-range"),
 ])
 def test_export_malformed_model_exit_2(tmp_path, pass_args, untrained_model, capsys,
                                        damage, named):
-    good = untrained_model(provenance={"case_id": "C1a", "gyro_scale": 1.0})
+    good = untrained_model()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(damage(Path(good).read_bytes()))
     out = tmp_path / "o"
@@ -1235,8 +1248,7 @@ def test_export_bad_input_creates_no_out_dir(tmp_path, eclipse_args, untrained_m
                                              capsys, model, code, named):
     path = {"missing": str(tmp_path / "missing.bin"),
             "pass": eclipse_args[0],
-            "sun-case": untrained_model(provenance={"case_id": "C1a",
-                                                    "gyro_scale": 1.0})}[model]
+            "sun-case": untrained_model()}[model]
     out = tmp_path / "o"
     assert main(["export", eclipse_args[0], "--model", path, "--raw",
                  "--out", str(out)]) == code

@@ -592,16 +592,18 @@ def test_history_csv(tmp_path):
     assert len(lines) == 11
 
 
-def test_save_load_roundtrip(tmp_path):
-    nc = NetConfig(n=5, channels=12, seed=8)
+def test_save_load_roundtrip(tmp_path, make_provenance):
+    nc = NetConfig(n=5, channels=12, seed=2)
     p = init_params(nc)
     path = tmp_path / "model.bin"
-    save_model(p, nc, path, provenance={"case_id": "C1c", "gyro_scale": 0.5})
+    provenance = make_provenance("C1c", gyro_scale=0.5, seed_name="R2")
+    save_model(p, nc, path, provenance)
     p2, nc2, prov, digest = load_model(path)
     assert nc2 == nc
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert prov["case_id"] == "C1c"
-    assert prov["gyro_scale"] == 0.5
+    assert prov == provenance
+    assert prov.case_id == "C1c"
+    assert prov.gyro_scale == 0.5
     assert all(np.array_equal(a, b) for a, b in zip(p.weights, p2.weights))
     assert all(np.array_equal(a, b) for a, b in zip(p.biases, p2.biases))
     # the loaded arrays are writable views into the loaded vector
@@ -613,15 +615,15 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(forward(p, x, nc), forward(p2, x, nc2))
     # file-level determinism
     path2 = tmp_path / "model2.bin"
-    save_model(p, nc, path2, provenance={"case_id": "C1c", "gyro_scale": 0.5})
+    save_model(p, nc, path2, provenance)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_rejects_tampered_header(tmp_path):
-    nc = NetConfig(n=5, channels=12, seed=8)
+def test_load_rejects_tampered_header(tmp_path, make_provenance):
+    nc = NetConfig(n=5, channels=12, seed=1)
     p = init_params(nc)
     path = tmp_path / "model.bin"
-    save_model(p, nc, path)
+    save_model(p, nc, path, make_provenance("C1c"))
     raw = path.read_bytes()
     # shape header says channels=12; lie about it
     tampered = raw.replace(b'"channels": 12', b'"channels": 15')

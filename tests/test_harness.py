@@ -8,7 +8,7 @@ import pytest
 
 from attlab.cases import case_spec
 from attlab import harness
-from attlab.convnet import NetConfig, TrainConfig, init_params, load_model, train
+from attlab.convnet import NetConfig, TrainConfig, init_params, load_model, save_model, train
 from attlab.harness import (
     RunResult,
     aggregate_case,
@@ -137,9 +137,9 @@ def test_run_case_persists_artifacts(tmp_path, catalog_logs):
     r = run_case("C1a", "R1", catalog_logs, n=5, outdir=tmp_path, tc=FAST_TC)
     assert r.model_path == "C1a_R1/model.bin"  # relative to the output dir
     params, nc, prov, _ = load_model(tmp_path / r.model_path)
-    assert prov["case_id"] == "C1a"
-    assert prov["gyro_scale"] == r.gyro_scale
-    assert prov["train_pass_ids"] == ["P1", "P2", "P3", "P4"]
+    assert prov.case_id == "C1a"
+    assert prov.gyro_scale == r.gyro_scale
+    assert prov.train_pass_ids == ("P1", "P2", "P3", "P4")
     assert (tmp_path / "C1a_R1" / "history.csv").exists()
     saved = json.loads((tmp_path / "C1a_R1" / "result.json").read_text())
     assert saved["train_rms_deg"] == r.train_rms_deg
@@ -333,11 +333,25 @@ def test_triad_baseline_zero_error_catalog():
     assert all(r["rms_att_deg"] < 0.5 for r in rows)
 
 
+@pytest.mark.parametrize("css_bias", [None, [165.0, 118.0, 88.0, 135.0, 210.0, 102.0]],
+                         ids=["unbiased", "css_bias"])
+def test_model_file_round_trips_byte_for_byte(tmp_path, catalog_logs, css_bias):
+    # the typed provenance writes back the keys it was read from, in their
+    # order, and an unbiased model writes no css_bias key at all
+    r = run_case("C1a", "R1", catalog_logs, tmp_path, n=5, tc=TrainConfig(max_epochs=2),
+                 css_bias=css_bias)
+    path = tmp_path / r.model_path
+    params, nc, prov, _ = load_model(path)
+    save_model(params, nc, tmp_path / "again.bin", prov)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+    assert (b'"css_bias"' in path.read_bytes()) == (css_bias is not None)
+
+
 def test_timeseries_export(tmp_path, catalog_logs):
     r = run_case("C1e", "R1", catalog_logs, n=5, outdir=tmp_path, tc=FAST_TC)
     params, nc, prov, _ = load_model(tmp_path / r.model_path)
     case = case_spec("C1e")
-    series = timeseries_rows(params, nc, case, catalog_logs[4], prov["gyro_scale"])
+    series = timeseries_rows(params, nc, case, catalog_logs[4], prov.gyro_scale)
     assert all(len(x) == 362 for x in series.values())
     att = series["att_err_deg"]
     # first n-1 steps have no prediction

@@ -302,6 +302,8 @@ _WRONG_VALUES = {
     pytest.param(_set("scenario_hash", "6E3E68F9A47BF89C"), "key 'scenario_hash'",
                  id="scenario_hash-upper"),
     pytest.param(_set("extra", 1), "unknown key 'extra'", id="unknown-key"),
+    pytest.param(_set("scenario.epoch", 10 ** 400), "scenario: key 'epoch' must be finite",
+                 id="scenario.epoch-past-float-range"),
     # a manifest's hash and seed are those of its scenario
     pytest.param(lambda m: m.update(scenario_hash="0" * 16) or m["scenario"].update(seed=5),
                  "key 'scenario_hash' is '0000000000000000', but its scenario gives",
