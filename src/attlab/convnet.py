@@ -35,6 +35,7 @@ bits.
 
 import hashlib
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -198,7 +199,7 @@ class NetParams:
         self.vec = vec
         views, start = [], 0
         for shape in shapes:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             views.append(vec[start:start + size].reshape(shape))
             start += size
         k = len(views) // 2
@@ -452,8 +453,8 @@ class _Adam:
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
         den += tc.eps
-        np.divide(m, c1, out=num)
-        num *= lr
+        # c1 is 1.0 from step 356 at beta1 = 0.9, and m / 1.0 is m
+        np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=num), lr, out=num)
         vec -= np.divide(num, den, out=num)
 
 
@@ -473,7 +474,11 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
     0.9, and reinitializes the optimizer; such epochs still consume
     budget but are excluded from best-model selection and the early-stop
     statistic. A non-finite prediction or gradient inside an epoch is
-    not raised: it makes that epoch's loss non-finite.
+    not raised: it makes that epoch's loss non-finite. Training holds the
+    last ``rollback_depth`` accepted parameter vectors, one copy of the
+    initial vector standing in for epochs not yet accepted, and a rollback
+    restores the oldest; the best vector is one of these, or the one vector
+    kept past them once the best epoch is older.
 
     ``loss_fault(epoch, loss) -> loss`` lets tests inject divergence;
     ``on_epoch(epoch, loss, lr, event, params)`` observes each epoch;
@@ -495,14 +500,13 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
                for start in range(0, N, tc.batch_size)]
     params = init_params(nc)
     grads = NetParams.from_vector(np.empty_like(params.vec), params.shapes)
-    initial = params.vec.copy()
     adam = _Adam(tc, params.vec.size)
     lr = tc.lr
     history = TrainHistory()
-    # parameter vectors after each accepted epoch, newest last
-    checkpoints = deque(maxlen=tc.rollback_depth + 1)
+    # accepted parameter vectors, newest last (see the docstring)
+    checkpoints = deque([params.vec.copy()] * tc.rollback_depth, maxlen=tc.rollback_depth)
     accepted_losses = []
-    best = params.vec.copy()
+    best = checkpoints[-1]
     win = tc.early_stop_window
 
     for epoch in range(1, tc.max_epochs + 1):
@@ -524,8 +528,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
             and epoch_loss > DIVERGENCE_FACTOR * history.best_loss)
         if diverged:
             history.divergence_count += 1
-            np.copyto(params.vec, checkpoints[-tc.rollback_depth]
-                      if len(checkpoints) >= tc.rollback_depth else initial)
+            np.copyto(params.vec, checkpoints[0])
             lr *= tc.lr_decay
             adam.reset()
             history.rows.append((epoch, epoch_loss, lr, "divergence"))
@@ -538,7 +541,7 @@ def train(ds, nc, tc, loss_fault=None, on_epoch=None):
         if epoch_loss < history.best_loss:
             history.best_loss = epoch_loss
             history.best_epoch = epoch
-            np.copyto(best, params.vec)
+            best = checkpoints[-1]
         history.rows.append((epoch, epoch_loss, lr, ""))
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss, lr, "", params)
@@ -592,7 +595,7 @@ def load_model(path):
     except ValueError as e:
         raise IncompatibleModelError(str(e)) from None
     body = data[start + hlen:]
-    count = sum(int(np.prod(shape)) for shape in header.shapes)
+    count = sum(math.prod(shape) for shape in header.shapes)
     if len(body) != count * 8:
         raise IncompatibleModelError(f"{path}: model file holds {len(body)} bytes of "
                                      f"parameters, its header's shapes need {count * 8}")

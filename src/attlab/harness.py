@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -281,6 +280,8 @@ def run_matrix(logs, case_ids, outdir, seeds=SEED_NAMES, n=5, jobs=1,
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
+            # imported here: a process that starts no pool never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for result, epochs, seconds in mapper(_cell_worker, tasks):
             if on_cell is not None:

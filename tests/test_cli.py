@@ -512,14 +512,20 @@ def test_pass_id_not_a_file_name_exit_2(tmp_path, pass_args, capsys, command, pa
     assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
 
+def _child_env(**env):
+    """This process's environment plus ``env``, with this attlab first on
+    ``PYTHONPATH``, for a child process."""
+    return {**os.environ, **env,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
 def _c_locale_attlab(*argv):
     """``attlab argv`` in a child process under the C locale with UTF-8 mode
     off, where the locale's encoding is ASCII."""
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                       os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "attlab.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, errors="replace")
+                          env=_child_env(LC_ALL="C", PYTHONUTF8="0"),
+                          capture_output=True, text=True, errors="replace")
 
 
 def test_utf8_json_read_under_c_locale(tmp_path, pass_args, fast_cfg_path):
@@ -626,6 +632,38 @@ def test_run_manifest_peak_rss_null_without_resource(tmp_path, pass_args, monkey
     monkeypatch.setitem(sys.modules, "resource", None)  # so importing it fails
     assert main(["export", pass_args[0], "--raw", "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "run_manifest.json").read_text())["peak_rss_mib"] is None
+
+
+_POOL_SCRIPT = """
+import json, sys
+from attlab.cli import main
+out, cfg = sys.argv[1:]
+passes = [f"{out}/cat/P{k}.csv" for k in range(1, 6)]
+loaded = []
+for argv in (["synth", "--out", f"{out}/cat"],
+             ["triad", *passes, "--out", f"{out}/triad"],
+             ["train", *passes, "--case", "C1a", "--config", cfg, "--out", f"{out}/cell"],
+             ["export", passes[4], "--model", f"{out}/cell/C1a_R1/model.bin", "--raw",
+              "--out", f"{out}/export"],
+             ["ablate", *passes, "--cases", "C1a", "--seeds", "R1,R2", "--jobs", "2",
+              "--config", cfg, "--out", f"{out}/ablate"]):
+    assert main(argv) == 0, argv
+    loaded.append([m for m in ("multiprocessing", "concurrent.futures.process")
+                   if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_worker_pool_loads_only_in_a_process_that_starts_one(tmp_path, two_epoch_cfg_path):
+    # synth, triad, train and export run in one process and never load the
+    # pool machinery; ablate over two cells on two workers does
+    done = subprocess.run([sys.executable, "-c", _POOL_SCRIPT, str(tmp_path),
+                           two_epoch_cfg_path], env=_child_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    pool = ["multiprocessing", "concurrent.futures.process"]
+    assert loaded == [[], [], [], [], pool]
 
 
 def test_ablate_two_cases(tmp_path, pass_args, fast_cfg_path, capsys):

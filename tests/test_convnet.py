@@ -219,7 +219,8 @@ def test_train_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(p1.biases, p2.biases))
 
 
-def test_divergence_rollback_mechanism():
+@pytest.mark.parametrize("fault_epoch", [1, 2, 10])
+def test_divergence_rollback_mechanism(fault_epoch):
     ds = toy_dataset()
     nc = NetConfig(n=3, channels=6, seed=1, dropout=0.0)
     tc = TrainConfig(batch_size=5, lr=1e-3, seed=2, max_epochs=12)
@@ -229,17 +230,18 @@ def test_divergence_rollback_mechanism():
         snapshots[epoch] = (params.copy(), lr, event)
 
     def fault(epoch, lo):
-        return float("nan") if epoch == 10 else lo
+        return float("nan") if epoch == fault_epoch else lo
 
     _, hist = train(ds, nc, tc, loss_fault=fault, on_epoch=capture)
     events = [r for r in hist.rows if r[3] == "divergence"]
-    assert len(events) == 1 and events[0][0] == 10
+    assert len(events) == 1 and events[0][0] == fault_epoch
     assert hist.divergence_count == 1
     # learning rate decayed exactly once
-    assert snapshots[10][1] == pytest.approx(1e-3 * 0.9)
-    # parameters rolled back to the checkpoint two accepted epochs earlier
-    rolled, _, ev = snapshots[10]
-    ref, _, _ = snapshots[8]
+    assert snapshots[fault_epoch][1] == pytest.approx(1e-3 * 0.9)
+    # parameters rolled back to the checkpoint two accepted epochs earlier;
+    # before two epochs were accepted, that is the initial parameters
+    rolled, _, ev = snapshots[fault_epoch]
+    ref = init_params(nc) if fault_epoch <= 2 else snapshots[fault_epoch - 2][0]
     assert ev == "divergence"
     assert all(np.array_equal(a, b) for a, b in zip(rolled.weights, ref.weights))
     assert all(np.array_equal(a, b) for a, b in zip(rolled.biases, ref.biases))
@@ -305,18 +307,28 @@ def test_best_epoch_loss_not_worse_than_first():
     assert hist.best_loss <= hist.rows[0][1]
 
 
+def _best_at_epoch_3(epoch, lo):
+    # a loss that is least at epoch 3, far older than the rollback window,
+    # and never 10x the best, so no epoch diverges
+    return 1.0 + 0.01 * abs(epoch - 3)
+
+
 def test_returned_params_are_best_checkpoint():
     ds = toy_dataset()
     nc = NetConfig(n=3, channels=6, seed=1, dropout=0.0)
     tc = TrainConfig(batch_size=5, lr=1e-3, seed=2, max_epochs=50)
-    snapshots = {}
+    for loss_fault in (None, _best_at_epoch_3):
+        snapshots = {}
 
-    def capture(epoch, lo, lr, event, params):
-        snapshots[epoch] = params.copy()
+        def capture(epoch, lo, lr, event, params):
+            snapshots[epoch] = params.copy()
 
-    best, hist = train(ds, nc, tc, on_epoch=capture)
-    ref = snapshots[hist.best_epoch]
-    assert all(np.array_equal(a, b) for a, b in zip(best.weights, ref.weights))
+        best, hist = train(ds, nc, tc, loss_fault=loss_fault, on_epoch=capture)
+        if loss_fault is not None:
+            assert hist.best_epoch == 3 and hist.divergence_count == 0
+        ref = snapshots[hist.best_epoch]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(best.weights + best.biases, ref.weights + ref.biases)), loss_fault
 
 
 def reference_forward(p, X):
@@ -373,19 +385,23 @@ def reference_train(ds, nc, tc):
 
 def test_train_matches_per_array_reference_bitwise():
     # 100 windows in batches of 32 (the last one short, padded by the
-    # forward); the reference's epoch loss pads them to four 32-row blocks
+    # forward); the reference's epoch loss pads them to four 32-row blocks.
+    # Batches of 5 over 20 epochs take 400 Adam steps, past step 356, from
+    # which Adam's c1 = 1 - 0.9**t is exactly 1.0 and the step skips m / c1
     rng = np.random.default_rng(12)
     ds = WindowDataset(X=rng.normal(scale=0.3, size=(100, 3, 6)),
                        Y=rng.normal(scale=0.2, size=(100, 3)))
     nc = NetConfig(n=3, channels=6, seed=4, dropout=0.01)
-    tc = TrainConfig(max_epochs=5, seed=6)
-    ref_params, ref_rows = reference_train(ds, nc, tc)
-    params, hist = train(ds, nc, tc)
-    assert hist.rows == ref_rows
-    assert all(np.array_equal(a, b) for a, b in
-               zip(params.weights + params.biases, ref_params.weights + ref_params.biases))
-    # each row's prediction, not only their RMS, has the reference's bits
-    assert np.array_equal(forward(params, ds.X, nc), reference_forward(params, ds.X))
+    for batch_size, max_epochs in ((32, 5), (5, 20)):
+        tc = TrainConfig(max_epochs=max_epochs, batch_size=batch_size, seed=6)
+        ref_params, ref_rows = reference_train(ds, nc, tc)
+        params, hist = train(ds, nc, tc)
+        assert hist.rows == ref_rows, batch_size
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(params.weights + params.biases,
+                       ref_params.weights + ref_params.biases)), batch_size
+        # each row's prediction, not only their RMS, has the reference's bits
+        assert np.array_equal(forward(params, ds.X, nc), reference_forward(params, ds.X))
 
 
 def test_adam_flushes_small_moments_without_changing_the_update():

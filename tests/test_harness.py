@@ -222,7 +222,9 @@ def test_run_matrix_pool_capped_at_cell_count(tmp_path, monkeypatch, catalog_rea
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("attlab.harness.ProcessPoolExecutor", InlinePool)
+    # run_matrix imports the pool where it starts one; a set attribute
+    # shadows the package's lazy __getattr__
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     tc = TrainConfig(max_epochs=2)
     run_matrix(catalog_read, ["C1a"], tmp_path, seeds=("R1",), jobs=4, tc=tc)
     assert sizes == []  # one cell runs in-process
