@@ -19,6 +19,7 @@ from .cases import DEFAULT_CASE_IDS, case_spec
 from .convnet import SEED_NAMES, TrainConfig, load_model
 from .errors import CaseInfeasibleError, ScenarioInfeasibleError
 from .harness import (
+    CELL_OUTPUTS,
     render_baseline_csv,
     render_tables_markdown,
     run_matrix,
@@ -111,7 +112,7 @@ def _now():
 def _check_file_names(named):
     """Reject a pass id that names output files but that the file-system
     encoding cannot encode; ``named`` pairs each id with the file and key
-    it came from (a file name's stem always encodes)."""
+    it came from."""
     for pass_id, where in named:
         try:
             os.fsencode(pass_id)
@@ -220,7 +221,7 @@ def _train_inputs(args):
     if not 1 <= window <= WINDOW_MAX:
         raise ValueError(f"{source} must be in 1..{WINDOW_MAX}, got {window}")
     css_bias = _css_bias(args.css_bias)
-    _reject_repeats([read_manifest(p)[1] for p in args.passes], "pass id")
+    _reject_repeats([read_manifest(p)[0].pass_id for p in args.passes], "pass id")
     return tc, window, css_bias, [read_passlog(p) for p in args.passes]
 
 
@@ -243,13 +244,11 @@ def cmd_train(args):
           f"train_rms_deg={result.train_rms_deg:.3f} "
           f"test_rms_deg={result.test_rms_deg:.3f} "
           f"stop={result.stop_reason} best_epoch={result.best_epoch}")
-    cell = os.path.join(outdir, f"{result.case_id}_{result.seed_name}")
-    _write_manifest(cell, "train",
-                    {"case": args.case, "window": n, "config_file": args.config,
-                     "train_config": dataclasses.asdict(tc)},
-                    logs, {"seed": args.seed},
-                    [os.path.join(cell, name) for name in
-                     ("model.bin", "history.csv", "result.json", "inputs.json")], started)
+    cell = os.path.join(outdir, os.path.dirname(result.model_path))
+    outputs = [os.path.join(cell, name) for name in (*CELL_OUTPUTS, "inputs.json")]
+    _write_manifest(cell, "train", {"case": args.case, "window": n, "config_file": args.config,
+                                    "train_config": dataclasses.asdict(tc)},
+                    logs, {"seed": args.seed}, outputs, started)
     return 0
 
 

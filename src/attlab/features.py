@@ -87,22 +87,18 @@ def build_frames(log, css_bias=None, gyro_scale=None):
     """FeatureFrames from a pass log.
 
     MAG reference/scale are the preflight values recorded in the pass
-    manifest. Where the manifest has per-step flags, the CSS vectors are
-    unavailable at steps that are not ``sunlit`` and the field vector at
-    steps that are ``mag_saturated``. ``gyro_scale`` must come from the
+    manifest's scenario. By the manifest's per-step flags, the CSS vectors
+    are unavailable at steps that are not ``sunlit`` and the field vector
+    at steps that are ``mag_saturated``. ``gyro_scale`` must come from the
     training passes; if omitted, the raw rates are stored and W_g is
     marked unavailable so a gyro-using case cannot silently train on
     unscaled data.
     """
-    if log.manifest.scenario is None:
-        raise ValueError(f"pass {log.pass_id}: manifest carries no sensor config "
-                         "(scenario.errors with mag_ref, mag_scale)")
     err = log.manifest.scenario.errors
+    sunlit, saturated = log.manifest.sunlit, log.manifest.mag_saturated
 
     L = len(log.t)
     ones = np.ones(L, dtype=bool)
-    sunlit = ones if log.manifest.sunlit is None else log.manifest.sunlit
-    saturated = ~ones if log.manifest.mag_saturated is None else log.manifest.mag_saturated
     uS_c, uE_c, sun_avail, earth_avail = css_to_sun_earth(log.css, css_bias)
     uB_m, mag_avail = mag_to_unit(log.mag, err.mag_ref, err.mag_scale)
     uE_i = -log.r_km / np.linalg.norm(log.r_km, axis=1, keepdims=True)

@@ -36,6 +36,8 @@ from .passlog import from_dict, read_json, write_json, write_text
 from .rotations import mrp_to_quat, rotation_angle_deg
 from .triad import triad_pass_eval
 
+CELL_OUTPUTS = ("model.bin", "history.csv", "result.json")  # run_case's, in a cell's directory
+
 
 @dataclass
 class RunResult:
@@ -73,6 +75,10 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     case = case_spec(case_id)
     seeds = Seeds.of(seed_name)
     gyro_scale = gyro_scale_from_passes(logs[:4])
+    provenance = Provenance(  # checked before anything trains
+        case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name, seeds=seeds,
+        train_pass_ids=tuple(log.pass_id for log in logs[:4]),
+        test_pass_id=logs[4].pass_id, window=n, css_bias=css_bias)
     frames = [build_frames(log, css_bias=css_bias, gyro_scale=gyro_scale)
               for log in logs]
     labels = [attitude_labels(log) for log in logs]
@@ -95,10 +101,7 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
     cell_name = f"{case_id}_{seed_name}"
     cell = os.path.join(str(outdir), cell_name)
     os.makedirs(cell, exist_ok=True)
-    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=Provenance(
-        case_id=case_id, gyro_scale=gyro_scale, seed_name=seed_name, seeds=seeds,
-        train_pass_ids=tuple(log.pass_id for log in logs[:4]),
-        test_pass_id=logs[4].pass_id, window=nc.n, css_bias=css_bias))
+    save_model(params, nc, os.path.join(cell, "model.bin"), provenance=provenance)
     history.to_csv(os.path.join(cell, "history.csv"))
     result = RunResult(
         case_id=case_id,
@@ -120,8 +123,7 @@ def run_case(case_id, seed_name, logs, outdir, n=5, tc=None, css_bias=None):
 
 def _cell_outputs(cell):
     """The bytes of the cell's outputs and their hex SHA-256s, by file name."""
-    data = {name: Path(cell, name).read_bytes()
-            for name in ("model.bin", "history.csv", "result.json")}
+    data = {name: Path(cell, name).read_bytes() for name in CELL_OUTPUTS}
     return data, {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
 
 

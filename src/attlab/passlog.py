@@ -3,9 +3,10 @@
 A pass is one 6-minute observation log: 362 records at a strict 1 s
 cadence. Each record carries the raw coarse-sensor counts, the gyro
 rates, the inertial model vectors, the orbit position, and the truth
-attitude. On disk a pass is a CSV plus a JSON sidecar manifest
-(``<name>.manifest.json``), read as a ``PassManifest``: the ``Scenario``
-the pass was made from, its seed, and per-step sunlit/saturation flags.
+attitude. On disk a pass is a CSV and its JSON sidecar manifest
+(``<name>.manifest.json``), read as a ``PassManifest`` whose every key is
+required: the pass id, the ``Scenario`` the pass was made from, its seed
+and hash, and per-step sunlit/saturation flags.
 The writer also leaves ``<name>.records``, the CSV's numbers in binary
 under a digest of the CSV's bytes; the reader takes them from there only
 while the digest matches, and otherwise parses the CSV. Both apply the
@@ -218,22 +219,16 @@ class Scenario:
 
 @dataclass
 class PassManifest:
-    """A pass's sidecar manifest; an absent key reads as None, a flag list as a bool array."""
+    """A pass's sidecar manifest, every key required; a flag list reads as a bool array."""
 
-    pass_id: str = None
-    seed: int = None
-    scenario: Scenario = None
-    scenario_hash: str = None  # the first 16 hex digits of Scenario.hash
-    sunlit: tuple = None
-    mag_saturated: tuple = None
+    pass_id: str
+    seed: int
+    scenario: Scenario
+    scenario_hash: str  # the first 16 hex digits of Scenario.hash
+    sunlit: tuple
+    mag_saturated: tuple
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"key 'seed' must be >= 0, got {self.seed!r}")
-        if self.scenario_hash is not None and not re.fullmatch("[0-9a-f]{16}",
-                                                               self.scenario_hash):
-            raise ValueError("key 'scenario_hash' must be 16 lowercase hex digits, "
-                             f"got {self.scenario_hash!r}")
         for key in ("sunlit", "mag_saturated"):
             flags = getattr(self, key)
             if isinstance(flags, tuple):  # as read from a list
@@ -245,7 +240,6 @@ class PassManifest:
 
 @dataclass
 class PassLog:
-    pass_id: str
     t: np.ndarray  # (362,) seconds from pass start
     css: np.ndarray  # (362, 6) ADC counts, non-negative integers
     mag: np.ndarray  # (362, 3) ADC counts, integers
@@ -254,17 +248,21 @@ class PassLog:
     uB_i: np.ndarray  # (362, 3) model field direction, ECI unit vectors
     r_km: np.ndarray  # (362, 3) orbit position, km ECI
     q_true: np.ndarray  # (362, 4) truth attitude [x, y, z, w]
-    manifest: PassManifest = field(default_factory=PassManifest)
+    manifest: PassManifest
     # set by read_passlog: the CSV's path and the hex SHA-256 of the CSV and
-    # manifest bytes it parsed (None without a manifest)
+    # manifest bytes it parsed
     csv_path: str | None = None
     csv_sha256: str | None = None
     manifest_sha256: str | None = None
 
+    @property
+    def pass_id(self):
+        return self.manifest.pass_id
+
     def input_hashes(self):
         """``{path: hex SHA-256}`` of the CSV and manifest read_passlog parsed."""
-        paths = self.csv_path, manifest_path_for(self.csv_path)
-        return {p: h for p, h in zip(paths, (self.csv_sha256, self.manifest_sha256)) if h}
+        return {self.csv_path: self.csv_sha256,
+                manifest_path_for(self.csv_path): self.manifest_sha256}
 
     def validate(self):
         """The log itself; a violated invariant raises DataIntegrityError
@@ -386,37 +384,33 @@ def records_path_for(csv_path):
 
 
 def read_manifest(csv_path):
-    """The pass's sidecar ``PassManifest`` (all None when it has none), its
-    pass id and the hex SHA-256 of the manifest's bytes (None when it has
-    none). The pass id is the manifest's ``pass_id``, else the stem of the
-    CSV file's name (``P1`` for ``dir/P1.csv``). A manifest with a scenario
-    must carry that scenario's hash and seed. A malformed manifest or pass
-    id raises DataIntegrityError naming the file and the key."""
+    """The pass's sidecar ``PassManifest`` and the hex SHA-256 of its bytes.
+    Every key is required, and the pass id, seed and hash must be those of
+    the manifest's scenario, which carries its MAG reference values. A
+    missing manifest raises DataIntegrityError naming the CSV and the
+    manifest's path; a malformed one names the manifest and the key."""
     path = manifest_path_for(csv_path)
     try:
-        d, digest = read_json(path) if os.path.exists(path) else ({}, None)
+        d, digest = read_json(path)
         if not isinstance(d, dict):
             raise ValueError(f"{path}: manifest must be a JSON object, got {type(d).__name__}")
-        if "pass_id" in d:
-            where, pass_id = f"{path}: key 'pass_id'", d["pass_id"]
-        else:
-            where = f"{csv_path}: pass id (the file name's stem)"
-            pass_id = os.path.basename(str(csv_path)).removesuffix(".csv")
-        check_pass_id(where, pass_id)
         manifest = from_dict(PassManifest, d, path)
-        if manifest.scenario is not None:  # else Scenario's defaults stand in for these
-            errors = d["scenario"]["errors"] if "errors" in d["scenario"] else {}
-            for key in ("mag_ref", "mag_scale"):
-                if key not in errors:
-                    raise ValueError(f"{path}: scenario.errors: missing key {key!r}")
-            for key, made in (("scenario_hash", manifest.scenario.hash()),
-                              ("seed", manifest.scenario.seed)):
-                if getattr(manifest, key) != made:
-                    raise ValueError(f"{path}: key {key!r} is {getattr(manifest, key)!r}, "
-                                     f"but its scenario gives {made!r}")
+        errors = d["scenario"].get("errors", {})
+        for key in ("mag_ref", "mag_scale"):
+            if key not in errors:
+                raise ValueError(f"{path}: scenario.errors: missing key {key!r}")
+        sc = manifest.scenario
+        for key, made in (("pass_id", sc.pass_id), ("scenario_hash", sc.hash()),
+                          ("seed", sc.seed)):
+            if getattr(manifest, key) != made:
+                raise ValueError(f"{path}: key {key!r} is {getattr(manifest, key)!r}, "
+                                 f"but its scenario gives {made!r}")
+    except OSError as e:
+        raise DataIntegrityError(f"{csv_path}: cannot read its manifest {path}: "
+                                 f"{e.strerror}") from None
     except ValueError as e:
         raise DataIntegrityError(str(e)) from None
-    return manifest, pass_id, digest
+    return manifest, digest
 
 
 def read_json(path):
@@ -491,7 +485,7 @@ def _parsed_records(body, csv_path):
 
 
 def read_passlog(csv_path):
-    """Load and validate a pass CSV; the manifest sidecar is loaded if present.
+    """Load and validate a pass CSV and its sidecar manifest (``read_manifest``).
 
     The records come from the pass's records file when its digest matches
     the CSV's bytes, else from the CSV's text; either way
@@ -511,8 +505,8 @@ def read_passlog(csv_path):
     data = _stored_records(csv_digest, csv_path)
     if data is None:
         data = _parsed_records(csv_bytes[header.end():], csv_path)
-    manifest, pass_id, manifest_sha256 = read_manifest(csv_path)
-    log = PassLog(pass_id=pass_id, manifest=manifest, csv_path=str(csv_path),
+    manifest, manifest_sha256 = read_manifest(csv_path)
+    log = PassLog(manifest=manifest, csv_path=str(csv_path),
                   csv_sha256=csv_digest.hexdigest(), manifest_sha256=manifest_sha256,
                   **{name: data[:, index] for name, (index, _) in PASS_LAYOUT.items()})
     try:

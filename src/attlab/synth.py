@@ -142,7 +142,6 @@ def synth_pass(sc):
     w_meas = simulate_gyro(w_true, sc.errors, rng)
 
     log = PassLog(
-        pass_id=sc.pass_id,
         t=np.arange(PASS_SAMPLES, dtype=float),
         css=css,
         mag=mag,

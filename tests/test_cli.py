@@ -16,7 +16,7 @@ from attlab import cli, harness
 from attlab.cli import main
 from attlab.cases import case_spec
 from attlab.convnet import NetConfig, init_params, load_model, save_model
-from attlab.passlog import read_passlog
+from attlab.passlog import Scenario, from_dict, read_passlog
 from attlab.synth import default_catalog
 
 
@@ -359,6 +359,26 @@ def test_triad_eclipse_solves_no_step(tmp_path, eclipse_args, capsys):
         assert (t, att, sun) == (str(k), "", "") and float(mag) >= 0.0
 
 
+@pytest.mark.parametrize("argv", [["triad"], ["train", "--case", "C1a"]],
+                         ids=["triad", "train"])
+def test_eclipse_catalog_without_flags_exit_2(tmp_path, eclipse_args, fast_cfg_path, capsys,
+                                              argv):
+    # without its flags the eclipse catalog's Sun vectors would count as
+    # measured: TRIAD would solve every step, and C1a would train
+    passes = _copy_catalog(tmp_path, eclipse_args)
+    for p in passes:
+        manifest = Path(p).with_suffix(".manifest.json")
+        data = json.loads(manifest.read_text())
+        del data["sunlit"], data["mag_saturated"]
+        manifest.write_text(json.dumps(data))
+    config = ["--config", fast_cfg_path] if argv[0] == "train" else []
+    out = tmp_path / "o"
+    assert main([argv[0], *passes, *argv[1:], *config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{Path(passes[0]).with_suffix('.manifest.json')}: missing key 'sunlit'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bias", ["nan,0,0,0,0,0", "0,0,inf,0,0,0", "0,0,0,0,0,-inf",
                                   "0,0,0,0,0", "0,0,0,0,0,x"])
 @pytest.mark.parametrize("command", ["triad", "train", "ablate"])
@@ -437,6 +457,8 @@ def _malformed(manifest, case):
         errors["mag_scale"] = "abc"
     elif case == "int-pass_id":
         manifest["pass_id"] = 7
+    elif case == "pass_id-disagrees":
+        manifest["pass_id"] = "P9"
     elif case == "null-seed":
         manifest["seed"] = None
     elif case == "unknown-key":
@@ -450,11 +472,12 @@ def _malformed(manifest, case):
     ("invalid-json", "not valid JSON"),
     ("no-mag_scale", "scenario.errors: missing key 'mag_scale'"),
     ("text-mag_scale", "scenario.errors: key 'mag_scale' must be float"),
-    ("int-pass_id", "key 'pass_id' must be a string"),
+    ("int-pass_id", "key 'pass_id' must be str"),
+    ("pass_id-disagrees", "key 'pass_id' is 'P9', but its scenario gives 'P1'"),
     ("null-seed", "key 'seed' must be int"),
     ("unknown-key", "unknown key 'sead'"),
-], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id", "null-seed",
-        "unknown-key"])
+], ids=["list", "invalid-json", "no-mag_scale", "text-mag_scale", "int-pass_id",
+        "pass_id-disagrees", "null-seed", "unknown-key"])
 def test_malformed_manifest_exit_2(tmp_path, pass_args, capsys, command, case, named):
     passes = _copy_catalog(tmp_path, pass_args)
     manifest = Path(passes[0]).with_suffix(".manifest.json")
@@ -520,6 +543,14 @@ def _child_env(**env):
                                                         os.environ.get("PYTHONPATH")]))}
 
 
+def _renamed(manifest, pass_id):
+    """A pass manifest's dict with ``pass_id`` as its pass id and its
+    scenario's, and the scenario's hash to match."""
+    sc = {**manifest["scenario"], "pass_id": pass_id}
+    return {**manifest, "pass_id": pass_id, "scenario": sc,
+            "scenario_hash": from_dict(Scenario, sc, "scenario").hash()}
+
+
 def _c_locale_attlab(*argv):
     """``attlab argv`` in a child process under the C locale with UTF-8 mode
     off, where the locale's encoding is ASCII."""
@@ -543,8 +574,8 @@ def test_utf8_json_read_under_c_locale(tmp_path, pass_args, fast_cfg_path):
 
     passes = _copy_catalog(tmp_path, pass_args)
     manifest = Path(passes[4]).with_suffix(".manifest.json")
-    data = json.loads(manifest.read_text())
-    manifest.write_bytes(json.dumps({**data, "pass_id": "P\u00e45"}, ensure_ascii=False).encode())
+    data = _renamed(json.loads(manifest.read_text()), "P\u00e45")
+    manifest.write_bytes(json.dumps(data, ensure_ascii=False).encode())
     run = _c_locale_attlab("train", *passes, "--case", "C1a", "--config", fast_cfg_path,
                            "--out", tmp_path / "cell")
     assert run.returncode == 0, run.stderr
@@ -559,7 +590,7 @@ def test_pass_id_the_file_system_cannot_encode_exit_2(tmp_path, pass_args):
     cfg.write_bytes(json.dumps({"scenarios": [sc]}, ensure_ascii=False).encode())
     passes = _copy_catalog(tmp_path, pass_args)
     manifest = Path(passes[0]).with_suffix(".manifest.json")
-    data = {**json.loads(manifest.read_text()), "pass_id": "P\u00e41"}
+    data = _renamed(json.loads(manifest.read_text()), "P\u00e41")
     manifest.write_bytes(json.dumps(data, ensure_ascii=False).encode())
     for argv, source in [(["synth", "--config", cfg], f"{cfg}: scenarios[0]: key 'pass_id'"),
                          (["triad", *passes], f"{manifest}: key 'pass_id'"),
@@ -1090,16 +1121,18 @@ def test_export_model_and_raw(tmp_path, pass_args, fast_cfg_path):
     assert prof[0].startswith("t,css0")
 
 
-def test_export_raw_only(tmp_path, pass_args):
+def test_export_raw_only(tmp_path, pass_args, capsys):
     e = tmp_path / "raw"
     assert main(["export", pass_args[0], "--out", str(e)]) == 0
     assert (e / "profile_P1.csv").exists()
-    # a pass without a manifest takes its file's stem as its pass id
+    # a pass without its manifest has no pass id, and makes no --out
     bare = tmp_path / "nomani" / "P1.csv"
     bare.parent.mkdir()
     shutil.copy(pass_args[0], bare)
-    assert main(["export", str(bare), "--raw", "--out", str(tmp_path / "exp")]) == 0
-    assert (tmp_path / "exp" / "profile_P1.csv").exists()
+    assert main(["export", str(bare), "--raw", "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bare}: cannot read its manifest {bare.with_suffix('.manifest.json')}" in err
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.fixture

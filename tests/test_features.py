@@ -277,10 +277,6 @@ def test_frames_follow_manifest_flags(catalog_logs):
     # the vectors themselves are untouched; only their availability moves
     for g in plain.groups:
         assert np.array_equal(frames.groups[g], plain.groups[g])
-    # a manifest without the flags keeps every measured step
-    bare = dataclasses.replace(log.manifest, sunlit=None, mag_saturated=None)
-    frames = build_frames(dataclasses.replace(log, manifest=bare))
-    assert all(frames.avail[g].all() for g in ("uS_c", "uE_c", "uB_m"))
 
 
 def test_eclipse_flags_without_bias_estimate():

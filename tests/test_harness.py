@@ -169,6 +169,17 @@ def test_run_case_holds_no_in_order_windows_while_training(tmp_path, catalog_log
     assert len(built) == 10  # each pass is windowed again to be scored
 
 
+def test_run_case_checks_provenance_before_training(tmp_path, catalog_logs, monkeypatch):
+    def no_training(*args):
+        raise AssertionError("trained before the provenance was checked")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    logs = [*catalog_logs[:4], catalog_logs[0]]  # P1 would test a model it trained
+    with pytest.raises(ValueError, match="key 'test_pass_id' 'P1' is in 'train_pass_ids'"):
+        run_case("C1a", "R1", logs, tmp_path, n=5, tc=FAST_TC)
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_case_rejects_wrong_pass_count(tmp_path, catalog_logs):
     with pytest.raises(ValueError):
         run_case("C1a", "R1", catalog_logs[:3], tmp_path, tc=FAST_TC)

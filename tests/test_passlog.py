@@ -26,7 +26,6 @@ from attlab.cli import main
 from attlab.passlog import (
     CSV_COLUMNS,
     RECORDS_MAGIC,
-    PassManifest,
     from_dict,
     manifest_path_for,
     read_manifest,
@@ -175,14 +174,19 @@ def test_from_dict_rejects_wrong_types_naming_the_key(cls, d, named):
     assert named in str(ei.value) and str(ei.value).startswith("cfg.json")
 
 
-def test_pass_id_from_manifest_else_path(tmp_path):
+def test_pass_id_from_manifest_only(tmp_path):
     log = synth_pass(default_catalog()[1])
-    csv, _ = write_passlog(log, tmp_path / "a.csv")
-    assert read_manifest(csv)[1] == "P2" == read_passlog(csv).pass_id
-    bare = tmp_path / "bare.csv"
+    csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
+    assert read_manifest(csv)[0].pass_id == "P2" == read_passlog(csv).pass_id
+    assert read_passlog(csv).manifest.scenario.pass_id == "P2"
+    # a CSV without its manifest has no pass id, whatever its file's name
+    bare = tmp_path / "P2.csv"
     shutil.copy(csv, bare)
-    assert read_manifest(bare) == (PassManifest(), "bare", None)
-    assert read_passlog(bare).pass_id == "bare"
+    for read in (read_manifest, read_passlog):
+        with pytest.raises(DataIntegrityError) as ei:
+            read(bare)
+        assert str(ei.value) == (f"{bare}: cannot read its manifest "
+                                 f"{manifest_path_for(bare)}: No such file or directory")
 
 
 def test_read_passlog_keeps_the_digests_of_the_bytes_it_parsed(written_pass):
@@ -198,8 +202,8 @@ def test_read_passlog_keeps_the_digests_of_the_bytes_it_parsed(written_pass):
         assert log.input_hashes() == {str(path): sha256(path),
                                       manifest_path_for(path): sha256(manifest)}
     Path(manifest_path_for(bare)).unlink()
-    log = read_passlog(bare)
-    assert log.manifest_sha256 is None and log.input_hashes() == {str(bare): sha256(bare)}
+    with pytest.raises(DataIntegrityError, match=re.escape(manifest_path_for(bare))):
+        read_passlog(bare)
 
 
 @pytest.mark.parametrize("key, flags", [
@@ -292,7 +296,8 @@ _WRONG_VALUES = {
     pytest.param(lambda m: m.update(pass_id=None), "'pass_id'", id="pass_id-null"),
     *(pytest.param(_set(path, _JSON_VALUES[name]), named, id=f"{path}-{name}")
       for path, (names, named) in _WRONG_VALUES.items() for name in names.split()),
-    pytest.param(_set("seed", -5), "key 'seed' must be >= 0", id="seed-negative"),
+    pytest.param(_set("seed", -5), "key 'seed' is -5, but its scenario gives",
+                 id="seed-negative"),
     pytest.param(_set("scenario.seed", -5), "scenario: key 'seed' must be >= 0",
                  id="scenario.seed-negative"),
     pytest.param(_set("scenario.orbit", "garbage"), "scenario.orbit: expected an object",
@@ -304,7 +309,9 @@ _WRONG_VALUES = {
     pytest.param(_set("extra", 1), "unknown key 'extra'", id="unknown-key"),
     pytest.param(_set("scenario.epoch", 10 ** 400), "scenario: key 'epoch' must be finite",
                  id="scenario.epoch-past-float-range"),
-    # a manifest's hash and seed are those of its scenario
+    # a manifest's pass id, hash and seed are those of its scenario
+    pytest.param(_set("pass_id", "P9"), "key 'pass_id' is 'P9', but its scenario gives 'P1'",
+                 id="pass_id-disagrees"),
     pytest.param(lambda m: m.update(scenario_hash="0" * 16) or m["scenario"].update(seed=5),
                  "key 'scenario_hash' is '0000000000000000', but its scenario gives",
                  id="scenario_hash-and-seed-disagree"),
@@ -318,10 +325,15 @@ _WRONG_VALUES = {
                  "scenario: missing key 'pass_id'", id="scenario-only-errors"),
     pytest.param(lambda m: m["scenario"].pop("errors"),
                  "scenario.errors: missing key 'mag_ref'", id="scenario-no-errors"),
-    *(pytest.param(lambda m, v=v: m.update(pass_id=v),
+    # a pass id that cannot name a file, in the manifest and its scenario
+    *(pytest.param(lambda m, v=v: m.update(pass_id=v) or m["scenario"].update(pass_id=v),
                    "key 'pass_id' must be a string that names a file", id=f"pass_id-{name}")
       for name, v in (("parent", "../x"), ("slash", "a/b"), ("empty", ""),
                       ("dotdot", ".."))),
+    # every key is required
+    *(pytest.param(lambda m, key=key: m.pop(key), f"missing key {key!r}", id=f"no-{key}")
+      for key in ("pass_id", "seed", "scenario", "scenario_hash", "sunlit",
+                  "mag_saturated")),
 ])
 def test_read_passlog_rejects_bad_manifest_keys(tmp_path, edit, named):
     csv, manifest_path = write_passlog(synth_pass(default_catalog()[0]), tmp_path / "a.csv")
@@ -347,8 +359,8 @@ def test_read_then_write_passlog_keeps_every_byte(tmp_path, eclipse):
 
 def test_read_passlog_manifest_without_sensor_config(tmp_path):
     # an int mag_scale is a number (the scenario then hashes differently);
-    # a manifest without scenario errors, or none at all, reads, and
-    # build_frames then names the pass
+    # a manifest without a scenario, which carries the sensor config, or
+    # no manifest at all, is refused where the pass is read
     log = synth_pass(default_catalog()[0])
     csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
     manifest = json.loads(Path(manifest_path).read_text())
@@ -356,23 +368,33 @@ def test_read_passlog_manifest_without_sensor_config(tmp_path):
     manifest["scenario_hash"] = from_dict(Scenario, manifest["scenario"], "scenario").hash()
     write_json(manifest_path, manifest)
     assert read_passlog(csv).manifest.scenario.errors.mag_scale == 8000
-    write_json(manifest_path, {"pass_id": "P9"})
-    with pytest.raises(ValueError, match="pass P9: manifest carries no sensor config"):
-        build_frames(read_passlog(csv))
-    Path(manifest_path).unlink()
-    with pytest.raises(ValueError) as ei:
-        build_frames(read_passlog(csv))
-    assert str(ei.value).startswith("pass a: manifest carries no sensor config")
-
-
-def test_read_passlog_flags_optional_and_kept(tmp_path):
-    log = synth_pass(default_catalog()[0])
-    csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
-    assert np.array_equal(read_passlog(csv).manifest.sunlit, log.manifest.sunlit)
-    manifest = json.loads(Path(manifest_path).read_text())
-    del manifest["sunlit"], manifest["mag_saturated"]
+    del manifest["scenario"]
     write_json(manifest_path, manifest)
-    assert read_passlog(csv).manifest.sunlit is None
+    with pytest.raises(DataIntegrityError) as ei:
+        read_passlog(csv)
+    assert str(ei.value) == f"{manifest_path}: missing key 'scenario'"
+    Path(manifest_path).unlink()
+    with pytest.raises(DataIntegrityError) as ei:
+        read_passlog(csv)
+    assert str(ei.value).startswith(f"{csv}: cannot read its manifest {manifest_path}: ")
+
+
+def test_read_passlog_flags_required_and_kept(tmp_path):
+    log = synth_pass(eclipse_variant(default_catalog()[0]))
+    csv, manifest_path = write_passlog(log, tmp_path / "a.csv")
+    manifest = read_passlog(csv).manifest
+    assert not manifest.sunlit.any()
+    for key in ("sunlit", "mag_saturated"):
+        assert np.array_equal(getattr(manifest, key), getattr(log.manifest, key))
+    # without its flags, a pass would count every measured step as usable
+    for key in ("sunlit", "mag_saturated"):
+        edited = json.loads(Path(manifest_path).read_text())
+        del edited[key]
+        write_json(manifest_path, edited)
+        with pytest.raises(DataIntegrityError) as ei:
+            read_passlog(csv)
+        assert str(ei.value) == f"{manifest_path}: missing key {key!r}"
+        write_passlog(log, csv)
 
 
 def _set_cell(lines, step, column, value):
